@@ -46,6 +46,21 @@ _STUDY_KEYS = {
 
 _MODEL_KINDS = BUILTIN_KINDS + ("linear_drift", "zero_cost")
 
+# Integer-valued keys and their least allowed value, per section.
+_INT_KEYS = {
+    "model": {"d": 1, "p_hidden": 1, "dim_data": 0},
+    "grid": {"n_steps": 1},
+    "trainer": {"n_iters": 0, "seed": None, "record_every": 0,
+                "snapshot_every": 0},
+    "dataset": {"n_samples": 1, "seed": None},
+    "init": {"seed": None, "n_particles": 1},
+}
+
+# Length of one data slice per state dimension, for each dataset kind:
+# regression data is the target vector, timeseries data stacks the
+# observation and truth channels.
+_DATA_WIDTH = {"regression": 1, "timeseries": 2}
+
 
 def load_config(path) -> dict:
     with open(path) as fh:
@@ -68,7 +83,22 @@ def parse_config(raw: dict) -> dict:
             if bad:
                 raise ConfigError(
                     f"unknown keys in section {section!r}: {sorted(bad)}")
+    for section, keys in _INT_KEYS.items():
+        for key, least in keys.items():
+            if key in raw.get(section, {}):
+                _check_int(f"{section}.{key}", raw[section][key], least)
     return copy.deepcopy(raw)
+
+
+def _check_int(name: str, value, least) -> None:
+    """Reject booleans, non-numbers and non-integral numbers, and values
+    below ``least`` (None: no lower bound)."""
+    integral = (isinstance(value, int)
+                or (isinstance(value, float) and value.is_integer()))
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value!r}")
 
 
 def validate_study_section(config: dict, study_kind: str) -> dict:
@@ -116,6 +146,16 @@ def build_setup(config: dict, seed_override: int | None = None) -> StudySetup:
         noise_dt=None if noise_dt is None else float(noise_dt),
     )
     dsec = config.get("dataset", {})
+    dataset_kind = dsec.get("kind", "regression")
+    if dataset_kind not in _DATA_WIDTH:
+        raise ConfigError(f"unknown dataset kind {dataset_kind!r}; "
+                          f"expected one of {tuple(_DATA_WIDTH)}")
+    width = _DATA_WIDTH[dataset_kind] * model.dim_state
+    if model.dim_data and model.dim_data != width:
+        raise ConfigError(
+            f"model {model.kind!r} reads data slices of length "
+            f"{model.dim_data}, but {dataset_kind!r} data has length {width} "
+            f"at d = {model.dim_state}")
     isec = config.get("init", {})
     if isec.get("kind", "gaussian") == "constant":
         init = ("constant", float(isec.get("value", 0.0)))
@@ -126,7 +166,7 @@ def build_setup(config: dict, seed_override: int | None = None) -> StudySetup:
         model=model, grid=grid, trainer=trainer,
         n_particles=int(isec.get("n_particles", 64)),
         n_samples=int(dsec.get("n_samples", 8)),
-        dataset_kind=dsec.get("kind", "regression"),
+        dataset_kind=dataset_kind,
         dataset_target=dsec.get("target", "scaled"),
         dataset_seed=int(dsec.get("seed", 101)),
         init=init,

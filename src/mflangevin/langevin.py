@@ -27,8 +27,9 @@ from .exceptions import NonFiniteParticleError
 from .grids import TimeGrid
 from .metrics import paired_distance
 from .models import ModelSpec, PriorSpec
-from .objective import objective_J, objective_Jsigma
-from .odes import adjoint_paths, forward_paths, hamiltonian_grad_at, mean_field_drift
+from .objective import objective_Jsigma
+from .odes import (adjoint_paths, drift_and_states, forward_paths,
+                   hamiltonian_grad_at, mean_field_drift)
 from .rng import PURPOSE_PROBE, keyed_normals, step_normals
 
 __all__ = [
@@ -121,27 +122,49 @@ def drift_norm(drift: np.ndarray, grid: TimeGrid) -> float:
     return math.sqrt(float(np.sum(sq) * grid.dt))
 
 
-def _noise_block(cfg: TrainerConfig, iter_index: int, n_particles: int,
-                 n_nodes: int, dim_param: int) -> np.ndarray:
-    offsets = cfg.fine_offsets()
-    fine = np.arange(offsets[iter_index], offsets[iter_index + 1])
-    dt_fine = cfg.noise_dt if cfg.noise_dt is not None \
-        else cfg.increments()[iter_index]
-    draws = step_normals(cfg.seed, fine, n_particles, n_nodes, dim_param)
-    return math.sqrt(dt_fine) * draws
+@dataclass(frozen=True)
+class _StepSchedule:
+    """Per-step quantities of one run, built once from its TrainerConfig.
+
+    ``gamma[k]`` is step k's increment, ``s[k]`` the training time before
+    it, step k consumes fine Brownian slots ``offsets[k]:offsets[k + 1]``,
+    and ``sqrt_dt[k]`` scales each fine slot's standard normals.
+    """
+
+    gamma: np.ndarray
+    s: np.ndarray
+    offsets: np.ndarray
+    sqrt_dt: np.ndarray
+
+    @classmethod
+    def of(cls, cfg: TrainerConfig) -> "_StepSchedule":
+        incs = cfg.increments()
+        dt_fine = incs if cfg.noise_dt is None else np.full_like(incs, cfg.noise_dt)
+        return cls(gamma=incs, s=np.concatenate([[0.0], np.cumsum(incs)]),
+                   offsets=cfg.fine_offsets(), sqrt_dt=np.sqrt(dt_fine))
+
+
+def _noise_block(cfg: TrainerConfig, sched: _StepSchedule, iter_index: int,
+                 shape: tuple) -> np.ndarray:
+    fine = np.arange(sched.offsets[iter_index], sched.offsets[iter_index + 1])
+    draws = step_normals(cfg.seed, fine, *shape)
+    return sched.sqrt_dt[iter_index] * draws
 
 
 def _apply_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-                grid: TimeGrid, cfg: TrainerConfig, iter_index: int,
-                drift: np.ndarray | None = None) -> ParticleCloud:
+                grid: TimeGrid, cfg: TrainerConfig, sched: _StepSchedule,
+                iter_index: int, drift: np.ndarray | None = None,
+                noise: np.ndarray | None = None) -> ParticleCloud:
+    """One update; ``noise`` is this step's scaled Brownian block if already drawn."""
     if drift is None:
         drift = mean_field_drift(model, cloud, dataset, grid)
     theta = cloud.particles
-    gamma = cfg.increments()[iter_index]
     move = drift + 0.5 * cfg.sigma ** 2 * cfg.prior.grad_U(theta)
-    new = theta - gamma * move
+    new = theta - sched.gamma[iter_index] * move
     if cfg.sigma > 0.0:
-        new = new + cfg.sigma * _noise_block(cfg, iter_index, *theta.shape)
+        if noise is None:
+            noise = _noise_block(cfg, sched, iter_index, theta.shape)
+        new = new + cfg.sigma * noise
     if not np.all(np.isfinite(new)):
         raise NonFiniteParticleError(
             f"non-finite particle after iteration {iter_index} "
@@ -153,7 +176,8 @@ def langevin_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
                   grid: TimeGrid, cfg: TrainerConfig,
                   iter_index: int) -> ParticleCloud:
     """One Euler-Maruyama update of the whole cloud."""
-    return _apply_step(model, cloud, dataset, grid, cfg, iter_index)
+    return _apply_step(model, cloud, dataset, grid, cfg, _StepSchedule.of(cfg),
+                       iter_index)
 
 
 def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
@@ -165,41 +189,34 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
     snapshots every ``snapshot_every`` iterations feed the studies.
     """
     history = TrainHistory()
-    incs = cfg.increments()
-    s_values = np.concatenate([[0.0], np.cumsum(incs)])
+    sched = _StepSchedule.of(cfg)
 
-    def record(it, cloud, drift):
+    def record(it, cloud):
+        """Append a history row for ``cloud``; return its drift."""
+        x, drift = drift_and_states(model, cloud, dataset, grid)
+        # J comes from the forward states the drift was computed from.
+        val = objective_Jsigma(model, cloud, dataset, grid, cfg.sigma,
+                               cfg.prior, x=x)
         history.iters.append(it)
-        history.s.append(float(s_values[it]))
-        if cfg.sigma > 0.0:
-            val = objective_Jsigma(model, cloud, dataset, grid,
-                                   cfg.sigma, cfg.prior)
-            history.J.append(val.j)
-            history.Jsigma.append(val.j_sigma)
-        else:
-            history.J.append(objective_J(model, cloud, dataset, grid))
-            history.Jsigma.append(None)
+        history.s.append(float(sched.s[it]))
+        history.J.append(val.j)
+        history.Jsigma.append(val.j_sigma if cfg.sigma > 0.0 else None)
         history.grad_norm.append(drift_norm(drift, grid))
         history.second_moment.append(cloud.second_moment())
+        return drift
 
     cloud = init
     for it in range(cfg.n_iters):
-        want_record = cfg.record_every > 0 and it % cfg.record_every == 0
-        want_snap = cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0
         drift = None
-        if want_record or want_snap:
-            drift = mean_field_drift(model, cloud, dataset, grid)
-            if want_record:
-                record(it, cloud, drift)
-            if want_snap:
-                history.snapshots.append((it, cloud))
-        cloud = _apply_step(model, cloud, dataset, grid, cfg, it, drift)
-    if cfg.record_every > 0 or cfg.snapshot_every > 0:
-        drift = mean_field_drift(model, cloud, dataset, grid)
-        if cfg.record_every > 0:
-            record(cfg.n_iters, cloud, drift)
-        if cfg.snapshot_every > 0:
-            history.snapshots.append((cfg.n_iters, cloud))
+        if cfg.record_every > 0 and it % cfg.record_every == 0:
+            drift = record(it, cloud)
+        if cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0:
+            history.snapshots.append((it, cloud))
+        cloud = _apply_step(model, cloud, dataset, grid, cfg, sched, it, drift)
+    if cfg.record_every > 0:
+        record(cfg.n_iters, cloud)
+    if cfg.snapshot_every > 0:
+        history.snapshots.append((cfg.n_iters, cloud))
     return cloud, history
 
 
@@ -224,16 +241,17 @@ def coupled_pair_run(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
     """
     if init_a.particles.shape != init_b.particles.shape:
         raise ValueError("coupled runs need equal cloud shapes")
-    incs = cfg.increments()
-    s_values = np.concatenate([[0.0], np.cumsum(incs)])
+    sched = _StepSchedule.of(cfg)
     dist = np.zeros(cfg.n_iters + 1)
     a, b = init_a, init_b
     dist[0] = paired_distance(a.particles, b.particles, grid.dt)
     for it in range(cfg.n_iters):
-        a = _apply_step(model, a, dataset, grid, cfg, it)
-        b = _apply_step(model, b, dataset, grid, cfg, it)
+        noise = (_noise_block(cfg, sched, it, a.particles.shape)
+                 if cfg.sigma > 0.0 else None)
+        a = _apply_step(model, a, dataset, grid, cfg, sched, it, noise=noise)
+        b = _apply_step(model, b, dataset, grid, cfg, sched, it, noise=noise)
         dist[it + 1] = paired_distance(a.particles, b.particles, grid.dt)
-    return CoupledRunResult(s=s_values, distance=dist, cloud_a=a, cloud_b=b)
+    return CoupledRunResult(s=sched.s, distance=dist, cloud_a=a, cloud_b=b)
 
 
 @dataclass(frozen=True)
@@ -271,6 +289,7 @@ def picard_solve(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
                            np.arange(n_ref - n2), 0, 9, 0)
         picks = np.minimum((u * n2).astype(int), n2 - 1)
         theta0 = np.concatenate([theta0, theta0[picks]], axis=0)
+    sched = _StepSchedule.of(cfg)
     frozen = [theta0] * (cfg.n_iters + 1)
     distances = np.zeros(n_picard)
     traj = frozen
@@ -284,7 +303,7 @@ def picard_solve(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
             p = adjoint_paths(model, flow_cloud, dataset, x, grid)
             drift = hamiltonian_grad_at(model, theta, dataset, x, p, grid)
             holder = ParticleCloud(particles=theta, grid=grid, seed=init.seed)
-            theta = _apply_step(model, holder, dataset, grid, cfg, it,
+            theta = _apply_step(model, holder, dataset, grid, cfg, sched, it,
                                 drift).particles
             traj.append(theta)
         distances[r] = max(paired_distance(traj[it], frozen[it], grid.dt)

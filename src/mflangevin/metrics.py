@@ -20,7 +20,11 @@ from .clouds import ParticleCloud
 from .models import PriorSpec
 from .rng import PURPOSE_PROJ, keyed_normals
 
-__all__ = ["CloudDistance", "w2_distance", "entropy_estimate", "paired_distance"]
+__all__ = ["CloudDistance", "w2_distance", "entropy_estimate", "paired_distance",
+           "ENTROPY_MIN_PARTICLES"]
+
+# Fewest particles for which the nearest-neighbour entropy estimate is given.
+ENTROPY_MIN_PARTICLES = 8
 
 
 @dataclass(frozen=True)
@@ -131,8 +135,9 @@ def entropy_estimate(cloud: ParticleCloud, node: int, prior: PriorSpec) -> float
     """
     x = cloud.particles[:, node, :]
     n, p = x.shape
-    if n < 8:
-        raise ValueError("entropy estimate needs at least 8 particles")
+    if n < ENTROPY_MIN_PARTICLES:
+        raise ValueError(f"entropy estimate needs at least "
+                         f"{ENTROPY_MIN_PARTICLES} particles")
     dist, _ = cKDTree(x).query(x, k=2)
     eps = dist[:, 1]
     if np.any(eps == 0.0):

@@ -15,6 +15,7 @@ equal to the derivative of output j with respect to x_r.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -104,9 +105,62 @@ def gaussian_prior(kappa: float, dim_param: int) -> PriorSpec:
     return PriorSpec(kappa=kappa, grad_U=grad_U, log_density=log_density)
 
 
+@functools.lru_cache(maxsize=256)
+def _broadcast_batch(shapes: tuple) -> tuple:
+    return np.broadcast_shapes(*(shape[:-1] for shape in shapes))
+
+
 def _batch_shape(*arrays):
-    shapes = [np.asarray(arr).shape[:-1] for arr in arrays if arr is not None]
-    return np.broadcast_shapes(*shapes) if shapes else ()
+    """Broadcast batch shape of map inputs (all axes but the last)."""
+    return _broadcast_batch(tuple([np.shape(arr) for arr in arrays
+                                   if arr is not None]))
+
+
+def _spread(out: np.ndarray, bshape: tuple, n_core: int) -> np.ndarray:
+    """``out`` with batch shape ``bshape``; copied only if it lacks batch axes."""
+    if out.shape[:out.ndim - n_core] == bshape:
+        return out
+    return np.broadcast_to(out, bshape + out.shape[out.ndim - n_core:]).copy()
+
+
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Batched mat (..., i, j) times vec (..., j), summed over j in index order.
+
+    Whole-batch products per column avoid einsum's per-element overhead on
+    these short axes; sums of up to two terms match einsum bit for bit.
+    """
+    out = mat[..., 0] * vec[..., None, 0]
+    for j in range(1, mat.shape[-1]):
+        out = out + mat[..., j] * vec[..., None, j]
+    return out
+
+
+def _param_blocks(*shapes) -> tuple:
+    """Slice of the parameter axis and shape of each block, in order."""
+    blocks, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append((slice(start, start + size), shape))
+        start += size
+    return tuple(blocks)
+
+
+def _split(a, blocks) -> list:
+    """Views of the parameter blocks of ``a`` (..., p)."""
+    a = np.asarray(a, dtype=float)
+    lead = a.shape[:-1]
+    return [a[..., sl].reshape(lead + shape) for sl, shape in blocks]
+
+
+def _columns(bshape: tuple, *blocks) -> np.ndarray:
+    """Blocks (..., rows, width) side by side, each broadcast over ``bshape``."""
+    rows = blocks[0].shape[-2]
+    out = np.empty(bshape + (rows, sum(b.shape[-1] for b in blocks)))
+    start = 0
+    for b in blocks:
+        out[..., start:start + b.shape[-1]] = b
+        start += b.shape[-1]
+    return out
 
 
 def hamiltonian(model: ModelSpec, t: float, x, p_costate, a,
@@ -148,6 +202,16 @@ def _zero_cost_maps(d: int, p: int):
     return f, grad_x_f, grad_a_f
 
 
+def _zero_terminal():
+    def g(x, zeta):
+        return np.zeros(np.asarray(x).shape[:-1])
+
+    def grad_x_g(x, zeta):
+        return np.zeros(np.asarray(x, dtype=float).shape)
+
+    return g, grad_x_g
+
+
 def _squared_distance_terminal(d: int):
     def g(x, zeta):
         r = np.asarray(x, dtype=float) - np.asarray(zeta, dtype=float)
@@ -178,8 +242,9 @@ def make_linear_drift_model(d: int) -> ModelSpec:
     def grad_x_phi(t, x, a, zeta_t):
         return np.zeros(_batch_shape(x, a, zeta_t) + (d, d))
 
+    eye = np.eye(d)
+
     def grad_a_phi(t, x, a, zeta_t):
-        eye = np.eye(d)
         return np.broadcast_to(eye, _batch_shape(x, a, zeta_t) + (d, d)).copy()
 
     return ModelSpec(dim_state=d, dim_param=d, dim_data=d,
@@ -194,26 +259,9 @@ def make_zero_cost_model(d: int) -> ModelSpec:
     stationarity checks against the bare prior."""
     base = make_linear_drift_model(d)
     f, grad_x_f, grad_a_f = _zero_cost_maps(d, d)
-
-    def g(x, zeta):
-        return np.zeros(np.asarray(x).shape[:-1])
-
-    def grad_x_g(x, zeta):
-        return np.zeros(np.asarray(x, dtype=float).shape)
-
+    g, grad_x_g = _zero_terminal()
     return replace(base, f=f, grad_x_f=grad_x_f, grad_a_f=grad_a_f,
                    g=g, grad_x_g=grad_x_g, kind="zero_cost")
-
-
-def _split_params(a, blocks):
-    """Split the trailing axis of ``a`` into reshaped blocks."""
-    a = np.asarray(a, dtype=float)
-    out, start = [], 0
-    for shape in blocks:
-        size = int(np.prod(shape))
-        out.append(a[..., start:start + size].reshape(a.shape[:-1] + shape))
-        start += size
-    return out
 
 
 def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
@@ -241,6 +289,13 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
     if d < 1 or p_hidden < 1:
         raise ValueError("dimensions must be positive")
     m = p_hidden
+    # g1 = eye_h * h[..., None, None, :] is the block d phi / d A1 of every
+    # architecture: entry [j, r, u] is delta_jr h_u.
+    eye_h = np.eye(d)[:, :, None]
+
+    def _g1(h):
+        g1 = eye_h * h[..., None, None, :]
+        return g1.reshape(g1.shape[:-2] + (d * m,))
 
     if kind == "one_layer_residual":
         q = dim_data if dim_data else d
@@ -250,37 +305,34 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
         p = m * (d + q)
         g, grad_x_g = _squared_distance_terminal(d)
         f, grad_x_f, grad_a_f = _zero_cost_maps(d, p)
+        blocks = _param_blocks((d, m), (m, q))
 
-        def _parts(a):
-            return _split_params(a, [(d, m), (m, q)])
+        def _units(a, zeta_t):
+            a1, a2 = _split(a, blocks)
+            zeta_t = np.asarray(zeta_t, dtype=float)
+            return a1, zeta_t, np.tanh(_matvec(a2, zeta_t))
 
         def phi(t, x, a, zeta_t):
-            a1, a2 = _parts(a)
-            h = np.tanh(np.einsum("...uc,...c->...u", a2, zeta_t))
-            out = np.einsum("...du,...u->...d", a1, h)
-            return np.broadcast_to(out, _batch_shape(x, a, zeta_t) + (d,)).copy()
+            a1, _, h = _units(a, zeta_t)
+            return _spread(_matvec(a1, h), _batch_shape(x, a, zeta_t), 1)
 
         def grad_x_phi(t, x, a, zeta_t):
             return np.zeros(_batch_shape(x, a, zeta_t) + (d, d))
 
         def grad_a_phi(t, x, a, zeta_t):
-            a1, a2 = _parts(a)
-            zeta_t = np.asarray(zeta_t, dtype=float)
-            z = np.einsum("...uc,...c->...u", a2, zeta_t)
-            h = np.tanh(z)
+            a1, zeta_t, h = _units(a, zeta_t)
             dh = 1.0 - h * h
-            bshape = _batch_shape(x, a, zeta_t)
-            g1 = np.einsum("jr,...u->...jru", np.eye(d), h)
-            g2 = np.einsum("...ju,...u,...c->...juc", a1, dh, zeta_t)
-            g1 = np.broadcast_to(g1, bshape + (d, d, m)).reshape(bshape + (d, d * m))
-            g2 = np.broadcast_to(g2, bshape + (d, m, q)).reshape(bshape + (d, m * q))
-            return np.concatenate([g1, g2], axis=-1)
+            g2 = (a1 * dh[..., None, :])[..., None] * zeta_t[..., None, None, :]
+            return _columns(_batch_shape(x, a, zeta_t), _g1(h),
+                            g2.reshape(g2.shape[:-2] + (m * q,)))
 
         return ModelSpec(dim_state=d, dim_param=p, dim_data=q,
                          phi=phi, grad_x_phi=grad_x_phi, grad_a_phi=grad_a_phi,
                          f=f, grad_x_f=grad_x_f, grad_a_f=grad_a_f,
                          g=g, grad_x_g=grad_x_g, kind=kind)
 
+    # neural_ode_tanh and timeseries_interp share phi = A1 tanh(z) with
+    # z = w * mean(x) (+ A3 zeta1_t for timeseries_interp).
     if kind == "neural_ode_tanh":
         q = dim_data if dim_data else d
         if q != d:
@@ -288,100 +340,57 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
         p = m * (d + 1)
         g, grad_x_g = _squared_distance_terminal(d)
         f, grad_x_f, grad_a_f = _zero_cost_maps(d, p)
+        blocks = _param_blocks((d, m), (m,))
+    else:
+        if dim_data < 2 or dim_data != 2 * d:
+            raise ValueError("timeseries_interp needs dim_data == 2*d "
+                             "(observation and truth channel blocks)")
+        q = dim_data
+        p = m * (2 * d + 1)
+        blocks = _param_blocks((d, m), (m,), (m, d))
 
-        def _parts(a):
-            return _split_params(a, [(d, m), (m,)])
+        def f(t, x, a, zeta_t):
+            r = np.asarray(x, dtype=float) - np.asarray(zeta_t, dtype=float)[..., d:]
+            return _spread(np.sum(r * r, axis=-1), _batch_shape(x, a, zeta_t), 0)
 
-        def _units(x, a):
-            a1, w = _parts(a)
-            xbar = np.mean(np.asarray(x, dtype=float), axis=-1)
-            z = w * xbar[..., None]
-            h = np.tanh(z)
-            return a1, w, h, xbar
+        def grad_x_f(t, x, a, zeta_t):
+            r = np.asarray(x, dtype=float) - np.asarray(zeta_t, dtype=float)[..., d:]
+            return _spread(2.0 * r, _batch_shape(x, a, zeta_t), 1)
 
-        def phi(t, x, a, zeta_t):
-            a1, _, h, _ = _units(x, a)
-            out = np.einsum("...du,...u->...d", a1, h)
-            return np.broadcast_to(out, _batch_shape(x, a, zeta_t) + (d,)).copy()
+        def grad_a_f(t, x, a, zeta_t):
+            return np.zeros(_batch_shape(x, a, zeta_t) + (p,))
 
-        def grad_x_phi(t, x, a, zeta_t):
-            a1, w, h, _ = _units(x, a)
-            s = np.einsum("...du,...u->...d", a1, w * (1.0 - h * h)) / d
-            out = np.repeat(s[..., None], d, axis=-1)
-            return np.broadcast_to(out, _batch_shape(x, a, zeta_t) + (d, d)).copy()
-
-        def grad_a_phi(t, x, a, zeta_t):
-            a1, w, h, xbar = _units(x, a)
-            bshape = _batch_shape(x, a, zeta_t)
-            g1 = np.einsum("jr,...u->...jru", np.eye(d), h)
-            g1 = np.broadcast_to(g1, bshape + (d, d, m)).reshape(bshape + (d, d * m))
-            g2 = a1 * ((1.0 - h * h) * xbar[..., None])[..., None, :]
-            g2 = np.broadcast_to(g2, bshape + (d, m))
-            return np.concatenate([g1, g2], axis=-1)
-
-        return ModelSpec(dim_state=d, dim_param=p, dim_data=q,
-                         phi=phi, grad_x_phi=grad_x_phi, grad_a_phi=grad_a_phi,
-                         f=f, grad_x_f=grad_x_f, grad_a_f=grad_a_f,
-                         g=g, grad_x_g=grad_x_g, kind=kind)
-
-    # timeseries_interp
-    if dim_data < 2 or dim_data != 2 * d:
-        raise ValueError("timeseries_interp needs dim_data == 2*d "
-                         "(observation and truth channel blocks)")
-    q = dim_data
-    p = m * (2 * d + 1)
-
-    def _parts(a):
-        return _split_params(a, [(d, m), (m,), (m, d)])
+        g, grad_x_g = _zero_terminal()
 
     def _units(x, a, zeta_t):
-        a1, w, a3 = _parts(a)
-        zeta1 = np.asarray(zeta_t, dtype=float)[..., :d]
+        """Blocks A1 and w, the tanh units, mean(x), and zeta1 (or None)."""
+        a1, w, *a3 = _split(a, blocks)
         xbar = np.mean(np.asarray(x, dtype=float), axis=-1)
-        z = w * xbar[..., None] + np.einsum("...uc,...c->...u", a3, zeta1)
-        h = np.tanh(z)
-        return a1, w, a3, zeta1, h, xbar
+        z = w * xbar[..., None]
+        zeta1 = None
+        if a3:
+            zeta1 = np.asarray(zeta_t, dtype=float)[..., :d]
+            z = z + _matvec(a3[0], zeta1)
+        return a1, w, np.tanh(z), xbar, zeta1
 
     def phi(t, x, a, zeta_t):
-        a1, _, _, _, h, _ = _units(x, a, zeta_t)
-        out = np.einsum("...du,...u->...d", a1, h)
-        return np.broadcast_to(out, _batch_shape(x, a, zeta_t) + (d,)).copy()
+        a1, _, h, _, _ = _units(x, a, zeta_t)
+        return _spread(_matvec(a1, h), _batch_shape(x, a, zeta_t), 1)
 
     def grad_x_phi(t, x, a, zeta_t):
-        a1, w, _, _, h, _ = _units(x, a, zeta_t)
-        s = np.einsum("...du,...u->...d", a1, w * (1.0 - h * h)) / d
-        out = np.repeat(s[..., None], d, axis=-1)
-        return np.broadcast_to(out, _batch_shape(x, a, zeta_t) + (d, d)).copy()
+        a1, w, h, _, _ = _units(x, a, zeta_t)
+        s = _matvec(a1, w * (1.0 - h * h)) / d
+        return np.broadcast_to(s[..., None],
+                               _batch_shape(x, a, zeta_t) + (d, d)).copy()
 
     def grad_a_phi(t, x, a, zeta_t):
-        a1, w, a3, zeta1, h, xbar = _units(x, a, zeta_t)
-        bshape = _batch_shape(x, a, zeta_t)
+        a1, _, h, xbar, zeta1 = _units(x, a, zeta_t)
         dh = 1.0 - h * h
-        g1 = np.einsum("jr,...u->...jru", np.eye(d), h)
-        g1 = np.broadcast_to(g1, bshape + (d, d, m)).reshape(bshape + (d, d * m))
-        gw = np.einsum("...ju,...u->...ju", a1, dh * xbar[..., None])
-        gw = np.broadcast_to(gw, bshape + (d, m))
-        g3 = np.einsum("...ju,...u,...c->...juc", a1, dh, zeta1)
-        g3 = np.broadcast_to(g3, bshape + (d, m, d)).reshape(bshape + (d, m * d))
-        return np.concatenate([g1, gw, g3], axis=-1)
-
-    def f(t, x, a, zeta_t):
-        r = np.asarray(x, dtype=float) - np.asarray(zeta_t, dtype=float)[..., d:]
-        val = np.sum(r * r, axis=-1)
-        return np.broadcast_to(val, _batch_shape(x, a, zeta_t)).copy()
-
-    def grad_x_f(t, x, a, zeta_t):
-        r = np.asarray(x, dtype=float) - np.asarray(zeta_t, dtype=float)[..., d:]
-        return np.broadcast_to(2.0 * r, _batch_shape(x, a, zeta_t) + (d,)).copy()
-
-    def grad_a_f(t, x, a, zeta_t):
-        return np.zeros(_batch_shape(x, a, zeta_t) + (p,))
-
-    def g(x, zeta):
-        return np.zeros(np.asarray(x).shape[:-1])
-
-    def grad_x_g(x, zeta):
-        return np.zeros(np.asarray(x, dtype=float).shape)
+        cols = [_g1(h), a1 * (dh * xbar[..., None])[..., None, :]]
+        if zeta1 is not None:
+            g3 = (a1 * dh[..., None, :])[..., None] * zeta1[..., None, None, :]
+            cols.append(g3.reshape(g3.shape[:-2] + (m * d,)))
+        return _columns(_batch_shape(x, a, zeta_t), *cols)
 
     return ModelSpec(dim_state=d, dim_param=p, dim_data=q,
                      phi=phi, grad_x_phi=grad_x_phi, grad_a_phi=grad_a_phi,

@@ -10,7 +10,7 @@ import numpy as np
 from .clouds import ParticleCloud
 from .datasets import Dataset
 from .grids import TimeGrid
-from .metrics import entropy_estimate
+from .metrics import ENTROPY_MIN_PARTICLES, entropy_estimate
 from .models import ModelSpec, PriorSpec
 from .odes import forward_paths, mean_field_drift
 
@@ -23,7 +23,8 @@ class ObjectiveValue:
     """Unregularised cost, entropy term, and their sum.
 
     ``ent_term`` is None when sigma = 0 and +inf when the entropy estimate
-    is undefined (duplicate particles); ``j_sigma`` = j + ent_term holds
+    is undefined (duplicate particles, or fewer than
+    ``ENTROPY_MIN_PARTICLES``); ``j_sigma`` = j + ent_term holds
     exactly whenever the term is present.
     """
 
@@ -36,16 +37,9 @@ class ObjectiveValue:
         return self.ent_term is None or math.isfinite(self.ent_term)
 
 
-def objective_J(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-                grid: TimeGrid) -> float:
-    """Discrete unregularised cost.
-
-    Mean over samples of [ sum_{l<n} dt * mean_i f_{t_l}(X_l, theta_{i,l})
-    + g(X_n, zeta) ] with X from the Euler forward pass; the running cost
-    uses the left-Riemann rule, matching the forward convention.
-    """
-    x = forward_paths(model, cloud, dataset, grid)
-    theta = cloud.particles
+def _cost(model: ModelSpec, theta: np.ndarray, dataset: Dataset,
+          x: np.ndarray, grid: TimeGrid) -> float:
+    """Running plus terminal cost of particles ``theta`` along states ``x``."""
     running = 0.0
     for l in range(grid.n_steps):
         zeta_l = dataset.zeta_node(l)[:, None, :] if model.dim_data else None
@@ -56,20 +50,39 @@ def objective_J(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     return running + terminal
 
 
+def objective_J(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
+                grid: TimeGrid) -> float:
+    """Discrete unregularised cost.
+
+    Mean over samples of [ sum_{l<n} dt * mean_i f_{t_l}(X_l, theta_{i,l})
+    + g(X_n, zeta) ] with X from the Euler forward pass; the running cost
+    uses the left-Riemann rule, matching the forward convention.
+    """
+    x = forward_paths(model, cloud, dataset, grid)
+    return _cost(model, cloud.particles, dataset, x, grid)
+
+
 def objective_Jsigma(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-                     grid: TimeGrid, sigma: float,
-                     prior: PriorSpec) -> ObjectiveValue:
+                     grid: TimeGrid, sigma: float, prior: PriorSpec, *,
+                     x: np.ndarray | None = None) -> ObjectiveValue:
     """Regularised cost J + (sigma^2/2) * sum_{l<n} Ent(nu_l) dt.
 
     The entropy term exists for reporting only; the Langevin noise realises
     it in the dynamics, so no score estimate ever feeds back into training.
-    At sigma = 0 the term is omitted entirely.
+    At sigma = 0 the term is omitted entirely; with fewer particles than
+    the entropy estimator needs it is +inf.  ``x``, the forward states of
+    ``cloud`` when the caller already has them, saves the forward sweep.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    j = objective_J(model, cloud, dataset, grid)
+    if x is None:
+        j = objective_J(model, cloud, dataset, grid)
+    else:
+        j = _cost(model, cloud.particles, dataset, x, grid)
     if sigma == 0.0:
         return ObjectiveValue(j=j, ent_term=None, j_sigma=j)
+    if cloud.n_particles < ENTROPY_MIN_PARTICLES:
+        return ObjectiveValue(j=j, ent_term=math.inf, j_sigma=math.inf)
     ent = 0.0
     for l in range(grid.n_steps):
         e = entropy_estimate(cloud, l, prior)

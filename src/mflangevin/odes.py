@@ -31,7 +31,7 @@ from .models import ModelSpec
 __all__ = [
     "TrajectoryPair", "forward_paths", "adjoint_paths", "forward_solve",
     "adjoint_solve", "solve_trajectory_pair", "mean_field_drift",
-    "hamiltonian_grad_at", "rk4_forward_solve",
+    "drift_and_states", "hamiltonian_grad_at", "rk4_forward_solve",
 ]
 
 
@@ -175,9 +175,19 @@ def mean_field_drift(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     Scaled by dt/N2 this is the exact gradient of the discrete objective
     with respect to every particle coordinate.
     """
+    return drift_and_states(model, cloud, dataset, grid)[1]
+
+
+def drift_and_states(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
+                     grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Forward states (N1, n_nodes, d) and the mean-field drift of one cloud.
+
+    For callers that also evaluate the cost at the same cloud, which needs
+    the same forward sweep.
+    """
     x = forward_paths(model, cloud, dataset, grid)
     p = adjoint_paths(model, cloud, dataset, x, grid)
-    return hamiltonian_grad_at(model, cloud.particles, dataset, x, p, grid)
+    return x, hamiltonian_grad_at(model, cloud.particles, dataset, x, p, grid)
 
 
 def rk4_forward_solve(model: ModelSpec, cloud: ParticleCloud,

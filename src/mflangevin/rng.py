@@ -24,10 +24,11 @@ _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
 
 # Philox4x32 round multipliers and Weyl key increments.
-_PHILOX_M0 = np.uint64(0xD2511F53)
-_PHILOX_M1 = np.uint64(0xCD9E8D57)
+_PHILOX_M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
 _WEYL_0 = 0x9E3779B9
 _WEYL_1 = 0xBB67AE85
+_SHIFT32 = np.uint64(32)
+_MASK32 = np.uint64(_M32)
 
 # Purpose tags keep independent families of draws (initialisation noise,
 # Langevin increments, data generation, ...) on unrelated key schedules.
@@ -53,9 +54,40 @@ def derive_key(seed: int, purpose: int) -> tuple[int, int]:
 
 def _as_counter_word(idx) -> np.ndarray:
     arr = np.asarray(idx, dtype=np.int64)
-    if np.any(arr < 0):
+    if arr.size and arr.min() < 0:
         raise ValueError("counter indices must be nonnegative")
-    return (arr & _M32).astype(np.uint32)
+    return arr.astype(np.uint64) & _MASK32
+
+
+def _philox_words(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
+    """Philox4x32 on 32-bit words held in uint64 arrays.
+
+    A 32 x 32-bit product fits in 64 bits, so the words never change dtype
+    inside the rounds: the high half is a shift, the low half a mask.  The
+    two multiplied words and the two passed-through words each share one
+    flat (2, n) array, so a round is five array operations; the row swaps
+    of the Philox permutation are reversed views, not copies.
+    """
+    words = [_as_counter_word(c) for c in (c0, c1, c2, c3)]
+    shape = np.broadcast(*words).shape
+    mul = np.empty((2,) + shape, dtype=np.uint64)
+    thru = np.empty((2,) + shape, dtype=np.uint64)
+    mul[0], thru[0], mul[1], thru[1] = words
+    mul, thru = mul.reshape(2, -1), thru.reshape(2, -1)
+    k0, k1 = key[0] & _M32, key[1] & _M32
+    # Row r holds round r's key words in the order they meet hi = (hi0, hi1).
+    keys = np.array([[(k1 + r * _WEYL_1) & _M32, (k0 + r * _WEYL_0) & _M32]
+                     for r in range(rounds)], dtype=np.uint64).reshape(-1, 2, 1)
+    for k in keys:
+        prod = mul * _PHILOX_M
+        hi = prod >> _SHIFT32
+        hi ^= thru[::-1]
+        hi ^= k
+        prod &= _MASK32
+        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
+        mul, thru = hi[::-1], prod[::-1]
+    return (mul[0].reshape(shape), thru[0].reshape(shape),
+            mul[1].reshape(shape), thru[1].reshape(shape))
 
 
 def philox4x32(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
@@ -64,30 +96,14 @@ def philox4x32(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
     The four counter words broadcast against each other; the return value is
     a tuple of four uint32 arrays of the broadcast shape.
     """
-    x0, x1, x2, x3 = np.broadcast_arrays(
-        _as_counter_word(c0), _as_counter_word(c1),
-        _as_counter_word(c2), _as_counter_word(c3))
-    k0, k1 = key[0] & _M32, key[1] & _M32
-    for _ in range(rounds):
-        prod0 = _PHILOX_M0 * x0.astype(np.uint64)
-        prod1 = _PHILOX_M1 * x2.astype(np.uint64)
-        hi0 = (prod0 >> np.uint64(32)).astype(np.uint32)
-        lo0 = prod0.astype(np.uint32)
-        hi1 = (prod1 >> np.uint64(32)).astype(np.uint32)
-        lo1 = prod1.astype(np.uint32)
-        x0 = hi1 ^ x1 ^ np.uint32(k0)
-        x1 = lo1
-        x2 = hi0 ^ x3 ^ np.uint32(k1)
-        x3 = lo0
-        k0 = (k0 + _WEYL_0) & _M32
-        k1 = (k1 + _WEYL_1) & _M32
-    return x0, x1, x2, x3
+    return tuple(w.astype(np.uint32)
+                 for w in _philox_words(c0, c1, c2, c3, key, rounds))
 
 
 def keyed_uniforms(seed: int, purpose: int, c0, c1, c2, c3) -> np.ndarray:
     """Uniform draws on the open interval (0, 1), one per counter tuple."""
-    w0, w1, _, _ = philox4x32(c0, c1, c2, c3, derive_key(seed, purpose))
-    bits = (w0.astype(np.uint64) << np.uint64(32)) | w1.astype(np.uint64)
+    w0, w1, _, _ = _philox_words(c0, c1, c2, c3, derive_key(seed, purpose))
+    bits = (w0 << _SHIFT32) | w1
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
 
 

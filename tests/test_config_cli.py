@@ -58,6 +58,45 @@ class TestConfigParsing:
         setup = build_setup(config, seed_override=777)
         assert setup.trainer.seed == 777
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "d", 1.9),
+        ("grid", "n_steps", True),
+        ("trainer", "n_iters", 10.7),
+        ("init", "n_particles", "64"),
+        ("dataset", "n_samples", 0),
+    ])
+    def test_integer_keys_are_strict(self, section, key, value):
+        config = default_train_config()
+        config[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(config)
+
+    def test_integral_floats_are_accepted(self):
+        config = default_train_config()
+        config["trainer"]["n_iters"] = 40.0
+        setup = build_setup(parse_config(config))
+        assert setup.trainer.n_iters == 40
+
+    @pytest.mark.parametrize("model,dataset", [
+        ({"kind": "timeseries_interp", "d": 1, "dim_data": 2},
+         {"kind": "regression"}),
+        ({"kind": "one_layer_residual", "d": 2}, {"kind": "timeseries"}),
+        ({"kind": "linear_drift", "d": 1}, {"kind": "timeseries"}),
+    ])
+    def test_model_and_dataset_that_do_not_fit_are_rejected(self, model,
+                                                             dataset):
+        config = default_train_config()
+        config["model"] = model
+        config["dataset"] = dataset
+        with pytest.raises(ConfigError, match="data slices"):
+            build_setup(parse_config(config))
+
+    def test_unknown_dataset_kind_rejected(self):
+        config = default_train_config()
+        config["dataset"]["kind"] = "images"
+        with pytest.raises(ConfigError):
+            build_setup(parse_config(config))
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(default_train_config()))
@@ -83,6 +122,29 @@ class TestCli:
         assert (out / "history.csv").exists()
         assert (out / "final_cloud.csv").exists()
         assert (out / "train_summary.json").exists()
+
+    def test_train_with_few_particles_records_undefined_entropy(self,
+                                                                 tmp_path):
+        # The entropy term is reporting only: a cloud too small for its
+        # estimator records Jsigma = inf instead of aborting training.
+        config = {
+            "model": {"kind": "linear_drift", "d": 1},
+            "grid": {"horizon": 0.5, "n_steps": 2},
+            "trainer": {"sigma": 1.0, "kappa": 1.0, "gamma": 0.01,
+                        "n_iters": 6, "seed": 1, "record_every": 2},
+            "dataset": {"kind": "regression", "n_samples": 3, "seed": 2},
+            "init": {"kind": "gaussian", "n_particles": 4, "seed": 3},
+        }
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "history.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4
+        for row in rows[1:]:
+            it, s, j, jsigma, grad_norm, second_moment = row.split(",")
+            assert jsigma == "inf"
+            assert np.isfinite(float(j))
 
     def test_grad_check_passes(self, tmp_path, capsys):
         code = main(["grad-check", "--out", str(tmp_path)])

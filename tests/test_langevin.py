@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mflangevin import langevin
 from mflangevin.clouds import cloud_init
 from mflangevin.datasets import Dataset, generate_dataset
 from mflangevin.exceptions import NonFiniteParticleError
@@ -12,7 +13,7 @@ from mflangevin.langevin import (TrainerConfig, coupled_pair_run,
                                  train)
 from mflangevin.models import (gaussian_prior, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model)
-from mflangevin.objective import objective_J
+from mflangevin.objective import objective_J, objective_Jsigma
 
 
 def quadratic_toy(grid, n_particles=8, seed=0):
@@ -214,6 +215,24 @@ class TestCoupledRuns:
         assert np.all(np.isfinite(res.distance))
         assert res.distance.max() < 10.0 * res.distance[0]
 
+    def test_members_equal_solo_runs_bytewise(self):
+        # The shared noise block is drawn once per step; each member must
+        # still be exactly the run it would be alone.
+        grid = TimeGrid(0.5, 3)
+        model = make_builtin_model("neural_ode_tanh", d=2, p_hidden=2,
+                                   dim_data=2)
+        ds = generate_dataset("regression", 5, 2, 4, grid, target="scaled")
+        a = cloud_init(12, grid, model.dim_param, ("gaussian", 0.0, 1.0), seed=1)
+        b = cloud_init(12, grid, model.dim_param, ("gaussian", 1.0, 0.5), seed=2)
+        cfg = TrainerConfig(sigma=0.7, prior=gaussian_prior(1.5, model.dim_param),
+                            gamma=0.01, n_iters=25, seed=8, record_every=0,
+                            noise_dt=0.005)
+        res = coupled_pair_run(model, ds, grid, cfg, a, b)
+        solo_a, _ = train(model, ds, grid, cfg, a)
+        solo_b, _ = train(model, ds, grid, cfg, b)
+        assert res.cloud_a.particles.tobytes() == solo_a.particles.tobytes()
+        assert res.cloud_b.particles.tobytes() == solo_b.particles.tobytes()
+
     def test_shape_mismatch_rejected(self):
         grid = TimeGrid(1.0, 2)
         model, ds, _ = quadratic_toy(grid)
@@ -275,3 +294,59 @@ def test_lipschitz_probe_positive_and_deterministic():
     l2 = lipschitz_probe(model, ds, grid, base, n_probes=6, seed=3)
     assert l1 == l2
     assert l1 > 0
+
+
+class TestStepSchedule:
+    @pytest.mark.parametrize("n_iters,noise_dt,record_every",
+                             [(1, None, 0), (40, None, 7), (120, 0.0025, 0),
+                              (300, 0.005, 50)])
+    def test_train_builds_fine_offsets_once(self, monkeypatch, n_iters,
+                                            noise_dt, record_every):
+        calls = []
+        original = TrainerConfig.fine_offsets
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(TrainerConfig, "fine_offsets", counting)
+        grid = TimeGrid(1.0, 2)
+        model, ds, init = quadratic_toy(grid)
+        cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(1.0, 1),
+                            gamma=0.01, n_iters=n_iters, seed=2,
+                            record_every=record_every, noise_dt=noise_dt)
+        train(model, ds, grid, cfg, init)
+        assert len(calls) <= 1
+
+    def test_each_update_draws_noise_once(self, monkeypatch):
+        draws = []
+        original = langevin.step_normals
+
+        def counting(*args, **kwargs):
+            draws.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(langevin, "step_normals", counting)
+        grid = TimeGrid(1.0, 2)
+        model, ds, init = quadratic_toy(grid)
+        cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(1.0, 1),
+                            gamma=0.01, n_iters=30, seed=2, record_every=4,
+                            noise_dt=0.0025)
+        train(model, ds, grid, cfg, init)
+        assert len(draws) == 30
+
+    def test_recorded_rows_match_fresh_objective(self):
+        # Recording reuses the drift's forward sweep; the row must equal
+        # what objective_Jsigma computes from scratch.
+        grid = TimeGrid(1.0, 3)
+        model = make_builtin_model("timeseries_interp", d=1, p_hidden=2,
+                                   dim_data=2)
+        ds = generate_dataset("timeseries", 6, 1, 3, grid)
+        init = cloud_init(16, grid, model.dim_param, ("gaussian", 0.0, 1.0),
+                          seed=4)
+        cfg = TrainerConfig(sigma=0.5, prior=gaussian_prior(1.0, model.dim_param),
+                            gamma=0.01, n_iters=6, seed=5, record_every=3)
+        final, hist = train(model, ds, grid, cfg, init)
+        fresh = objective_Jsigma(model, final, ds, grid, cfg.sigma, cfg.prior)
+        assert hist.J[-1] == fresh.j
+        assert hist.Jsigma[-1] == fresh.j_sigma

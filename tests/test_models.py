@@ -187,3 +187,70 @@ def test_zero_cost_model_has_vanishing_costs():
     assert np.all(model.f(0.0, x, a, x) == 0.0)
     assert np.all(model.g(x, x) == 0.0)
     assert np.all(model.grad_x_g(x, x) == 0.0)
+
+
+_ALL_MODELS = [
+    ("one_layer_residual", lambda: make_builtin_model(
+        "one_layer_residual", d=2, p_hidden=3, dim_data=2)),
+    ("neural_ode_tanh", lambda: make_builtin_model(
+        "neural_ode_tanh", d=3, p_hidden=2, dim_data=3)),
+    ("timeseries_interp", lambda: make_builtin_model(
+        "timeseries_interp", d=2, p_hidden=2, dim_data=4)),
+    ("linear_drift", lambda: make_linear_drift_model(2)),
+    ("zero_cost", lambda: make_zero_cost_model(2)),
+]
+
+
+@pytest.mark.parametrize("name,build", _ALL_MODELS)
+@pytest.mark.parametrize("layout", ["sweep", "unbatched", "x_only_batch"])
+def test_maps_return_the_broadcast_batch_shape(name, build, layout):
+    # The sweeps call the maps with X (N1, 1, d), particles (1, N2, p) and
+    # data (N1, 1, q); every output carries the broadcast batch (N1, N2).
+    model = build()
+    d, p, q = model.dim_state, model.dim_param, model.dim_data
+    n1, n2 = 3, 5
+    batch_x, batch_a, batch_z, batch = {
+        "sweep": ((n1, 1), (1, n2), (n1, 1), (n1, n2)),
+        "unbatched": ((), (), (), ()),
+        "x_only_batch": ((n1, n2), (), (), (n1, n2)),
+    }[layout]
+    x = np.full(batch_x + (d,), 0.3)
+    a = np.full(batch_a + (p,), -0.2)
+    zeta = np.full(batch_z + (q,), 0.7)
+    shapes = {"phi": (d,), "grad_x_phi": (d, d), "grad_a_phi": (d, p),
+              "f": (), "grad_x_f": (d,), "grad_a_f": (p,)}
+    for name_map, core in shapes.items():
+        out = getattr(model, name_map)(0.1, x, a, zeta)
+        assert np.shape(out) == batch + core, name_map
+    assert model.g(x, zeta).shape == batch_x
+    assert model.grad_x_g(x, zeta).shape == batch_x + (d,)
+
+
+@pytest.mark.parametrize("kind,d,m", [
+    ("one_layer_residual", 3, 4),
+    ("neural_ode_tanh", 3, 4),
+    ("timeseries_interp", 3, 4),
+])
+def test_phi_matches_einsum_reference(kind, d, m):
+    # The maps sum their small contractions term by term; the einsum forms
+    # of the documented formulas are the reference, to a few ulps.
+    q = 2 * d if kind == "timeseries_interp" else d
+    model = make_builtin_model(kind, d=d, p_hidden=m, dim_data=q)
+    rows = np.arange(6).reshape(-1, 1)
+    x = keyed_normals(0, PURPOSE_PROBE, np.arange(d), rows, 1, 0)[:, None, :]
+    a = keyed_normals(0, PURPOSE_PROBE, np.arange(model.dim_param),
+                      np.arange(5).reshape(-1, 1), 2, 0)[None, :, :]
+    zeta = keyed_normals(0, PURPOSE_PROBE, np.arange(q), rows, 3, 0)[:, None, :]
+    a1 = a[..., :d * m].reshape(1, 5, d, m)
+    if kind == "one_layer_residual":
+        a2 = a[..., d * m:].reshape(1, 5, m, q)
+        z = np.einsum("...uc,...c->...u", a2, zeta)
+    else:
+        w = a[..., d * m:d * m + m]
+        z = w * x.mean(axis=-1)[..., None]
+        if kind == "timeseries_interp":
+            a3 = a[..., d * m + m:].reshape(1, 5, m, d)
+            z = z + np.einsum("...uc,...c->...u", a3, zeta[..., :d])
+    expected = np.einsum("...du,...u->...d", a1, np.tanh(z))
+    np.testing.assert_allclose(model.phi(0.0, x, a, zeta), expected,
+                               rtol=1e-14, atol=1e-14)

@@ -100,6 +100,31 @@ class TestObjectiveSigma:
         assert not val.entropy_defined
         assert math.isfinite(val.j)
 
+    def test_fewer_particles_than_the_estimator_needs_give_inf(self):
+        # Reporting only: a cloud too small for the entropy estimate must
+        # not abort the caller.
+        grid = TimeGrid(1.0, 2)
+        model = make_linear_drift_model(1)
+        cloud = cloud_init(4, grid, 1, ("gaussian", 0.0, 1.0), seed=3)
+        ds = Dataset(xi=np.array([[0.0]]), zeta=np.array([[1.0]]))
+        val = objective_Jsigma(model, cloud, ds, grid, 1.0, gaussian_prior(1.0, 1))
+        assert math.isinf(val.ent_term) and math.isinf(val.j_sigma)
+        assert not val.entropy_defined
+        assert val.j == objective_J(model, cloud, ds, grid)
+
+    def test_given_forward_states_give_the_same_value(self):
+        from mflangevin.odes import forward_paths
+        grid = TimeGrid(1.0, 4)
+        model = make_builtin_model("timeseries_interp", d=2, p_hidden=2,
+                                   dim_data=4)
+        ds = generate_dataset("timeseries", 5, 2, 8, grid)
+        cloud = cloud_init(12, grid, model.dim_param, ("gaussian", 0.0, 1.0),
+                           seed=2)
+        prior = gaussian_prior(1.0, model.dim_param)
+        x = forward_paths(model, cloud, ds, grid)
+        assert (objective_Jsigma(model, cloud, ds, grid, 0.5, prior, x=x)
+                == objective_Jsigma(model, cloud, ds, grid, 0.5, prior))
+
     def test_negative_sigma_rejected(self):
         grid = TimeGrid(1.0, 2)
         model = make_linear_drift_model(1)

@@ -1,0 +1,51 @@
+"""Property tests: invariants checked on inputs drawn by hypothesis."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mflangevin.rng import philox4x32
+
+_WORD = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _philox_reference(counter, key, rounds=10):
+    """Scalar Philox4x32-10 in plain Python integers (Salmon et al., 2011)."""
+    x0, x1, x2, x3 = counter
+    k0, k1 = key
+    for _ in range(rounds):
+        p0 = 0xD2511F53 * x0
+        p1 = 0xCD9E8D57 * x2
+        x0, x1, x2, x3 = ((p1 >> 32) ^ x1 ^ k0, p1 & 0xFFFFFFFF,
+                          (p0 >> 32) ^ x3 ^ k1, p0 & 0xFFFFFFFF)
+        k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
+        k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return [x0, x1, x2, x3]
+
+
+class TestPhiloxProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(counters=st.lists(st.tuples(_WORD, _WORD, _WORD, _WORD),
+                             min_size=1, max_size=6),
+           key=st.tuples(_WORD, _WORD),
+           rounds=st.sampled_from([10, 0, 1, 7]))
+    def test_matches_scalar_reference(self, counters, key, rounds):
+        cols = [np.array([c[j] for c in counters]) for j in range(4)]
+        out = philox4x32(*cols, key=key, rounds=rounds)
+        assert all(w.dtype == np.uint32 for w in out)
+        for i, counter in enumerate(counters):
+            assert ([int(w[i]) for w in out]
+                    == _philox_reference(counter, key, rounds))
+
+    @settings(max_examples=50, deadline=None)
+    @given(c0=_WORD, c2=_WORD, key=st.tuples(_WORD, _WORD))
+    def test_broadcast_counters_match_reference(self, c0, c2, key):
+        # Counter words of different shapes broadcast as in step_normals.
+        c1 = np.arange(3).reshape(-1, 1)
+        c3 = np.arange(2).reshape(1, -1)
+        out = philox4x32(c0, c1, c2, c3, key=key)
+        assert out[0].shape == (3, 2)
+        for i in range(3):
+            for j in range(2):
+                assert ([int(w[i, j]) for w in out]
+                        == _philox_reference((c0, i, c2, j), key))
