@@ -10,7 +10,7 @@ and generalisation scaling.
 """
 
 from .clouds import ParticleCloud, cloud_from_csv, cloud_init, cloud_to_csv
-from .datasets import Dataset, DataSample, generate_dataset
+from .datasets import Dataset, generate_dataset
 from .exceptions import (ConfigError, NonFiniteCostateError,
                          NonFiniteParticleError, NonFiniteStateError)
 from .grids import TimeGrid
@@ -18,13 +18,12 @@ from .langevin import (CoupledRunResult, PicardResult, TrainerConfig,
                        TrainHistory, coupled_pair_run, langevin_step,
                        lipschitz_probe, picard_solve, train)
 from .metrics import CloudDistance, entropy_estimate, paired_distance, w2_distance
-from .models import (HamiltonianEval, ModelSpec, PriorSpec, gaussian_prior,
-                     hamiltonian, make_builtin_model, make_linear_drift_model,
-                     make_zero_cost_model, model_grad_selfcheck)
+from .models import (ModelSpec, PriorSpec, gaussian_prior, make_builtin_model,
+                     make_linear_drift_model, make_zero_cost_model,
+                     model_grad_selfcheck)
 from .objective import (ObjectiveValue, discrete_gradient,
                         finite_diff_gradient, objective_J, objective_Jsigma)
-from .odes import (TrajectoryPair, adjoint_solve, forward_solve,
-                   mean_field_drift, rk4_forward_solve, solve_trajectory_pair)
+from .odes import mean_field_drift
 from .studies import (StudyReport, StudySetup, run_chaos_study,
                       run_contraction_study, run_euler_study,
                       run_generalization_study, run_gibbs_check)
@@ -33,13 +32,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ParticleCloud", "cloud_init", "cloud_to_csv", "cloud_from_csv",
-    "Dataset", "DataSample", "generate_dataset",
+    "Dataset", "generate_dataset",
     "TimeGrid",
-    "ModelSpec", "PriorSpec", "HamiltonianEval", "gaussian_prior",
+    "ModelSpec", "PriorSpec", "gaussian_prior",
     "make_builtin_model", "make_linear_drift_model", "make_zero_cost_model",
-    "hamiltonian", "model_grad_selfcheck",
-    "forward_solve", "adjoint_solve", "solve_trajectory_pair",
-    "TrajectoryPair", "mean_field_drift", "rk4_forward_solve",
+    "model_grad_selfcheck", "mean_field_drift",
     "objective_J", "objective_Jsigma", "ObjectiveValue",
     "discrete_gradient", "finite_diff_gradient",
     "TrainerConfig", "TrainHistory", "train", "langevin_step",

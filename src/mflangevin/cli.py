@@ -18,19 +18,26 @@ import numpy as np
 
 from .clouds import cloud_to_csv
 from .config import (build_setup, default_study_config, default_train_config,
-                     load_config, parse_config, validate_study_section)
+                     load_config, parse_config, study_arguments)
 from .langevin import train
 from .objective import discrete_gradient, finite_diff_gradient
 from .studies import (run_chaos_study, run_contraction_study,
                       run_euler_study, run_generalization_study,
                       run_gibbs_check)
 
+
+def _gibbs(setup, *, threads, **kwargs):
+    # One training run: the Gibbs check has no independent points to spread.
+    return run_gibbs_check(setup, **kwargs)
+
+
+# Study subcommand -> (study kind, runner).
 STUDY_COMMANDS = {
-    "chaos-study": "chaos",
-    "euler-study": "euler",
-    "contraction-study": "contraction",
-    "gibbs-check": "gibbs",
-    "generalization-study": "generalization",
+    "chaos-study": ("chaos", run_chaos_study),
+    "euler-study": ("euler", run_euler_study),
+    "contraction-study": ("contraction", run_contraction_study),
+    "gibbs-check": ("gibbs", _gibbs),
+    "generalization-study": ("generalization", run_generalization_study),
 }
 
 
@@ -53,11 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_train(args) -> int:
+def _load(args, default: dict) -> dict:
+    """The parsed ``--config`` file, or ``default`` without one."""
     if args.config is not None:
-        config = load_config(args.config)
-    else:
-        config = parse_config(default_train_config())
+        return load_config(args.config)
+    return parse_config(default)
+
+
+def _run_train(args) -> int:
+    config = _load(args, default_train_config())
     setup = build_setup(config, seed_override=args.seed)
     cfg = setup.trainer
     if cfg.record_every == 0:
@@ -121,61 +132,11 @@ def _run_grad_check(args) -> int:
     return 0 if passed else 1
 
 
-def _run_study(args, study_kind: str) -> int:
-    if args.config is not None:
-        config = load_config(args.config)
-    else:
-        config = parse_config(default_study_config(study_kind))
-    study = validate_study_section(config, study_kind)
+def _run_study(args, study_kind: str, runner) -> int:
+    config = _load(args, default_study_config(study_kind))
+    kwargs = study_arguments(config, study_kind)
     setup = build_setup(config, seed_override=args.seed)
-    threads = args.threads
-    if study_kind == "chaos":
-        report = run_chaos_study(
-            setup, study.get("n2_list", [16, 32, 64, 128]),
-            study.get("n1_list", [8, 32, 128]),
-            n_ref=int(study.get("n_ref", 2048)),
-            n1_ref=int(study.get("n1_ref", 512)),
-            n_reps=int(study.get("n_reps", 3)),
-            tail_fraction=float(study.get("tail_fraction", 0.25)),
-            snapshot_every=int(study.get("snapshot_every", 5)),
-            slope_bounds=(float(study.get("slope_lo", 0.7)),
-                          float(study.get("slope_hi", 1.3))),
-            threads=threads)
-    elif study_kind == "euler":
-        report = run_euler_study(
-            setup, [float(g) for g in study.get("gamma_list",
-                                                [4e-3, 2e-3, 1e-3, 5e-4])],
-            s_final=float(study.get("s_final", 1.0)),
-            ref_divisor=int(study.get("ref_divisor", 8)),
-            slope_bounds=(float(study.get("slope_lo", 1.6)),
-                          float(study.get("slope_hi", 2.4))),
-            threads=threads)
-    elif study_kind == "contraction":
-        shift = float(study.get("shift", 2.0))
-        pairs = [(("gaussian", 0.0, 1.0), ("gaussian", shift, 1.0))] \
-            * int(study.get("n_pairs", 20))
-        report = run_contraction_study(
-            setup, pairs,
-            rate_factor=float(study.get("rate_factor", 3.0)),
-            probe_scale=float(study.get("probe_scale", 0.5)),
-            threads=threads)
-    elif study_kind == "gibbs":
-        report = run_gibbs_check(
-            setup, tv_threshold=float(study.get("tv_threshold", 0.1)),
-            n_bins=int(study.get("n_bins", 64)),
-            burn_in_fraction=float(study.get("burn_in_fraction", 0.5)),
-            snapshot_every=study.get("snapshot_every"),
-            sigma_sweep=tuple(study.get("sigma_sweep", ())))
-    else:
-        report = run_generalization_study(
-            setup, study.get("n1_list", [8, 16, 32, 64]),
-            int(study.get("holdout_n", 4096)),
-            n_seeds=int(study.get("n_seeds", 6)),
-            ref_particles=int(study.get("ref_particles", 512)),
-            ref_samples=int(study.get("ref_samples", 512)),
-            slope_bounds=(float(study.get("slope_lo", 0.6)),
-                          float(study.get("slope_hi", 1.4))),
-            threads=threads)
+    report = runner(setup, threads=args.threads, **kwargs)
     report.write(args.out)
     for line in report.summary_lines():
         print(line)
@@ -190,7 +151,7 @@ def main(argv=None) -> int:
         return _run_train(args)
     if args.command == "grad-check":
         return _run_grad_check(args)
-    return _run_study(args, STUDY_COMMANDS[args.command])
+    return _run_study(args, *STUDY_COMMANDS[args.command])
 
 
 if __name__ == "__main__":

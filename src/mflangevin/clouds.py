@@ -58,12 +58,6 @@ class ParticleCloud:
     def with_particles(self, particles: np.ndarray) -> "ParticleCloud":
         return replace(self, particles=particles)
 
-    def head(self, n: int) -> "ParticleCloud":
-        """First ``n`` particles (the shared block of a coupled larger run)."""
-        if not 1 <= n <= self.n_particles:
-            raise ValueError("invalid particle count")
-        return replace(self, particles=self.particles[:n].copy())
-
 
 def cloud_init(n_particles: int, grid: TimeGrid, dim_param: int,
                init=("gaussian", 0.0, 1.0), seed: int = 0) -> ParticleCloud:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import typing
 
 from .exceptions import ConfigError
 from .grids import TimeGrid
@@ -18,10 +19,38 @@ from .models import (BUILTIN_KINDS, gaussian_prior, make_builtin_model,
                      make_linear_drift_model, make_zero_cost_model)
 from .studies import StudySetup
 
-__all__ = ["load_config", "parse_config", "build_setup",
-           "default_study_config", "default_train_config", "STUDY_KINDS"]
+__all__ = ["load_config", "parse_config", "build_setup", "study_arguments",
+           "default_study_config", "default_train_config", "STUDY_TABLE"]
 
-STUDY_KINDS = ("chaos", "euler", "contraction", "gibbs", "generalization")
+# The keys of each study kind's ``study`` section, with their types and
+# defaults: the one home of every study default.  Each key sets the runner
+# keyword of the same name, except ``slope_lo`` and ``slope_hi``, which
+# together set ``slope_bounds``.  Integers are at least 1; a list type
+# takes a JSON list of such values.
+STUDY_TABLE = {
+    "chaos": {"n2_list": (list[int], (16, 32, 64, 128)),
+              "n1_list": (list[int], (8, 32, 128)),
+              "n_ref": (int, 2048), "n1_ref": (int, 512), "n_reps": (int, 3),
+              "tail_fraction": (float, 0.25), "snapshot_every": (int, 5),
+              "slope_lo": (float, 0.7), "slope_hi": (float, 1.3)},
+    "euler": {"gamma_list": (list[float], (4e-3, 2e-3, 1e-3, 5e-4)),
+              "s_final": (float, 1.0), "ref_divisor": (int, 8),
+              "slope_lo": (float, 1.6), "slope_hi": (float, 2.4)},
+    "contraction": {"n_pairs": (int, 20), "shift": (float, 2.0),
+                    "rate_factor": (float, 3.0), "probe_scale": (float, 0.5)},
+    # snapshot_every None: the runner snapshots every n_iters // 40 updates.
+    "gibbs": {"tv_threshold": (float, 0.1), "n_bins": (int, 64),
+              "burn_in_fraction": (float, 0.5), "snapshot_every": (int, None),
+              "sigma_sweep": (list[float], ())},
+    "generalization": {"n1_list": (list[int], (8, 16, 32, 64)),
+                       "holdout_n": (int, 4096), "n_seeds": (int, 6),
+                       "ref_particles": (int, 512), "ref_samples": (int, 512),
+                       "slope_lo": (float, 0.6), "slope_hi": (float, 1.4)},
+}
+
+# A key shared by several study kinds has the same type in each.
+_STUDY_TYPES = {key: kind for keys in STUDY_TABLE.values()
+                for key, (kind, _) in keys.items()}
 
 _SECTION_KEYS = {
     "model": {"kind", "d", "p_hidden", "dim_data"},
@@ -30,18 +59,7 @@ _SECTION_KEYS = {
                 "record_every", "snapshot_every", "noise_dt"},
     "dataset": {"kind", "target", "n_samples", "seed"},
     "init": {"kind", "mean", "std", "value", "seed", "n_particles"},
-    "study": None,  # validated per study kind
-}
-
-_STUDY_KEYS = {
-    "chaos": {"n2_list", "n1_list", "n_ref", "n1_ref", "n_reps",
-              "tail_fraction", "snapshot_every", "slope_lo", "slope_hi"},
-    "euler": {"gamma_list", "s_final", "ref_divisor", "slope_lo", "slope_hi"},
-    "contraction": {"n_pairs", "rate_factor", "probe_scale", "shift"},
-    "gibbs": {"tv_threshold", "n_bins", "burn_in_fraction",
-              "snapshot_every", "sigma_sweep"},
-    "generalization": {"n1_list", "holdout_n", "n_seeds", "ref_particles",
-                       "ref_samples", "slope_lo", "slope_hi"},
+    "study": set(_STUDY_TYPES),  # checked per study kind by study_arguments
 }
 
 _MODEL_KINDS = BUILTIN_KINDS + ("linear_drift", "zero_cost")
@@ -78,7 +96,9 @@ def parse_config(raw: dict) -> dict:
         if section not in raw:
             raise ConfigError(f"missing required section {section!r}")
     for section, keys in _SECTION_KEYS.items():
-        if section in raw and keys is not None:
+        if section in raw:
+            if not isinstance(raw[section], dict):
+                raise ConfigError(f"section {section!r} must be a JSON object")
             bad = set(raw[section]) - keys
             if bad:
                 raise ConfigError(
@@ -87,6 +107,8 @@ def parse_config(raw: dict) -> dict:
         for key, least in keys.items():
             if key in raw.get(section, {}):
                 _check_int(f"{section}.{key}", raw[section][key], least)
+    for key, value in raw.get("study", {}).items():
+        _study_value(f"study.{key}", value, _STUDY_TYPES[key])
     return copy.deepcopy(raw)
 
 
@@ -101,14 +123,36 @@ def _check_int(name: str, value, least) -> None:
         raise ConfigError(f"{name} must be at least {least}, got {value!r}")
 
 
-def validate_study_section(config: dict, study_kind: str) -> dict:
-    study = config.get("study", {})
-    allowed = _STUDY_KEYS[study_kind]
-    bad = set(study) - allowed
+def _study_value(name: str, value, kind):
+    """``value`` checked against a study table type and converted to it."""
+    if kind is int:
+        _check_int(name, value, 1)
+        return int(value)
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        return float(value)
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    (item,) = typing.get_args(kind)
+    return tuple(_study_value(f"{name}[{i}]", v, item)
+                 for i, v in enumerate(value))
+
+
+def study_arguments(config: dict, study_kind: str) -> dict:
+    """Runner keywords: the ``study`` section over :data:`STUDY_TABLE`."""
+    table = STUDY_TABLE[study_kind]
+    section = config.get("study", {})
+    bad = set(section) - set(table)
     if bad:
         raise ConfigError(f"unknown keys in study section for "
                           f"{study_kind!r}: {sorted(bad)}")
-    return study
+    args = {key: default for key, (_, default) in table.items()}
+    args.update((key, _study_value(f"study.{key}", value, table[key][0]))
+                for key, value in section.items())
+    if "slope_lo" in args:
+        args["slope_bounds"] = (args.pop("slope_lo"), args.pop("slope_hi"))
+    return args
 
 
 def _build_model(section: dict):
@@ -189,80 +233,66 @@ def default_train_config() -> dict:
     }
 
 
-def default_study_config(study_kind: str) -> dict:
-    """Built-in desk-scale configuration for each study.
+# Built-in desk-scale configuration of each study: the settings the
+# acceptance suite runs, chosen so each theoretical property dominates the
+# measured observable at the stated thresholds.  Study keys take their
+# defaults from STUDY_TABLE.
+_STUDY_CONFIGS = {
+    "chaos": {
+        "model": {"kind": "one_layer_residual", "d": 1, "p_hidden": 1,
+                  "dim_data": 1},
+        "grid": {"horizon": 0.25, "n_steps": 4},
+        "trainer": {"sigma": 1.4, "kappa": 0.5, "gamma": 0.01,
+                    "n_iters": 120, "seed": 21},
+        "dataset": {"kind": "regression", "target": "tanh_shift", "seed": 33},
+        "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 9},
+    },
+    "euler": {
+        "model": {"kind": "one_layer_residual", "d": 1, "p_hidden": 1,
+                  "dim_data": 1},
+        "grid": {"horizon": 0.25, "n_steps": 4},
+        "trainer": {"sigma": 1.0, "kappa": 2.0, "gamma": 4e-3,
+                    "n_iters": 100, "seed": 6},
+        "dataset": {"kind": "regression", "target": "scaled",
+                    "n_samples": 8, "seed": 13},
+        "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 4,
+                 "n_particles": 32},
+    },
+    "contraction": {
+        "model": {"kind": "linear_drift", "d": 1},
+        "grid": {"horizon": 0.5, "n_steps": 4},
+        "trainer": {"sigma": 2.0, "kappa": 4.0, "gamma": 5e-3,
+                    "n_iters": 140, "seed": 11},
+        "dataset": {"kind": "regression", "target": "scaled",
+                    "n_samples": 4, "seed": 42},
+        "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 5,
+                 "n_particles": 32},
+    },
+    "gibbs": {
+        "model": {"kind": "linear_drift", "d": 1},
+        "grid": {"horizon": 0.5, "n_steps": 4},
+        "trainer": {"sigma": 1.5, "kappa": 2.0, "gamma": 0.02,
+                    "n_iters": 500, "seed": 3},
+        "dataset": {"kind": "regression", "target": "scaled",
+                    "n_samples": 4, "seed": 9},
+        "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 2,
+                 "n_particles": 4096},
+    },
+    "generalization": {
+        "model": {"kind": "one_layer_residual", "d": 1, "p_hidden": 1,
+                  "dim_data": 1},
+        "grid": {"horizon": 0.25, "n_steps": 4},
+        "trainer": {"sigma": 1.4, "kappa": 1.0, "gamma": 5e-3,
+                    "n_iters": 1200, "seed": 5},
+        "dataset": {"kind": "regression", "target": "scaled", "seed": 0},
+        "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 3,
+                 "n_particles": 256},
+    },
+}
 
-    These are the settings the acceptance suite runs; they are chosen so
-    each theoretical property dominates the measured observable at the
-    stated thresholds.
-    """
-    if study_kind == "chaos":
-        return {
-            "model": {"kind": "one_layer_residual", "d": 1, "p_hidden": 1,
-                      "dim_data": 1},
-            "grid": {"horizon": 0.25, "n_steps": 4},
-            "trainer": {"sigma": 1.4, "kappa": 0.5, "gamma": 0.01,
-                        "n_iters": 120, "seed": 21},
-            "dataset": {"kind": "regression", "target": "tanh_shift",
-                        "seed": 33},
-            "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 9},
-            "study": {"n2_list": [16, 32, 64, 128], "n1_list": [8, 32, 128],
-                      "n_ref": 2048, "n1_ref": 512, "n_reps": 3,
-                      "tail_fraction": 0.25, "snapshot_every": 5,
-                      "slope_lo": 0.7, "slope_hi": 1.3},
-        }
-    if study_kind == "euler":
-        return {
-            "model": {"kind": "one_layer_residual", "d": 1, "p_hidden": 1,
-                      "dim_data": 1},
-            "grid": {"horizon": 0.25, "n_steps": 4},
-            "trainer": {"sigma": 1.0, "kappa": 2.0, "gamma": 4e-3,
-                        "n_iters": 100, "seed": 6},
-            "dataset": {"kind": "regression", "target": "scaled",
-                        "n_samples": 8, "seed": 13},
-            "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 4,
-                     "n_particles": 32},
-            "study": {"gamma_list": [4e-3, 2e-3, 1e-3, 5e-4], "s_final": 1.0,
-                      "ref_divisor": 8, "slope_lo": 1.6, "slope_hi": 2.4},
-        }
-    if study_kind == "contraction":
-        return {
-            "model": {"kind": "linear_drift", "d": 1},
-            "grid": {"horizon": 0.5, "n_steps": 4},
-            "trainer": {"sigma": 2.0, "kappa": 4.0, "gamma": 5e-3,
-                        "n_iters": 140, "seed": 11},
-            "dataset": {"kind": "regression", "target": "scaled",
-                        "n_samples": 4, "seed": 42},
-            "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 5,
-                     "n_particles": 32},
-            "study": {"n_pairs": 20, "rate_factor": 3.0, "probe_scale": 0.5,
-                      "shift": 2.0},
-        }
-    if study_kind == "gibbs":
-        return {
-            "model": {"kind": "linear_drift", "d": 1},
-            "grid": {"horizon": 0.5, "n_steps": 4},
-            "trainer": {"sigma": 1.5, "kappa": 2.0, "gamma": 0.02,
-                        "n_iters": 500, "seed": 3},
-            "dataset": {"kind": "regression", "target": "scaled",
-                        "n_samples": 4, "seed": 9},
-            "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 2,
-                     "n_particles": 4096},
-            "study": {"tv_threshold": 0.1, "n_bins": 64,
-                      "burn_in_fraction": 0.5, "sigma_sweep": []},
-        }
-    if study_kind == "generalization":
-        return {
-            "model": {"kind": "one_layer_residual", "d": 1, "p_hidden": 1,
-                      "dim_data": 1},
-            "grid": {"horizon": 0.25, "n_steps": 4},
-            "trainer": {"sigma": 1.4, "kappa": 1.0, "gamma": 5e-3,
-                        "n_iters": 1200, "seed": 5},
-            "dataset": {"kind": "regression", "target": "scaled", "seed": 0},
-            "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 3,
-                     "n_particles": 256},
-            "study": {"n1_list": [8, 16, 32, 64], "holdout_n": 4096,
-                      "n_seeds": 6, "ref_particles": 512, "ref_samples": 512,
-                      "slope_lo": 0.6, "slope_hi": 1.4},
-        }
-    raise ConfigError(f"unknown study kind {study_kind!r}")
+
+def default_study_config(study_kind: str) -> dict:
+    """A fresh copy of the built-in configuration of one study kind."""
+    if study_kind not in _STUDY_CONFIGS:
+        raise ConfigError(f"unknown study kind {study_kind!r}")
+    return copy.deepcopy(_STUDY_CONFIGS[study_kind])

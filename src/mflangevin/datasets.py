@@ -11,19 +11,7 @@ import numpy as np
 from .grids import TimeGrid
 from .rng import PURPOSE_DATA, keyed_normals, keyed_uniforms
 
-__all__ = ["Dataset", "DataSample", "generate_dataset", "TARGETS"]
-
-
-@dataclass(frozen=True)
-class DataSample:
-    """One (initial state, data) pair; ``zeta`` is a vector or a node-sampled path."""
-
-    xi: np.ndarray
-    zeta: np.ndarray
-
-    @property
-    def is_path(self) -> bool:
-        return self.zeta.ndim == 2
+__all__ = ["Dataset", "generate_dataset", "TARGETS"]
 
 
 @dataclass(frozen=True)
@@ -69,9 +57,6 @@ class Dataset:
     def zeta_node(self, node: int) -> np.ndarray:
         """Data slice at one grid node, shape (N1, q)."""
         return self.zeta[:, node, :] if self.is_path else self.zeta
-
-    def sample(self, k: int) -> DataSample:
-        return DataSample(xi=self.xi[k], zeta=self.zeta[k])
 
     def subset(self, n: int) -> "Dataset":
         """First ``n`` samples (shared prefix couples runs across sizes)."""

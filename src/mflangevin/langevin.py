@@ -43,18 +43,16 @@ __all__ = [
 class TrainerConfig:
     """Training-time discretisation of the mean-field Langevin dynamics.
 
-    ``gamma`` is the uniform training-time step; a ``schedule`` of explicit
-    increments overrides it.  ``noise_dt`` fixes the finest Brownian
-    resolution: each step consumes step/noise_dt fine increments, so runs
-    with different step sizes but equal seed and noise_dt stay on one
-    Brownian path.  When unset, each step draws a single increment indexed
-    by its iteration number.
+    ``gamma`` is the uniform training-time step.  ``noise_dt`` fixes the
+    finest Brownian resolution: each step consumes gamma/noise_dt fine
+    increments, so runs with different step sizes but equal seed and
+    noise_dt stay on one Brownian path.  When unset, each step draws a
+    single increment indexed by its iteration number.
     """
 
     sigma: float
     prior: PriorSpec
     gamma: float = 1e-2
-    schedule: tuple = ()
     n_iters: int = 100
     seed: int = 0
     record_every: int = 10
@@ -66,32 +64,20 @@ class TrainerConfig:
             raise ValueError("sigma must be nonnegative")
         if self.n_iters < 0:
             raise ValueError("n_iters must be nonnegative")
-        incs = self.increments()
-        if len(incs) != self.n_iters or np.any(incs <= 0):
-            raise ValueError("step schedule must supply a positive increment "
-                             "per iteration")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
         if self.noise_dt is not None:
             if self.noise_dt <= 0:
                 raise ValueError("noise_dt must be positive")
-            ratios = incs / self.noise_dt
-            if np.any(np.abs(ratios - np.rint(ratios)) > 1e-9 * ratios):
-                raise ValueError("every increment must be an integer "
-                                 "multiple of noise_dt")
-
-    def increments(self) -> np.ndarray:
-        if self.schedule:
-            return np.asarray(self.schedule, dtype=float)
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return np.full(self.n_iters, float(self.gamma))
+            ratio = self.gamma / self.noise_dt
+            if abs(ratio - round(ratio)) > 1e-9 * ratio:
+                raise ValueError("gamma must be a multiple of noise_dt")
 
     def fine_offsets(self) -> np.ndarray:
         """Start index of each step's block of fine Brownian increments."""
-        incs = self.increments()
         if self.noise_dt is None:
             return np.arange(self.n_iters + 1)
-        counts = np.rint(incs / self.noise_dt).astype(int)
-        return np.concatenate([[0], np.cumsum(counts)])
+        return round(self.gamma / self.noise_dt) * np.arange(self.n_iters + 1)
 
 
 @dataclass
@@ -126,29 +112,28 @@ def drift_norm(drift: np.ndarray, grid: TimeGrid) -> float:
 class _StepSchedule:
     """Per-step quantities of one run, built once from its TrainerConfig.
 
-    ``gamma[k]`` is step k's increment, ``s[k]`` the training time before
-    it, step k consumes fine Brownian slots ``offsets[k]:offsets[k + 1]``,
-    and ``sqrt_dt[k]`` scales each fine slot's standard normals.
+    ``s[k]`` is the training time before step k, step k consumes fine
+    Brownian slots ``offsets[k]:offsets[k + 1]``, and ``sqrt_dt`` scales
+    each fine slot's standard normals.
     """
 
-    gamma: np.ndarray
     s: np.ndarray
     offsets: np.ndarray
-    sqrt_dt: np.ndarray
+    sqrt_dt: float
 
     @classmethod
     def of(cls, cfg: TrainerConfig) -> "_StepSchedule":
-        incs = cfg.increments()
-        dt_fine = incs if cfg.noise_dt is None else np.full_like(incs, cfg.noise_dt)
-        return cls(gamma=incs, s=np.concatenate([[0.0], np.cumsum(incs)]),
-                   offsets=cfg.fine_offsets(), sqrt_dt=np.sqrt(dt_fine))
+        steps = np.full(cfg.n_iters, float(cfg.gamma))
+        dt_fine = cfg.gamma if cfg.noise_dt is None else cfg.noise_dt
+        return cls(s=np.concatenate([[0.0], np.cumsum(steps)]),
+                   offsets=cfg.fine_offsets(), sqrt_dt=math.sqrt(dt_fine))
 
 
 def _noise_block(cfg: TrainerConfig, sched: _StepSchedule, iter_index: int,
                  shape: tuple) -> np.ndarray:
     fine = np.arange(sched.offsets[iter_index], sched.offsets[iter_index + 1])
     draws = step_normals(cfg.seed, fine, *shape)
-    return sched.sqrt_dt[iter_index] * draws
+    return sched.sqrt_dt * draws
 
 
 def _apply_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
@@ -160,7 +145,7 @@ def _apply_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
         drift = mean_field_drift(model, cloud, dataset, grid)
     theta = cloud.particles
     move = drift + 0.5 * cfg.sigma ** 2 * cfg.prior.grad_U(theta)
-    new = theta - sched.gamma[iter_index] * move
+    new = theta - cfg.gamma * move
     if cfg.sigma > 0.0:
         if noise is None:
             noise = _noise_block(cfg, sched, iter_index, theta.shape)

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 from scipy.special import digamma, gammaln
 
 from .clouds import ParticleCloud
@@ -55,6 +53,7 @@ def _w2_1d(u: np.ndarray, v: np.ndarray) -> float:
 
 def _w2_hungarian(a: np.ndarray, b: np.ndarray) -> float:
     """Exact squared W2 between equal-size empirical measures via assignment."""
+    from scipy.optimize import linear_sum_assignment  # deferred: slow import
     diff = a[:, None, :] - b[None, :, :]
     cost = np.einsum("ijk,ijk->ij", diff, diff)
     rows, cols = linear_sum_assignment(cost)
@@ -133,6 +132,7 @@ def entropy_estimate(cloud: ParticleCloud, node: int, prior: PriorSpec) -> float
     Ent = E[log density - log gamma].  Returns +inf when duplicate
     particles make the estimator undefined.  Used for reporting only.
     """
+    from scipy.spatial import cKDTree  # deferred: slow import
     x = cloud.particles[:, node, :]
     n, p = x.shape
     if n < ENTROPY_MIN_PARTICLES:

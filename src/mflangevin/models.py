@@ -25,9 +25,9 @@ import numpy as np
 from .rng import PURPOSE_PROBE, keyed_normals, keyed_uniforms
 
 __all__ = [
-    "ModelSpec", "HamiltonianEval", "PriorSpec", "SelfCheckReport",
+    "ModelSpec", "PriorSpec", "SelfCheckReport",
     "make_builtin_model", "make_linear_drift_model", "make_zero_cost_model",
-    "gaussian_prior", "hamiltonian", "model_grad_selfcheck", "BUILTIN_KINDS",
+    "gaussian_prior", "model_grad_selfcheck", "BUILTIN_KINDS",
 ]
 
 BUILTIN_KINDS = ("one_layer_residual", "neural_ode_tanh", "timeseries_interp")
@@ -61,15 +61,6 @@ class ModelSpec:
             raise ValueError("dim_state and dim_param must be positive")
         if self.dim_data < 0:
             raise ValueError("dim_data must be nonnegative")
-
-
-@dataclass(frozen=True)
-class HamiltonianEval:
-    """Value and gradients of h = phi . p + f at one evaluation point."""
-
-    value: np.ndarray
-    grad_a: np.ndarray
-    grad_x: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -161,32 +152,6 @@ def _columns(bshape: tuple, *blocks) -> np.ndarray:
         out[..., start:start + b.shape[-1]] = b
         start += b.shape[-1]
     return out
-
-
-def hamiltonian(model: ModelSpec, t: float, x, p_costate, a,
-                zeta_t=None) -> HamiltonianEval:
-    """Evaluate h = phi . p + f together with its a- and x-gradients.
-
-    grad_a = (grad_a phi)^T p + grad_a f and grad_x = (grad_x phi)^T p +
-    grad_x f, assembled from the model's analytic derivative maps.
-    """
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    p = np.asarray(p_costate, dtype=float)
-    if x.shape[-1] != model.dim_state or p.shape[-1] != model.dim_state:
-        raise ValueError("state/costate dimension mismatch")
-    if a.shape[-1] != model.dim_param:
-        raise ValueError("parameter dimension mismatch")
-    if model.dim_data and (zeta_t is None
-                           or np.asarray(zeta_t).shape[-1] != model.dim_data):
-        raise ValueError("data-slice dimension mismatch")
-    value = (np.einsum("...d,...d->...", model.phi(t, x, a, zeta_t), p)
-             + model.f(t, x, a, zeta_t))
-    grad_a = (np.einsum("...dp,...d->...p", model.grad_a_phi(t, x, a, zeta_t), p)
-              + model.grad_a_f(t, x, a, zeta_t))
-    grad_x = (np.einsum("...dr,...d->...r", model.grad_x_phi(t, x, a, zeta_t), p)
-              + model.grad_x_f(t, x, a, zeta_t))
-    return HamiltonianEval(value=value, grad_a=grad_a, grad_x=grad_x)
 
 
 def _zero_cost_maps(d: int, p: int):
@@ -464,8 +429,3 @@ def model_grad_selfcheck(model: ModelSpec, n_probes: int = 100,
     }
     return SelfCheckReport(max_rel_err=errs, threshold=threshold,
                            n_probes=n_probes, seed=seed)
-
-
-def with_overrides(model: ModelSpec, **maps) -> ModelSpec:
-    """Copy of a model with some maps replaced (used to build test fixtures)."""
-    return replace(model, **maps)

@@ -18,37 +18,18 @@ zero and the corresponding particles feel only the prior and the noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .clouds import ParticleCloud
-from .datasets import DataSample, Dataset
+from .datasets import Dataset
 from .exceptions import NonFiniteCostateError, NonFiniteStateError
 from .grids import TimeGrid
 from .models import ModelSpec
 
 __all__ = [
-    "TrajectoryPair", "forward_paths", "adjoint_paths", "forward_solve",
-    "adjoint_solve", "solve_trajectory_pair", "mean_field_drift",
-    "drift_and_states", "hamiltonian_grad_at", "rk4_forward_solve",
+    "forward_paths", "adjoint_paths", "mean_field_drift",
+    "drift_and_states", "hamiltonian_grad_at",
 ]
-
-
-@dataclass(frozen=True)
-class TrajectoryPair:
-    """Forward state path and adjoint path of one sample on the grid."""
-
-    x_path: np.ndarray
-    p_path: np.ndarray
-    sample_id: int = 0
-
-    def __post_init__(self):
-        if self.x_path.shape != self.p_path.shape:
-            raise ValueError("state and costate paths must share a shape")
-        if not (np.all(np.isfinite(self.x_path))
-                and np.all(np.isfinite(self.p_path))):
-            raise ValueError("trajectory contains non-finite entries")
 
 
 def _check_setup(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
@@ -119,33 +100,6 @@ def adjoint_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     return p
 
 
-def _single_sample_dataset(sample: DataSample) -> Dataset:
-    return Dataset(xi=sample.xi[None, :],
-                   zeta=sample.zeta[None, ...], kind="single")
-
-
-def forward_solve(model: ModelSpec, cloud: ParticleCloud, sample: DataSample,
-                  grid: TimeGrid) -> np.ndarray:
-    """Forward state path for one sample, shape (n_nodes, d)."""
-    return forward_paths(model, cloud, _single_sample_dataset(sample), grid)[0]
-
-
-def adjoint_solve(model: ModelSpec, cloud: ParticleCloud, sample: DataSample,
-                  x_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Adjoint path for one sample, shape (n_nodes, d)."""
-    return adjoint_paths(model, cloud, _single_sample_dataset(sample),
-                         x_path[None, ...], grid)[0]
-
-
-def solve_trajectory_pair(model: ModelSpec, cloud: ParticleCloud,
-                          sample: DataSample, grid: TimeGrid,
-                          sample_id: int = 0) -> TrajectoryPair:
-    """Forward and adjoint sweep for one sample bundled together."""
-    x = forward_solve(model, cloud, sample, grid)
-    p = adjoint_solve(model, cloud, sample, x, grid)
-    return TrajectoryPair(x_path=x, p_path=p, sample_id=sample_id)
-
-
 def hamiltonian_grad_at(model: ModelSpec, particles: np.ndarray,
                         dataset: Dataset, x: np.ndarray, p: np.ndarray,
                         grid: TimeGrid) -> np.ndarray:
@@ -188,37 +142,3 @@ def drift_and_states(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     x = forward_paths(model, cloud, dataset, grid)
     p = adjoint_paths(model, cloud, dataset, x, grid)
     return x, hamiltonian_grad_at(model, cloud.particles, dataset, x, p, grid)
-
-
-def rk4_forward_solve(model: ModelSpec, cloud: ParticleCloud,
-                      sample: DataSample, grid: TimeGrid) -> np.ndarray:
-    """Classical RK4 forward pass for accuracy studies.
-
-    The control and the data slice are held at their node-l values across
-    each step (both are piecewise constant by construction), so this is
-    RK4 applied to the frozen per-step vector field.  Excluded from all
-    gradient paths: the adjoint is tied to the Euler map.
-    """
-    dataset = _single_sample_dataset(sample)
-    _check_setup(model, cloud, dataset, grid)
-    x = np.empty((grid.n_nodes, model.dim_state))
-    x[0] = sample.xi
-    theta = cloud.particles
-    dt = grid.dt
-
-    def field(t, state, l):
-        zeta_l = dataset.zeta_node(l)[:, None, :] if model.dim_data else None
-        return model.phi(t, state[:, None, :], theta[None, :, l, :],
-                         zeta_l).mean(axis=1)
-
-    for l in range(grid.n_steps):
-        t = grid.nodes[l]
-        y = x[l][None, :]
-        k1 = field(t, y, l)
-        k2 = field(t + 0.5 * dt, y + 0.5 * dt * k1, l)
-        k3 = field(t + 0.5 * dt, y + 0.5 * dt * k2, l)
-        k4 = field(t + dt, y + dt * k3, l)
-        x[l + 1] = (y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)[0]
-        if not np.all(np.isfinite(x[l + 1])):
-            raise NonFiniteStateError(f"non-finite state at node {l + 1}")
-    return x

@@ -236,7 +236,7 @@ def _snapshots_dict(history) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_chaos_study(setup: StudySetup, n2_list, n1_list, *, n_ref: int = 2048,
-                    n1_ref: int = 1024, n_reps: int = 1,
+                    n1_ref: int = 512, n_reps: int = 3,
                     tail_fraction: float = 0.25, snapshot_every: int = 5,
                     slope_bounds=(0.7, 1.3), threads: int = 1) -> StudyReport:
     """Particle/data scaling of the distance to a large-system surrogate.
@@ -365,20 +365,22 @@ def run_euler_study(setup: StudySetup, gamma_list, *, s_final: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def run_contraction_study(setup: StudySetup, init_pairs=None, *,
-                          n_pairs: int = 20, rate_factor: float = 3.0,
+                          n_pairs: int = 20, shift: float = 2.0,
+                          rate_factor: float = 3.0,
                           probe_scale: float = 0.5, fit_skip: float = 0.1,
                           floor: float = 1e-12, threads: int = 1) -> StudyReport:
     """Exponential contraction of coupled runs in the regularised regime.
 
     Each pair of initialisations evolves under identical noise; the slope
     of log squared distance in training time gives the empirical rate.
-    Checks: every fitted slope is negative, and each rate is within
-    ``rate_factor`` of sigma^2 kappa - 4 L where L is the empirical
-    Lipschitz probe of the drift.
+    Without ``init_pairs``, each of ``n_pairs`` pairs starts from N(0, 1)
+    and N(shift, 1) particles.  Checks: every fitted slope is negative,
+    and each rate is within ``rate_factor`` of sigma^2 kappa - 4 L where L
+    is the empirical Lipschitz probe of the drift.
     """
     t0 = time.perf_counter()
     if init_pairs is None:
-        init_pairs = [(("gaussian", 0.0, 1.0), ("gaussian", 2.0, 1.0))] * n_pairs
+        init_pairs = [(("gaussian", 0.0, 1.0), ("gaussian", shift, 1.0))] * n_pairs
     cfg = setup.trainer
     dataset = setup.make_dataset(setup.n_samples)
     base = setup.make_cloud(setup.n_particles)
@@ -586,8 +588,8 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
 # ---------------------------------------------------------------------------
 
 def run_generalization_study(setup: StudySetup, n1_list, holdout_n: int, *,
-                             n_seeds: int = 8, ref_particles: int = 512,
-                             ref_samples: int = 1024,
+                             n_seeds: int = 6, ref_particles: int = 512,
+                             ref_samples: int = 512,
                              slope_bounds=(0.6, 1.4),
                              threads: int = 1) -> StudyReport:
     """Squared out-of-sample cost gap against the training-set size.

@@ -1,23 +1,30 @@
 """Strict config parsing and the command-line surface."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from mflangevin.cli import main
-from mflangevin.config import (build_setup, default_study_config,
+from mflangevin.config import (STUDY_TABLE, build_setup, default_study_config,
                                default_train_config, load_config,
-                               parse_config, validate_study_section)
+                               parse_config, study_arguments)
 from mflangevin.exceptions import ConfigError
+from mflangevin.studies import (run_chaos_study, run_contraction_study,
+                                run_euler_study, run_generalization_study,
+                                run_gibbs_check)
+
+RUNNERS = {"chaos": run_chaos_study, "euler": run_euler_study,
+           "contraction": run_contraction_study, "gibbs": run_gibbs_check,
+           "generalization": run_generalization_study}
 
 
 class TestConfigParsing:
     def test_defaults_parse_cleanly(self):
-        for kind in ("chaos", "euler", "contraction", "gibbs",
-                     "generalization"):
+        for kind in STUDY_TABLE:
             config = parse_config(default_study_config(kind))
-            validate_study_section(config, kind)
+            study_arguments(config, kind)
             setup = build_setup(config)
             assert setup.grid.n_steps >= 1
         parse_config(default_train_config())
@@ -36,10 +43,22 @@ class TestConfigParsing:
 
     def test_unknown_study_key_rejected(self):
         config = default_study_config("euler")
-        config["study"]["bogus"] = 1
-        parsed = parse_config(config)
+        config["study"] = {"bogus": 1}
         with pytest.raises(ConfigError):
-            validate_study_section(parsed, "euler")
+            parse_config(config)
+        # A key of another study kind passes parsing but not this study.
+        config["study"] = {"n_pairs": 3}
+        parsed = parse_config(config)
+        with pytest.raises(ConfigError, match="n_pairs"):
+            study_arguments(parsed, "euler")
+
+    @pytest.mark.parametrize("section,value", [("model", []),
+                                               ("study", ["n_reps"])])
+    def test_sections_must_be_objects(self, section, value):
+        config = default_train_config()
+        config[section] = value
+        with pytest.raises(ConfigError, match=section):
+            parse_config(config)
 
     def test_missing_required_section_rejected(self):
         config = default_train_config()
@@ -64,10 +83,19 @@ class TestConfigParsing:
         ("trainer", "n_iters", 10.7),
         ("init", "n_particles", "64"),
         ("dataset", "n_samples", 0),
+        ("study", "n_reps", 2.7),
+        ("study", "n_reps", True),
+        ("study", "n_ref", "2048"),
+        ("study", "n_pairs", 0),
+        ("study", "n2_list", "abc"),
+        ("study", "n1_list", [8, 16.5]),
+        ("study", "tail_fraction", True),
+        ("study", "s_final", "1.0"),
+        ("study", "gamma_list", [1e-3, "2e-3"]),
     ])
     def test_integer_keys_are_strict(self, section, key, value):
         config = default_train_config()
-        config[section][key] = value
+        config.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(config)
 
@@ -76,6 +104,24 @@ class TestConfigParsing:
         config["trainer"]["n_iters"] = 40.0
         setup = build_setup(parse_config(config))
         assert setup.trainer.n_iters == 40
+
+    def test_study_section_overrides_the_table(self):
+        config = default_study_config("chaos")
+        config["study"] = {"n_reps": 2.0, "n2_list": [8, 16], "slope_hi": 2}
+        args = study_arguments(parse_config(config), "chaos")
+        assert args["n_reps"] == 2 and isinstance(args["n_reps"], int)
+        assert args["n2_list"] == (8, 16)
+        assert args["slope_bounds"] == (0.7, 2.0)
+        assert args["n1_ref"] == STUDY_TABLE["chaos"]["n1_ref"][1]
+
+    @pytest.mark.parametrize("kind", list(STUDY_TABLE))
+    def test_runner_defaults_match_the_study_table(self, kind):
+        # The table is the one home of each study default: every runner
+        # keyword it sets either has no default or the table's.
+        params = inspect.signature(RUNNERS[kind]).parameters
+        for key, value in study_arguments({}, kind).items():
+            default = params[key].default
+            assert default is inspect.Parameter.empty or default == value, key
 
     @pytest.mark.parametrize("model,dataset", [
         ({"kind": "timeseries_interp", "d": 1, "dim_data": 2},
@@ -108,7 +154,7 @@ def _mini_contraction_config(tmp_path):
     config = default_study_config("contraction")
     config["trainer"]["n_iters"] = 50
     config["init"]["n_particles"] = 8
-    config["study"]["n_pairs"] = 3
+    config["study"] = {"n_pairs": 3}
     path = tmp_path / "contraction.json"
     path.write_text(json.dumps(config))
     return path

@@ -85,8 +85,8 @@ def test_validation():
 
 
 def test_vector_dataset_sample_view():
+    # Vector data: every grid node sees the whole data vector.
     ds = Dataset(xi=np.array([[1.0, 2.0]]), zeta=np.array([[3.0, 4.0]]))
-    s = ds.sample(0)
-    assert not s.is_path
-    np.testing.assert_array_equal(s.xi, [1.0, 2.0])
+    np.testing.assert_array_equal(ds.xi[0], [1.0, 2.0])
+    np.testing.assert_array_equal(ds.zeta_node(3), [[3.0, 4.0]])
     assert ds.dim_state == 2 and ds.dim_data == 2 and not ds.is_path

@@ -149,15 +149,15 @@ class TestTrain:
         prior = gaussian_prior(1.0, 1)
         with pytest.raises(ValueError):
             TrainerConfig(sigma=-1.0, prior=prior, gamma=0.01, n_iters=1)
-        with pytest.raises(ValueError):
-            TrainerConfig(sigma=0.0, prior=prior, schedule=(0.1, -0.1),
-                          n_iters=2)
+        for gamma in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                TrainerConfig(sigma=0.0, prior=prior, gamma=gamma, n_iters=2)
         with pytest.raises(ValueError):
             TrainerConfig(sigma=0.0, prior=prior, gamma=0.01, n_iters=1,
                           noise_dt=0.003)
-        cfg = TrainerConfig(sigma=0.0, prior=prior, schedule=(0.1, 0.2),
-                            n_iters=2)
-        np.testing.assert_allclose(cfg.increments(), [0.1, 0.2])
+        cfg = TrainerConfig(sigma=0.0, prior=prior, gamma=0.01, n_iters=3,
+                            noise_dt=0.0025)
+        np.testing.assert_array_equal(cfg.fine_offsets(), [0, 4, 8, 12])
 
     def test_coarse_run_consumes_fine_brownian_path(self):
         # Zero drift, pure noise: one run at gamma and one at gamma/4 with

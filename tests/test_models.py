@@ -5,9 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mflangevin.models import (gaussian_prior, hamiltonian,
-                               make_builtin_model, make_linear_drift_model,
-                               make_zero_cost_model, model_grad_selfcheck)
+from mflangevin.datasets import Dataset
+from mflangevin.grids import TimeGrid
+from mflangevin.models import (gaussian_prior, make_builtin_model,
+                               make_linear_drift_model, make_zero_cost_model,
+                               model_grad_selfcheck)
+from mflangevin.odes import hamiltonian_grad_at
 from mflangevin.rng import PURPOSE_PROBE, keyed_normals
 
 
@@ -103,14 +106,27 @@ class TestNeuralOdeTanh:
         assert model.grad_x_phi(0.0, x, a, z)[0, 0] == pytest.approx(1.0)
 
 
+def _grad_a_h(model, x, p, a, z):
+    """grad_a of h = phi . p + f at one point, through the sweep assembly:
+    one sample, one particle and one step, so the point sits at t = 0."""
+    ds = Dataset(xi=x[None, :], zeta=z[None, :])
+
+    def path(v0, v1):
+        return np.stack([v0, v1])[None]
+
+    return hamiltonian_grad_at(model, path(a, a), ds, path(x, x),
+                               path(np.zeros_like(p), p), TimeGrid(1.0, 1))[0, 0]
+
+
 class TestHamiltonian:
+    """The data-averaged Hamiltonian a-gradient assembled by the sweeps."""
+
     def test_linear_case(self):
-        # f = 0 and phi(x, a) = a in one dimension: h = a p.
+        # f = 0 and phi(x, a) = a in one dimension: grad_a h = p.
         model = make_linear_drift_model(1)
-        ev = hamiltonian(model, 0.0, np.array([0.3]), np.array([3.0]),
+        grad = _grad_a_h(model, np.array([0.3]), np.array([3.0]),
                          np.array([2.0]), np.array([0.0]))
-        assert ev.value == pytest.approx(6.0)
-        assert ev.grad_a[0] == pytest.approx(3.0)
+        assert grad[0] == pytest.approx(3.0)
 
     def test_zero_costate_leaves_running_cost(self):
         model = make_builtin_model("timeseries_interp", d=1, p_hidden=1,
@@ -118,9 +134,8 @@ class TestHamiltonian:
         x = np.array([0.7])
         a = np.array([0.1, 0.2, 0.3])
         z = np.array([0.4, 0.5])
-        ev = hamiltonian(model, 0.2, x, np.zeros(1), a, z)
-        assert ev.value == pytest.approx(float(model.f(0.2, x, a, z)))
-        np.testing.assert_allclose(ev.grad_a, model.grad_a_f(0.2, x, a, z))
+        grad = _grad_a_h(model, x, np.zeros(1), a, z)
+        np.testing.assert_allclose(grad, model.grad_a_f(0.0, x, a, z))
 
     def test_grad_a_matches_finite_differences(self):
         model = make_builtin_model("neural_ode_tanh", d=2, p_hidden=2,
@@ -128,18 +143,21 @@ class TestHamiltonian:
         rng = np.random.default_rng(3)
         x, p = rng.normal(size=2), rng.normal(size=2)
         a, z = rng.normal(size=model.dim_param), rng.normal(size=2)
-        ev = hamiltonian(model, 0.1, x, p, a, z)
-        h = 1e-6
+        grad = _grad_a_h(model, x, p, a, z)
+
+        def h(v):
+            return model.phi(0.0, x, v, z) @ p + model.f(0.0, x, v, z)
+
+        step = 1e-6
         for j in range(model.dim_param):
             hi, lo = a.copy(), a.copy()
-            hi[j] += h
-            lo[j] -= h
-            fd = (hamiltonian(model, 0.1, x, p, hi, z).value
-                  - hamiltonian(model, 0.1, x, p, lo, z).value) / (2 * h)
-            assert abs(ev.grad_a[j] - fd) / (1 + abs(fd)) <= 1e-5
+            hi[j] += step
+            lo[j] -= step
+            fd = (h(hi) - h(lo)) / (2 * step)
+            assert abs(grad[j] - fd) / (1 + abs(fd)) <= 1e-5
 
     def test_bilinearity_in_costate(self):
-        # h(., alpha p, .) - f = alpha (h(., p, .) - f).
+        # grad_a h(., alpha p, .) - grad_a f = alpha (grad_a h(., p, .) - grad_a f).
         model = make_builtin_model("neural_ode_tanh", d=2, p_hidden=3,
                                    dim_data=2)
         rng = np.random.default_rng(11)
@@ -147,16 +165,10 @@ class TestHamiltonian:
             x, p = rng.normal(size=2), rng.normal(size=2)
             a, z = rng.normal(size=model.dim_param), rng.normal(size=2)
             alpha = rng.normal()
-            f_val = float(model.f(0.0, x, a, z))
-            h1 = hamiltonian(model, 0.0, x, p, a, z).value - f_val
-            h2 = hamiltonian(model, 0.0, x, alpha * p, a, z).value - f_val
-            assert h2 == pytest.approx(alpha * h1, rel=1e-12, abs=1e-12)
-
-    def test_dimension_mismatch_raises(self):
-        model = make_linear_drift_model(2)
-        with pytest.raises(ValueError):
-            hamiltonian(model, 0.0, np.zeros(3), np.zeros(2), np.zeros(2),
-                        np.zeros(2))
+            fa = model.grad_a_f(0.0, x, a, z)
+            g1 = _grad_a_h(model, x, p, a, z) - fa
+            g2 = _grad_a_h(model, x, alpha * p, a, z) - fa
+            np.testing.assert_allclose(g2, alpha * g1, rtol=1e-12, atol=1e-12)
 
 
 class TestPrior:

@@ -11,13 +11,18 @@ from mflangevin.exceptions import NonFiniteStateError
 from mflangevin.grids import TimeGrid
 from mflangevin.models import (ModelSpec, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model)
-from mflangevin.odes import (adjoint_solve, forward_solve, mean_field_drift,
-                             rk4_forward_solve, solve_trajectory_pair)
+from mflangevin.odes import adjoint_paths, forward_paths, mean_field_drift
 from mflangevin.objective import discrete_gradient, finite_diff_gradient, objective_J
 
 
 def _scalar_dataset(xi=1.0, zeta=0.0):
     return Dataset(xi=np.array([[xi]]), zeta=np.array([[zeta]]))
+
+
+def _one_sample_paths(model, cloud, ds, grid):
+    """State and costate paths of a one-sample dataset, each (n_nodes, d)."""
+    x = forward_paths(model, cloud, ds, grid)
+    return x[0], adjoint_paths(model, cloud, ds, x, grid)[0]
 
 
 def make_scaling_model(rate=1.0):
@@ -48,8 +53,8 @@ class TestForward:
         grid = TimeGrid(1.0, 6)
         model = make_zero_cost_model(1)
         cloud = cloud_init(3, grid, 1, ("constant", 0.0))
-        x = forward_solve(model, cloud, _scalar_dataset(xi=0.7).sample(0), grid)
-        np.testing.assert_array_equal(x, 0.7 * np.ones((7, 1)))
+        x = forward_paths(model, cloud, _scalar_dataset(xi=0.7), grid)
+        np.testing.assert_array_equal(x, 0.7 * np.ones((1, 7, 1)))
 
     def test_state_independent_drift_is_exact(self):
         # phi(x, a) = a with a constant particle: Euler is exact,
@@ -57,31 +62,22 @@ class TestForward:
         grid = TimeGrid(1.0, 5)
         model = make_linear_drift_model(1)
         cloud = cloud_init(1, grid, 1, ("constant", 2.0))
-        x = forward_solve(model, cloud, _scalar_dataset(xi=1.0).sample(0), grid)
+        x = forward_paths(model, cloud, _scalar_dataset(xi=1.0), grid)[0]
         assert x[-1, 0] == pytest.approx(3.0, abs=1e-14)
 
     def test_exponential_flow_first_order_convergence(self):
         # phi(x, a) = a x with a = 1 from xi = 1: X_T = e at T = 1.  The
         # error must halve with the step, observed order within [0.9, 1.1].
         model = make_scaling_model()
-        sample = _scalar_dataset(xi=1.0).sample(0)
+        ds = _scalar_dataset(xi=1.0)
         errs = []
         for k in range(4, 9):
             grid = TimeGrid(1.0, 2 ** k)
             cloud = cloud_init(1, grid, 1, ("constant", 1.0))
-            x = forward_solve(model, cloud, sample, grid)
+            x = forward_paths(model, cloud, ds, grid)[0]
             errs.append(abs(x[-1, 0] - math.e))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 0.9) and np.all(orders < 1.1)
-
-    def test_rk4_much_more_accurate_forward_only(self):
-        model = make_scaling_model()
-        sample = _scalar_dataset(xi=1.0).sample(0)
-        grid = TimeGrid(1.0, 32)
-        cloud = cloud_init(1, grid, 1, ("constant", 1.0))
-        euler_err = abs(forward_solve(model, cloud, sample, grid)[-1, 0] - math.e)
-        rk4_err = abs(rk4_forward_solve(model, cloud, sample, grid)[-1, 0] - math.e)
-        assert rk4_err < 1e-6 * euler_err
 
     def test_blowup_raises_nonfinite_error(self):
         model = make_scaling_model(rate=1.0)
@@ -89,8 +85,7 @@ class TestForward:
         cloud = cloud_init(1, grid, 1, ("constant", 1e308))
         with pytest.raises(NonFiniteStateError):
             with np.errstate(over="ignore", invalid="ignore"):
-                forward_solve(model, cloud, _scalar_dataset(xi=1.0).sample(0),
-                              grid)
+                forward_paths(model, cloud, _scalar_dataset(xi=1.0), grid)
 
 
 class TestAdjoint:
@@ -102,9 +97,8 @@ class TestAdjoint:
                                    dim_data=1)
         cloud = cloud_init(4, grid, model.dim_param, ("gaussian", 0.0, 1.0),
                            seed=1)
-        sample = _scalar_dataset(xi=0.2, zeta=0.9).sample(0)
-        x = forward_solve(model, cloud, sample, grid)
-        p = adjoint_solve(model, cloud, sample, x, grid)
+        x, p = _one_sample_paths(model, cloud,
+                                 _scalar_dataset(xi=0.2, zeta=0.9), grid)
         expected = 2.0 * (x[-1, 0] - 0.9)
         np.testing.assert_allclose(p[:, 0], expected, rtol=0, atol=1e-14)
 
@@ -112,12 +106,11 @@ class TestAdjoint:
         # phi(x, a) = a x with a = 1, f = 0: p_l = p_n (1 + dt)^(n-l),
         # approaching grad g * e^(T-t) as the grid refines.
         model = make_scaling_model()
-        sample = _scalar_dataset(xi=1.0, zeta=0.0).sample(0)
+        ds = _scalar_dataset(xi=1.0, zeta=0.0)
         for n in (8, 64, 512):
             grid = TimeGrid(1.0, n)
             cloud = cloud_init(1, grid, 1, ("constant", 1.0))
-            x = forward_solve(model, cloud, sample, grid)
-            p = adjoint_solve(model, cloud, sample, x, grid)
+            _, p = _one_sample_paths(model, cloud, ds, grid)
             dt = grid.dt
             closed = p[-1, 0] * (1.0 + dt) ** (n - np.arange(n + 1))
             np.testing.assert_allclose(p[:, 0], closed, rtol=1e-12)
@@ -130,8 +123,7 @@ class TestAdjoint:
         model = make_zero_cost_model(2)
         cloud = cloud_init(3, grid, 2, ("gaussian", 0.0, 1.0), seed=2)
         ds = Dataset(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))
-        x = forward_solve(model, cloud, ds.sample(0), grid)
-        p = adjoint_solve(model, cloud, ds.sample(0), x, grid)
+        _, p = _one_sample_paths(model, cloud, ds, grid)
         np.testing.assert_array_equal(p, np.zeros_like(p))
 
 
@@ -141,11 +133,10 @@ def test_trajectory_pair_boundary_conditions():
     cloud = cloud_init(3, grid, model.dim_param, ("gaussian", 0.0, 0.8),
                        seed=7)
     ds = Dataset(xi=np.array([[0.3, -0.4]]), zeta=np.array([[0.5, 0.1]]))
-    pair = solve_trajectory_pair(model, cloud, ds.sample(0), grid, sample_id=0)
-    np.testing.assert_array_equal(pair.x_path[0], ds.xi[0])
-    np.testing.assert_allclose(
-        pair.p_path[-1], model.grad_x_g(pair.x_path[-1], ds.zeta[0]))
-    assert np.all(np.isfinite(pair.x_path)) and np.all(np.isfinite(pair.p_path))
+    x, p = _one_sample_paths(model, cloud, ds, grid)
+    np.testing.assert_array_equal(x[0], ds.xi[0])
+    np.testing.assert_allclose(p[-1], model.grad_x_g(x[-1], ds.zeta[0]))
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(p))
 
 
 class TestDriftAssembly:

@@ -4,6 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mflangevin.clouds import cloud_init
+from mflangevin.datasets import generate_dataset
+from mflangevin.grids import TimeGrid
+from mflangevin.models import (BUILTIN_KINDS, make_builtin_model,
+                               make_linear_drift_model, make_zero_cost_model)
+from mflangevin.objective import discrete_gradient, finite_diff_gradient
 from mflangevin.rng import philox4x32
 
 _WORD = st.integers(min_value=0, max_value=2**32 - 1)
@@ -49,3 +55,32 @@ class TestPhiloxProperty:
             for j in range(2):
                 assert ([int(w[i, j]) for w in out]
                         == _philox_reference((c0, i, c2, j), key))
+
+
+def _model(kind, d, p_hidden):
+    if kind == "linear_drift":
+        return make_linear_drift_model(d)
+    if kind == "zero_cost":
+        return make_zero_cost_model(d)
+    dim_data = 2 * d if kind == "timeseries_interp" else d
+    return make_builtin_model(kind, d, p_hidden=p_hidden, dim_data=dim_data)
+
+
+class TestGradientProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(BUILTIN_KINDS + ("linear_drift", "zero_cost")),
+           d=st.integers(1, 2), p_hidden=st.integers(1, 2),
+           n_steps=st.integers(1, 3), n1=st.integers(1, 3),
+           n2=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_discrete_gradient_equals_finite_differences(
+            self, kind, d, p_hidden, n_steps, n1, n2, seed):
+        grid = TimeGrid(1.0, n_steps)
+        model = _model(kind, d, p_hidden)
+        data_kind = ("timeseries" if kind == "timeseries_interp"
+                     else "regression")
+        ds = generate_dataset(data_kind, n1, d, seed, grid, target="scaled")
+        cloud = cloud_init(n2, grid, model.dim_param, ("gaussian", 0.0, 1.0),
+                           seed=seed)
+        dg = discrete_gradient(model, cloud, ds, grid)
+        fd = finite_diff_gradient(model, cloud, ds, grid)
+        assert np.max(np.abs(dg - fd) / (1.0 + np.abs(fd))) <= 1e-6
