@@ -189,8 +189,9 @@ def build_setup(config: dict, seed_override: int | None = None) -> StudySetup:
         snapshot_every=int(tsec.get("snapshot_every", 0)),
         noise_dt=None if noise_dt is None else float(noise_dt),
     )
+    # Keys a section leaves out take the StudySetup field defaults.
     dsec = config.get("dataset", {})
-    dataset_kind = dsec.get("kind", "regression")
+    dataset_kind = dsec.get("kind", StudySetup.dataset_kind)
     if dataset_kind not in _DATA_WIDTH:
         raise ConfigError(f"unknown dataset kind {dataset_kind!r}; "
                           f"expected one of {tuple(_DATA_WIDTH)}")
@@ -201,20 +202,21 @@ def build_setup(config: dict, seed_override: int | None = None) -> StudySetup:
             f"{model.dim_data}, but {dataset_kind!r} data has length {width} "
             f"at d = {model.dim_state}")
     isec = config.get("init", {})
-    if isec.get("kind", "gaussian") == "constant":
+    init_kind, mean, std = StudySetup.init
+    if isec.get("kind", init_kind) == "constant":
         init = ("constant", float(isec.get("value", 0.0)))
     else:
-        init = ("gaussian", float(isec.get("mean", 0.0)),
-                float(isec.get("std", 1.0)))
+        init = ("gaussian", float(isec.get("mean", mean)),
+                float(isec.get("std", std)))
     return StudySetup(
         model=model, grid=grid, trainer=trainer,
-        n_particles=int(isec.get("n_particles", 64)),
-        n_samples=int(dsec.get("n_samples", 8)),
+        n_particles=int(isec.get("n_particles", StudySetup.n_particles)),
+        n_samples=int(dsec.get("n_samples", StudySetup.n_samples)),
         dataset_kind=dataset_kind,
-        dataset_target=dsec.get("target", "scaled"),
-        dataset_seed=int(dsec.get("seed", 101)),
+        dataset_target=dsec.get("target", StudySetup.dataset_target),
+        dataset_seed=int(dsec.get("seed", StudySetup.dataset_seed)),
         init=init,
-        init_seed=int(isec.get("seed", 7)),
+        init_seed=int(isec.get("seed", StudySetup.init_seed)),
     )
 
 

@@ -8,9 +8,14 @@ independent oracle rather than a test of one autodiff engine against itself.
 
 All maps follow a numpy broadcasting contract: ``x`` has shape (..., d),
 ``a`` has shape (..., p), ``zeta_t`` has shape (..., q), batch dimensions
-broadcast, and outputs carry the broadcast batch shape.  Jacobians are laid
-out [output, input]: ``grad_x_phi`` returns (..., d, d) with entry [j, r]
-equal to the derivative of output j with respect to x_r.
+broadcast, and outputs carry the broadcast batch shape.  The derivatives
+of phi are costate products, never Jacobians: ``grad_x_phi(t, x, a,
+zeta_t, p)`` returns (d_x phi)^T p with shape (..., d) and ``grad_a_phi``
+returns (d_a phi)^T p with shape (..., p), where the costate ``p`` broadcasts
+like ``x``.  They are the x- and a-gradients of phi . p, the first term of
+the Hamiltonian h = phi . p + f, which is all the sweeps need.  The
+built-ins form them from elementwise products only, so no BLAS call (and
+no BLAS thread count) touches the drift.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ class ModelSpec:
     ``dim_data`` is the length of the data slice fed to phi and f at one
     time node: the full vector for vector-valued data, the channel count
     for path-valued data.  ``g`` receives the complete data object (vector
-    or path) since terminal costs may look at any of it.
+    or path) since terminal costs may look at any of it.  ``grad_x_phi``
+    and ``grad_a_phi`` take the costate as a fifth argument and return its
+    products with the Jacobians of phi (see the module docstring).
     """
 
     dim_state: int
@@ -143,10 +150,15 @@ def _split(a, blocks) -> list:
     return [a[..., sl].reshape(lead + shape) for sl, shape in blocks]
 
 
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Batched outer product u (..., i) v (..., j), flattened to (..., i * j)."""
+    out = u[..., :, None] * v[..., None, :]
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
 def _columns(bshape: tuple, *blocks) -> np.ndarray:
-    """Blocks (..., rows, width) side by side, each broadcast over ``bshape``."""
-    rows = blocks[0].shape[-2]
-    out = np.empty(bshape + (rows, sum(b.shape[-1] for b in blocks)))
+    """Blocks (..., width) side by side, each broadcast over ``bshape``."""
+    out = np.empty(bshape + (sum(b.shape[-1] for b in blocks),))
     start = 0
     for b in blocks:
         out[..., start:start + b.shape[-1]] = b
@@ -204,13 +216,12 @@ def make_linear_drift_model(d: int) -> ModelSpec:
         return np.broadcast_to(np.asarray(a, dtype=float),
                                _batch_shape(x, a, zeta_t) + (d,)).copy()
 
-    def grad_x_phi(t, x, a, zeta_t):
-        return np.zeros(_batch_shape(x, a, zeta_t) + (d, d))
+    def grad_x_phi(t, x, a, zeta_t, p):
+        return np.zeros(_batch_shape(x, a, zeta_t, p) + (d,))
 
-    eye = np.eye(d)
-
-    def grad_a_phi(t, x, a, zeta_t):
-        return np.broadcast_to(eye, _batch_shape(x, a, zeta_t) + (d, d)).copy()
+    def grad_a_phi(t, x, a, zeta_t, p):
+        return np.broadcast_to(np.asarray(p, dtype=float),
+                               _batch_shape(x, a, zeta_t, p) + (d,)).copy()
 
     return ModelSpec(dim_state=d, dim_param=d, dim_data=d,
                      phi=phi, grad_x_phi=grad_x_phi, grad_a_phi=grad_a_phi,
@@ -254,66 +265,32 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
     if d < 1 or p_hidden < 1:
         raise ValueError("dimensions must be positive")
     m = p_hidden
-    # g1 = eye_h * h[..., None, None, :] is the block d phi / d A1 of every
-    # architecture: entry [j, r, u] is delta_jr h_u.
-    eye_h = np.eye(d)[:, :, None]
-
-    def _g1(h):
-        g1 = eye_h * h[..., None, None, :]
-        return g1.reshape(g1.shape[:-2] + (d * m,))
-
-    if kind == "one_layer_residual":
-        q = dim_data if dim_data else d
-        if q != d:
-            raise ValueError("one_layer_residual needs dim_data == d "
-                             "(terminal cost compares state to data)")
-        p = m * (d + q)
-        g, grad_x_g = _squared_distance_terminal(d)
-        f, grad_x_f, grad_a_f = _zero_cost_maps(d, p)
-        blocks = _param_blocks((d, m), (m, q))
-
-        def _units(a, zeta_t):
-            a1, a2 = _split(a, blocks)
-            zeta_t = np.asarray(zeta_t, dtype=float)
-            return a1, zeta_t, np.tanh(_matvec(a2, zeta_t))
-
-        def phi(t, x, a, zeta_t):
-            a1, _, h = _units(a, zeta_t)
-            return _spread(_matvec(a1, h), _batch_shape(x, a, zeta_t), 1)
-
-        def grad_x_phi(t, x, a, zeta_t):
-            return np.zeros(_batch_shape(x, a, zeta_t) + (d, d))
-
-        def grad_a_phi(t, x, a, zeta_t):
-            a1, zeta_t, h = _units(a, zeta_t)
-            dh = 1.0 - h * h
-            g2 = (a1 * dh[..., None, :])[..., None] * zeta_t[..., None, None, :]
-            return _columns(_batch_shape(x, a, zeta_t), _g1(h),
-                            g2.reshape(g2.shape[:-2] + (m * q,)))
-
-        return ModelSpec(dim_state=d, dim_param=p, dim_data=q,
-                         phi=phi, grad_x_phi=grad_x_phi, grad_a_phi=grad_a_phi,
-                         f=f, grad_x_f=grad_x_f, grad_a_f=grad_a_f,
-                         g=g, grad_x_g=grad_x_g, kind=kind)
-
-    # neural_ode_tanh and timeseries_interp share phi = A1 tanh(z) with
-    # z = w * mean(x) (+ A3 zeta1_t for timeseries_interp).
-    if kind == "neural_ode_tanh":
-        q = dim_data if dim_data else d
-        if q != d:
-            raise ValueError("neural_ode_tanh needs dim_data == d")
-        p = m * (d + 1)
-        g, grad_x_g = _squared_distance_terminal(d)
-        f, grad_x_f, grad_a_f = _zero_cost_maps(d, p)
-        blocks = _param_blocks((d, m), (m,))
-    else:
-        if dim_data < 2 or dim_data != 2 * d:
+    # Every architecture has phi = A1 h with units h = tanh(z) and
+    # z = w * mean(x) + A zeta_t[:d], where one_layer_residual has no w
+    # term (A = A2), neural_ode_tanh no A term, and timeseries_interp both
+    # (A = A3).  The A1 block of (d_a phi)^T p is the outer product p h^T;
+    # w and A reach phi . p through v = (A1^T p) * tanh'(z).
+    state_driven = kind != "one_layer_residual"
+    data_driven = kind != "neural_ode_tanh"
+    if kind == "timeseries_interp":
+        if dim_data != 2 * d:
             raise ValueError("timeseries_interp needs dim_data == 2*d "
                              "(observation and truth channel blocks)")
         q = dim_data
-        p = m * (2 * d + 1)
-        blocks = _param_blocks((d, m), (m,), (m, d))
+    else:
+        q = dim_data if dim_data else d
+        if q != d:
+            raise ValueError(f"{kind} needs dim_data == d "
+                             "(terminal cost compares state to data)")
+    shapes = [(d, m)]  # A1
+    if state_driven:
+        shapes.append((m,))  # w
+    if data_driven:
+        shapes.append((m, d))  # A2 or A3
+    blocks = _param_blocks(*shapes)
+    dim_param = blocks[-1][0].stop
 
+    if kind == "timeseries_interp":
         def f(t, x, a, zeta_t):
             r = np.asarray(x, dtype=float) - np.asarray(zeta_t, dtype=float)[..., d:]
             return _spread(np.sum(r * r, axis=-1), _batch_shape(x, a, zeta_t), 0)
@@ -323,41 +300,54 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
             return _spread(2.0 * r, _batch_shape(x, a, zeta_t), 1)
 
         def grad_a_f(t, x, a, zeta_t):
-            return np.zeros(_batch_shape(x, a, zeta_t) + (p,))
+            return np.zeros(_batch_shape(x, a, zeta_t) + (dim_param,))
 
         g, grad_x_g = _zero_terminal()
+    else:
+        f, grad_x_f, grad_a_f = _zero_cost_maps(d, dim_param)
+        g, grad_x_g = _squared_distance_terminal(d)
 
     def _units(x, a, zeta_t):
-        """Blocks A1 and w, the tanh units, mean(x), and zeta1 (or None)."""
-        a1, w, *a3 = _split(a, blocks)
-        xbar = np.mean(np.asarray(x, dtype=float), axis=-1)
-        z = w * xbar[..., None]
-        zeta1 = None
-        if a3:
+        """A1, w, the tanh units, mean(x) and zeta_t[:d] (None if unused)."""
+        a1, *rest = _split(a, blocks)
+        w = xbar = zeta1 = z = None
+        if state_driven:
+            w = rest.pop(0)
+            xbar = np.mean(np.asarray(x, dtype=float), axis=-1)
+            z = w * xbar[..., None]
+        if data_driven:
             zeta1 = np.asarray(zeta_t, dtype=float)[..., :d]
-            z = z + _matvec(a3[0], zeta1)
+            az = _matvec(rest[0], zeta1)
+            z = az if z is None else z + az
         return a1, w, np.tanh(z), xbar, zeta1
 
     def phi(t, x, a, zeta_t):
         a1, _, h, _, _ = _units(x, a, zeta_t)
         return _spread(_matvec(a1, h), _batch_shape(x, a, zeta_t), 1)
 
-    def grad_x_phi(t, x, a, zeta_t):
+    def grad_x_phi(t, x, a, zeta_t, p):
+        bshape = _batch_shape(x, a, zeta_t, p)
+        if not state_driven:
+            return np.zeros(bshape + (d,))
+        # phi depends on x only through mean(x), so every entry of
+        # (d_x phi)^T p is p . A1 (w tanh'(z)) / d.
         a1, w, h, _, _ = _units(x, a, zeta_t)
         s = _matvec(a1, w * (1.0 - h * h)) / d
-        return np.broadcast_to(s[..., None],
-                               _batch_shape(x, a, zeta_t) + (d, d)).copy()
+        ps = _matvec(np.asarray(p, dtype=float)[..., None, :], s)
+        return np.broadcast_to(ps, bshape + (d,)).copy()
 
-    def grad_a_phi(t, x, a, zeta_t):
+    def grad_a_phi(t, x, a, zeta_t, p):
         a1, _, h, xbar, zeta1 = _units(x, a, zeta_t)
-        dh = 1.0 - h * h
-        cols = [_g1(h), a1 * (dh * xbar[..., None])[..., None, :]]
-        if zeta1 is not None:
-            g3 = (a1 * dh[..., None, :])[..., None] * zeta1[..., None, None, :]
-            cols.append(g3.reshape(g3.shape[:-2] + (m * d,)))
-        return _columns(_batch_shape(x, a, zeta_t), *cols)
+        p = np.asarray(p, dtype=float)
+        v = _matvec(np.swapaxes(a1, -1, -2), p) * (1.0 - h * h)
+        cols = [_outer(p, h)]
+        if state_driven:
+            cols.append(v * xbar[..., None])
+        if data_driven:
+            cols.append(_outer(v, zeta1))
+        return _columns(_batch_shape(x, a, zeta_t, p), *cols)
 
-    return ModelSpec(dim_state=d, dim_param=p, dim_data=q,
+    return ModelSpec(dim_state=d, dim_param=dim_param, dim_data=q,
                      phi=phi, grad_x_phi=grad_x_phi, grad_a_phi=grad_a_phi,
                      f=f, grad_x_f=grad_x_f, grad_a_f=grad_a_f,
                      g=g, grad_x_g=grad_x_g, kind=kind)
@@ -378,7 +368,7 @@ class SelfCheckReport:
 
 
 def _central_diff(fn, arg, step):
-    """Columnwise central differences of fn along its argument's last axis."""
+    """Central differences of a scalar fn along its argument's last axis."""
     cols = []
     for j in range(arg.shape[-1]):
         hi = arg.copy()
@@ -394,10 +384,11 @@ def model_grad_selfcheck(model: ModelSpec, n_probes: int = 100,
                          threshold: float = 1e-4) -> SelfCheckReport:
     """Check every analytic derivative map against finite differences.
 
-    Probes are standard-normal states/parameters and data slices plus a
-    uniform probe time, all drawn from the keyed generator.  Reported
-    errors are max |analytic - numeric| / (1 + |numeric|); the report flags
-    failure above ``threshold``.
+    Probes are standard-normal states/parameters, data slices and costates
+    plus a uniform probe time, all drawn from the keyed generator.  The
+    costate products of phi are checked against differences of phi . p at
+    the probe costate p.  Reported errors are max |analytic - numeric| /
+    (1 + |numeric|); the report flags failure above ``threshold``.
     """
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
@@ -411,15 +402,19 @@ def model_grad_selfcheck(model: ModelSpec, n_probes: int = 100,
     a = draw(2, p)
     zeta = draw(3, q) if q else None
     t = keyed_uniforms(seed, PURPOSE_PROBE, 0, 0, 4, 0).item()
+    costate = draw(5, d)
+
+    def phi_dot_p(x, a):
+        return np.sum(model.phi(t, x, a, zeta) * costate, axis=-1)
 
     def rel_err(analytic, numeric):
         return float(np.max(np.abs(analytic - numeric) / (1.0 + np.abs(numeric))))
 
     errs = {
-        "grad_x_phi": rel_err(model.grad_x_phi(t, x, a, zeta),
-                              _central_diff(lambda v: model.phi(t, v, a, zeta), x, step)),
-        "grad_a_phi": rel_err(model.grad_a_phi(t, x, a, zeta),
-                              _central_diff(lambda v: model.phi(t, x, v, zeta), a, step)),
+        "grad_x_phi": rel_err(model.grad_x_phi(t, x, a, zeta, costate),
+                              _central_diff(lambda v: phi_dot_p(v, a), x, step)),
+        "grad_a_phi": rel_err(model.grad_a_phi(t, x, a, zeta, costate),
+                              _central_diff(lambda v: phi_dot_p(x, v), a, step)),
         "grad_x_f": rel_err(model.grad_x_f(t, x, a, zeta),
                             _central_diff(lambda v: model.f(t, v, a, zeta), x, step)),
         "grad_a_f": rel_err(model.grad_a_f(t, x, a, zeta),

@@ -87,12 +87,13 @@ def adjoint_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     dt = grid.dt
     for l in range(grid.n_steps - 1, -1, -1):
         zeta_l = dataset.zeta_node(l)[:, None, :] if model.dim_data else None
-        jac = model.grad_x_phi(grid.nodes[l], x[:, l, None, :],
-                               theta[None, :, l, :], zeta_l)
+        pull = model.grad_x_phi(grid.nodes[l], x[:, l, None, :],
+                                theta[None, :, l, :], zeta_l,
+                                p[:, l + 1, None, :])
         fx = model.grad_x_f(grid.nodes[l], x[:, l, None, :],
                             theta[None, :, l, :], zeta_l)
-        pull = np.einsum("kior,ko->kir", jac, p[:, l + 1, :]).mean(axis=1)
-        p[:, l, :] = p[:, l + 1, :] + dt * (pull + fx.mean(axis=1))
+        p[:, l, :] = p[:, l + 1, :] + dt * (pull.mean(axis=1)
+                                            + fx.mean(axis=1))
         if not np.all(np.isfinite(p[:, l, :])):
             bad = int(np.argwhere(~np.isfinite(p[:, l, :]).all(axis=1))[0, 0])
             raise NonFiniteCostateError(
@@ -114,11 +115,11 @@ def hamiltonian_grad_at(model: ModelSpec, particles: np.ndarray,
     for l in range(grid.n_steps):
         zeta_l = dataset.zeta_node(l)[:, None, :] if model.dim_data else None
         gap = model.grad_a_phi(grid.nodes[l], x[:, l, None, :],
-                               particles[None, :, l, :], zeta_l)
+                               particles[None, :, l, :], zeta_l,
+                               p[:, l + 1, None, :])
         fa = model.grad_a_f(grid.nodes[l], x[:, l, None, :],
                             particles[None, :, l, :], zeta_l)
-        out[:, l, :] = (np.einsum("kiop,ko->kip", gap, p[:, l + 1, :])
-                        + fa).mean(axis=0)
+        out[:, l, :] = (gap + fa).mean(axis=0)
     return out
 
 

@@ -79,7 +79,8 @@ def test_criterion_2_classical_gradient_descent_reduction():
     for i in range(n2):
         grad = np.mean([
             2.0 * (x1[k, 0] - ds.zeta[k, 0])
-            * model.grad_a_phi(0.0, ds.xi[k], theta[i], ds.zeta[k])[0]
+            * model.grad_a_phi(0.0, ds.xi[k], theta[i], ds.zeta[k],
+                               np.ones(1))
             for k in range(n1)], axis=0)
         direct[i] = theta[i] - gamma * grad
     dev = float(np.max(np.abs(stepped.particles[:, 0, :] - direct)))

@@ -1,5 +1,6 @@
 """Strict config parsing and the command-line surface."""
 
+import dataclasses
 import inspect
 import json
 
@@ -11,9 +12,9 @@ from mflangevin.config import (STUDY_TABLE, build_setup, default_study_config,
                                default_train_config, load_config,
                                parse_config, study_arguments)
 from mflangevin.exceptions import ConfigError
-from mflangevin.studies import (run_chaos_study, run_contraction_study,
-                                run_euler_study, run_generalization_study,
-                                run_gibbs_check)
+from mflangevin.studies import (StudySetup, run_chaos_study,
+                                run_contraction_study, run_euler_study,
+                                run_generalization_study, run_gibbs_check)
 
 RUNNERS = {"chaos": run_chaos_study, "euler": run_euler_study,
            "contraction": run_contraction_study, "gibbs": run_gibbs_check,
@@ -28,6 +29,15 @@ class TestConfigParsing:
             setup = build_setup(config)
             assert setup.grid.n_steps >= 1
         parse_config(default_train_config())
+
+    def test_left_out_sections_take_the_setup_defaults(self):
+        setup = build_setup(parse_config({
+            "model": {"kind": "linear_drift", "d": 1},
+            "grid": {"horizon": 1.0, "n_steps": 2},
+            "trainer": {"sigma": 0.0}}))
+        for field in dataclasses.fields(StudySetup):
+            if field.default is not dataclasses.MISSING:
+                assert getattr(setup, field.name) == field.default, field.name
 
     def test_unknown_section_rejected(self):
         config = default_train_config()

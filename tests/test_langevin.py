@@ -56,7 +56,8 @@ class TestStep:
         for i in range(3):
             update = np.mean([
                 2.0 * (x1[k, 0] - ds.zeta[k, 0])
-                * model.grad_a_phi(0.0, ds.xi[k], theta[i], ds.zeta[k])[0]
+                * model.grad_a_phi(0.0, ds.xi[k], theta[i], ds.zeta[k],
+                                   np.ones(1))
                 for k in range(4)], axis=0)
             new_theta[i] = theta[i] - gamma * update
         np.testing.assert_allclose(stepped.particles[:, 0, :], new_theta,

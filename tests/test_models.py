@@ -32,21 +32,37 @@ def test_builtin_dimensions(kind, kwargs, expected_p):
     ("one_layer_residual", dict(d=2, p_hidden=2, dim_data=2)),
     ("neural_ode_tanh", dict(d=3, p_hidden=2, dim_data=3)),
     ("timeseries_interp", dict(d=2, p_hidden=2, dim_data=4)),
+    ("linear_drift", dict(d=2)),
+    ("zero_cost", dict(d=2)),
 ])
 def test_builtin_selfcheck_passes_at_tight_tolerance(kind, kwargs):
-    model = make_builtin_model(kind, **kwargs)
+    build = {"linear_drift": make_linear_drift_model,
+             "zero_cost": make_zero_cost_model}.get(kind)
+    model = build(**kwargs) if build else make_builtin_model(kind, **kwargs)
     report = model_grad_selfcheck(model, n_probes=100, seed=0)
     assert report.passed
     assert max(report.max_rel_err.values()) <= 1e-5
 
 
 def test_selfcheck_flags_broken_derivative():
+    # d = 1, p_hidden = 1: parameters are A1 (1), w (1) and A3 (1).
     model = make_builtin_model("timeseries_interp", d=1, p_hidden=1, dim_data=2)
-    broken = dataclasses.replace(
-        model, grad_x_f=lambda t, x, a, z: 2.0 * model.grad_x_f(t, x, a, z))
-    report = model_grad_selfcheck(broken, n_probes=20, seed=1)
-    assert not report.passed
-    assert report.max_rel_err["grad_x_f"] > 1e-4
+
+    def drop_w_block(t, x, a, z, p):
+        out = model.grad_a_phi(t, x, a, z, p)
+        out[..., 1] = 0.0
+        return out
+
+    broken_maps = {
+        "grad_x_f": lambda t, x, a, z: 2.0 * model.grad_x_f(t, x, a, z),
+        "grad_a_phi": drop_w_block,
+        "grad_x_phi": lambda t, x, a, z, p: 2.0 * model.grad_x_phi(t, x, a, z, p),
+    }
+    for name, broken_map in broken_maps.items():
+        broken = dataclasses.replace(model, **{name: broken_map})
+        report = model_grad_selfcheck(broken, n_probes=20, seed=1)
+        assert not report.passed, name
+        assert report.max_rel_err[name] > 1e-4, name
 
 
 def test_selfcheck_rejects_zero_probes():
@@ -72,8 +88,8 @@ class TestOneLayerResidual:
                                    dim_data=1)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            g = model.grad_x_phi(0.3, rng.normal(size=1),
-                                 rng.normal(size=2), rng.normal(size=1))
+            g = model.grad_x_phi(0.3, rng.normal(size=1), rng.normal(size=2),
+                                 rng.normal(size=1), rng.normal(size=1))
             assert np.all(g == 0.0)
 
     def test_drift_ignores_state(self):
@@ -96,14 +112,15 @@ class TestNeuralOdeTanh:
 
     def test_closed_form_at_origin(self):
         # d=1, a=(a1,a2)=(1,1), x=0: phi = tanh(0) = 0 and the state
-        # derivative is a1*a2*(1 - tanh(0)^2) = 1.
+        # derivative is a1*a2*(1 - tanh(0)^2) = 1, returned as its product
+        # with the unit costate.
         model = make_builtin_model("neural_ode_tanh", d=1, p_hidden=1,
                                    dim_data=1)
         x = np.array([0.0])
         a = np.array([1.0, 1.0])
         z = np.array([0.0])
         assert model.phi(0.0, x, a, z)[0] == 0.0
-        assert model.grad_x_phi(0.0, x, a, z)[0, 0] == pytest.approx(1.0)
+        assert model.grad_x_phi(0.0, x, a, z, np.ones(1))[0] == pytest.approx(1.0)
 
 
 def _grad_a_h(model, x, p, a, z):
@@ -216,8 +233,9 @@ _ALL_MODELS = [
 @pytest.mark.parametrize("name,build", _ALL_MODELS)
 @pytest.mark.parametrize("layout", ["sweep", "unbatched", "x_only_batch"])
 def test_maps_return_the_broadcast_batch_shape(name, build, layout):
-    # The sweeps call the maps with X (N1, 1, d), particles (1, N2, p) and
-    # data (N1, 1, q); every output carries the broadcast batch (N1, N2).
+    # The sweeps call the maps with X and costate (N1, 1, d), particles
+    # (1, N2, p) and data (N1, 1, q); every output carries the broadcast
+    # batch (N1, N2).
     model = build()
     d, p, q = model.dim_state, model.dim_param, model.dim_data
     n1, n2 = 3, 5
@@ -229,10 +247,13 @@ def test_maps_return_the_broadcast_batch_shape(name, build, layout):
     x = np.full(batch_x + (d,), 0.3)
     a = np.full(batch_a + (p,), -0.2)
     zeta = np.full(batch_z + (q,), 0.7)
-    shapes = {"phi": (d,), "grad_x_phi": (d, d), "grad_a_phi": (d, p),
-              "f": (), "grad_x_f": (d,), "grad_a_f": (p,)}
+    costate = np.full(batch_x + (d,), 1.5)
+    shapes = {"phi": (d,), "f": (), "grad_x_f": (d,), "grad_a_f": (p,)}
     for name_map, core in shapes.items():
         out = getattr(model, name_map)(0.1, x, a, zeta)
+        assert np.shape(out) == batch + core, name_map
+    for name_map, core in {"grad_x_phi": (d,), "grad_a_phi": (p,)}.items():
+        out = getattr(model, name_map)(0.1, x, a, zeta, costate)
         assert np.shape(out) == batch + core, name_map
     assert model.g(x, zeta).shape == batch_x
     assert model.grad_x_g(x, zeta).shape == batch_x + (d,)

@@ -30,11 +30,11 @@ def make_scaling_model(rate=1.0):
     def phi(t, x, a, z):
         return rate * np.asarray(a) * np.asarray(x)
 
-    def grad_x_phi(t, x, a, z):
-        return (rate * np.asarray(a))[..., :, None] * np.ones((1, 1))
+    def grad_x_phi(t, x, a, z, p):
+        return rate * np.asarray(a) * np.asarray(p)
 
-    def grad_a_phi(t, x, a, z):
-        return (rate * np.asarray(x))[..., :, None] * np.ones((1, 1))
+    def grad_a_phi(t, x, a, z, p):
+        return rate * np.asarray(x) * np.asarray(p)
 
     zero = lambda t, x, a, z: np.zeros(np.broadcast_shapes(
         np.asarray(x).shape[:-1], np.asarray(a).shape[:-1]))
@@ -180,15 +180,17 @@ class TestDriftAssembly:
         def phi(t, x, a, z):
             return np.einsum("or,...r->...o", A, np.asarray(x)) + np.asarray(a)
 
-        def grad_x_phi(t, x, a, z):
+        def grad_x_phi(t, x, a, z, p):
+            # A^T p: A itself here would be a transpose slip.
             b = np.broadcast_shapes(np.asarray(x).shape[:-1],
                                     np.asarray(a).shape[:-1])
-            return np.broadcast_to(A, b + (2, 2)).copy()
+            return np.broadcast_to(np.einsum("or,...o->...r", A, p),
+                                   b + (2,)).copy()
 
-        def grad_a_phi(t, x, a, z):
+        def grad_a_phi(t, x, a, z, p):
             b = np.broadcast_shapes(np.asarray(x).shape[:-1],
                                     np.asarray(a).shape[:-1])
-            return np.broadcast_to(np.eye(2), b + (2, 2)).copy()
+            return np.broadcast_to(p, b + (2,)).copy()
 
         zero = lambda t, x, a, z: np.zeros(np.broadcast_shapes(
             np.asarray(x).shape[:-1], np.asarray(a).shape[:-1]))
@@ -209,7 +211,8 @@ class TestDriftAssembly:
 
     def test_single_sample_agrees_with_classical_formula(self):
         # One layer, one step: the drift at node 0 is the plain regression
-        # gradient 2 (X_1 - zeta) grad_a phi averaged over the data.
+        # gradient 2 (X_1 - zeta) grad_a phi averaged over the data.  At
+        # d = 1 the unit costate returns grad_a phi itself.
         grid = TimeGrid(1.0, 1)
         model = make_builtin_model("one_layer_residual", d=1, p_hidden=1,
                                    dim_data=1)
@@ -223,7 +226,8 @@ class TestDriftAssembly:
              for k in range(2)])
         expected = np.stack([
             np.mean([2.0 * (x1[k, 0] - ds.zeta[k, 0])
-                     * model.grad_a_phi(0.0, ds.xi[k], theta[i], ds.zeta[k])[0]
+                     * model.grad_a_phi(0.0, ds.xi[k], theta[i], ds.zeta[k],
+                                        np.ones(1))
                      for k in range(2)], axis=0)
             for i in range(2)])
         np.testing.assert_allclose(drift[:, 0, :], expected, atol=1e-13)

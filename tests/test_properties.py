@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from mflangevin.clouds import cloud_init
 from mflangevin.datasets import generate_dataset
 from mflangevin.grids import TimeGrid
-from mflangevin.models import (BUILTIN_KINDS, make_builtin_model,
-                               make_linear_drift_model, make_zero_cost_model)
+from mflangevin.langevin import TrainerConfig, _StepSchedule
+from mflangevin.models import (BUILTIN_KINDS, gaussian_prior,
+                               make_builtin_model, make_linear_drift_model,
+                               make_zero_cost_model)
 from mflangevin.objective import discrete_gradient, finite_diff_gradient
 from mflangevin.rng import philox4x32
 
@@ -84,3 +86,20 @@ class TestGradientProperty:
         dg = discrete_gradient(model, cloud, ds, grid)
         fd = finite_diff_gradient(model, cloud, ds, grid)
         assert np.max(np.abs(dg - fd) / (1.0 + np.abs(fd))) <= 1e-6
+
+
+class TestScheduleProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(noise_dt=st.floats(1e-6, 1e-1), k=st.integers(1, 64),
+           n_iters=st.integers(0, 500))
+    def test_schedule_is_consistent_with_noise_dt(self, noise_dt, k, n_iters):
+        # Step i of a run at gamma = k noise_dt consumes the fine slots
+        # from k i up to k (i + 1), and the training time before it is
+        # gamma i.
+        gamma = k * noise_dt
+        cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(1.0, 1),
+                            gamma=gamma, n_iters=n_iters, noise_dt=noise_dt)
+        steps = np.arange(n_iters + 1)
+        np.testing.assert_array_equal(cfg.fine_offsets(), k * steps)
+        np.testing.assert_allclose(_StepSchedule.of(cfg).s, gamma * steps,
+                                   rtol=1e-12, atol=0)
