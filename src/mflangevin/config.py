@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import typing
 
 from .exceptions import ConfigError
@@ -74,6 +75,18 @@ _INT_KEYS = {
     "init": {"seed": None, "n_particles": 1},
 }
 
+# Float-valued keys and the values each admits, per section: positive,
+# nonnegative or (None) any finite number.  ``noise_dt`` may also be null.
+_FLOAT_KEYS = {
+    "grid": {"horizon": "positive"},
+    "trainer": {"sigma": "nonnegative", "kappa": "positive",
+                "gamma": "positive", "noise_dt": "positive"},
+    "init": {"mean": None, "std": "nonnegative", "value": None},
+}
+
+# The sign a study value, or every entry of a study list, must have.
+_STUDY_SIGNS = {"s_final": "positive", "gamma_list": "positive"}
+
 # Length of one data slice per state dimension, for each dataset kind:
 # regression data is the target vector, timeseries data stacks the
 # observation and truth channels.
@@ -107,8 +120,17 @@ def parse_config(raw: dict) -> dict:
         for key, least in keys.items():
             if key in raw.get(section, {}):
                 _check_int(f"{section}.{key}", raw[section][key], least)
+    for section, keys in _FLOAT_KEYS.items():
+        for key, sign in keys.items():
+            if key not in raw.get(section, {}):
+                continue
+            value = raw[section][key]
+            # A null noise_dt leaves the Brownian resolution at gamma.
+            if not (key == "noise_dt" and value is None):
+                _check_float(f"{section}.{key}", value, sign)
     for key, value in raw.get("study", {}).items():
-        _study_value(f"study.{key}", value, _STUDY_TYPES[key])
+        _study_value(f"study.{key}", value, _STUDY_TYPES[key],
+                     _STUDY_SIGNS.get(key))
     return copy.deepcopy(raw)
 
 
@@ -123,20 +145,31 @@ def _check_int(name: str, value, least) -> None:
         raise ConfigError(f"{name} must be at least {least}, got {value!r}")
 
 
-def _study_value(name: str, value, kind):
+def _check_float(name: str, value, sign) -> None:
+    """Reject booleans, non-numbers and non-finite numbers, and values of
+    the wrong ``sign`` ("positive", "nonnegative" or None: any)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if (sign == "positive" and value <= 0) or (sign == "nonnegative"
+                                               and value < 0):
+        raise ConfigError(f"{name} must be {sign}, got {value!r}")
+
+
+def _study_value(name: str, value, kind, sign=None):
     """``value`` checked against a study table type and converted to it."""
     if kind is int:
         _check_int(name, value, 1)
         return int(value)
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
+        _check_float(name, value, sign)
         return float(value)
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
     (item,) = typing.get_args(kind)
-    return tuple(_study_value(f"{name}[{i}]", v, item)
+    return tuple(_study_value(f"{name}[{i}]", v, item, sign)
                  for i, v in enumerate(value))
+
 
 
 def study_arguments(config: dict, study_kind: str) -> dict:
@@ -148,7 +181,8 @@ def study_arguments(config: dict, study_kind: str) -> dict:
         raise ConfigError(f"unknown keys in study section for "
                           f"{study_kind!r}: {sorted(bad)}")
     args = {key: default for key, (_, default) in table.items()}
-    args.update((key, _study_value(f"study.{key}", value, table[key][0]))
+    args.update((key, _study_value(f"study.{key}", value, table[key][0],
+                                   _STUDY_SIGNS.get(key)))
                 for key, value in section.items())
     if "slope_lo" in args:
         args["slope_bounds"] = (args.pop("slope_lo"), args.pop("slope_hi"))
@@ -179,16 +213,20 @@ def build_setup(config: dict, seed_override: int | None = None) -> StudySetup:
     tsec = config["trainer"]
     seed = int(tsec.get("seed", 0)) if seed_override is None else seed_override
     noise_dt = tsec.get("noise_dt")
-    trainer = TrainerConfig(
-        sigma=float(tsec.get("sigma", 0.0)),
-        prior=gaussian_prior(float(tsec.get("kappa", 1.0)), model.dim_param),
-        gamma=float(tsec.get("gamma", 1e-2)),
-        n_iters=int(tsec.get("n_iters", 100)),
-        seed=seed,
-        record_every=int(tsec.get("record_every", 0)),
-        snapshot_every=int(tsec.get("snapshot_every", 0)),
-        noise_dt=None if noise_dt is None else float(noise_dt),
-    )
+    try:
+        trainer = TrainerConfig(
+            sigma=float(tsec.get("sigma", 0.0)),
+            prior=gaussian_prior(float(tsec.get("kappa", 1.0)),
+                                 model.dim_param),
+            gamma=float(tsec.get("gamma", 1e-2)),
+            n_iters=int(tsec.get("n_iters", 100)),
+            seed=seed,
+            record_every=int(tsec.get("record_every", 0)),
+            snapshot_every=int(tsec.get("snapshot_every", 0)),
+            noise_dt=None if noise_dt is None else float(noise_dt),
+        )
+    except ValueError as exc:  # gamma not a multiple of noise_dt
+        raise ConfigError(f"trainer: {exc}") from None
     # Keys a section leaves out take the StudySetup field defaults.
     dsec = config.get("dataset", {})
     dataset_kind = dsec.get("kind", StudySetup.dataset_kind)

@@ -11,13 +11,16 @@ The noise realises the entropic regularisation, so no score term is ever
 evaluated.  Brownian increments come from the counter-based generator
 keyed by (seed, fine iteration, particle, node); runs that share a seed
 share a Brownian path, which is what the coupled-pair, surrogate, and
-step-size studies rely on.
+step-size studies rely on.  A run reads its path a chunk of updates per
+draw; runs on one path that advance together (:func:`coupled_runs`) draw
+each stretch of it once and each sum their own slots, bit-identical to
+running alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,8 +37,8 @@ from .rng import PURPOSE_PROBE, keyed_normals, step_normals
 
 __all__ = [
     "TrainerConfig", "TrainHistory", "CoupledRunResult", "PicardResult",
-    "langevin_step", "train", "coupled_pair_run", "picard_solve",
-    "lipschitz_probe", "drift_norm",
+    "langevin_step", "train", "coupled_runs", "coupled_pair_run",
+    "picard_solve", "lipschitz_probe", "drift_norm",
 ]
 
 
@@ -75,9 +78,7 @@ class TrainerConfig:
 
     def fine_offsets(self) -> np.ndarray:
         """Start index of each step's block of fine Brownian increments."""
-        if self.noise_dt is None:
-            return np.arange(self.n_iters + 1)
-        return round(self.gamma / self.noise_dt) * np.arange(self.n_iters + 1)
+        return _fine_slots(self)[0] * np.arange(self.n_iters + 1)
 
 
 @dataclass
@@ -108,47 +109,71 @@ def drift_norm(drift: np.ndarray, grid: TimeGrid) -> float:
     return math.sqrt(float(np.sum(sq) * grid.dt))
 
 
-@dataclass(frozen=True)
-class _StepSchedule:
-    """Per-step quantities of one run, built once from its TrainerConfig.
+# The most standard normals one draw of a Brownian path holds, unless a
+# single update needs more.
+_CHUNK_NORMALS = 1 << 14
 
-    ``s[k]`` is the training time before step k, step k consumes fine
-    Brownian slots ``offsets[k]:offsets[k + 1]``, and ``sqrt_dt`` scales
-    each fine slot's standard normals.
+
+def _fine_slots(cfg: TrainerConfig) -> tuple[int, float]:
+    """Fine Brownian slots per update of a run, and the length of a slot."""
+    if cfg.noise_dt is None:
+        return 1, cfg.gamma
+    return round(cfg.gamma / cfg.noise_dt), cfg.noise_dt
+
+
+def _step_times(cfg: TrainerConfig) -> np.ndarray:
+    """Training time before each update, and after the last one."""
+    return np.concatenate([[0.0], np.cumsum(np.full(cfg.n_iters,
+                                                    float(cfg.gamma)))])
+
+
+class _StepSchedule:
+    """One run's step times and the reader of its Brownian path.
+
+    ``s[k]`` is the training time before update k, and update k consumes
+    fine Brownian slots ``offsets[k]:offsets[k + 1]``.  :meth:`noise` draws
+    the path a chunk of updates at a time: at most ``_CHUNK_NORMALS``
+    normals, or one update's block if that is larger, and never past the
+    run's last update.  The chunk lives on this object, so runs on
+    different threads never share one.
     """
 
-    s: np.ndarray
-    offsets: np.ndarray
-    sqrt_dt: float
+    def __init__(self, cfg: TrainerConfig, shape: tuple):
+        self.cfg = cfg
+        self.shape = shape
+        self.s = _step_times(cfg)
+        self.offsets = cfg.fine_offsets()
+        self.slots, dt = _fine_slots(cfg)
+        self.sqrt_dt = math.sqrt(dt)
+        self.chunk = max(1, _CHUNK_NORMALS // (self.slots * math.prod(shape)))
+        self._first = 0
+        self._blocks = np.zeros((0,) + shape)
 
-    @classmethod
-    def of(cls, cfg: TrainerConfig) -> "_StepSchedule":
-        steps = np.full(cfg.n_iters, float(cfg.gamma))
-        dt_fine = cfg.gamma if cfg.noise_dt is None else cfg.noise_dt
-        return cls(s=np.concatenate([[0.0], np.cumsum(steps)]),
-                   offsets=cfg.fine_offsets(), sqrt_dt=math.sqrt(dt_fine))
-
-
-def _noise_block(cfg: TrainerConfig, sched: _StepSchedule, iter_index: int,
-                 shape: tuple) -> np.ndarray:
-    fine = np.arange(sched.offsets[iter_index], sched.offsets[iter_index + 1])
-    draws = step_normals(cfg.seed, fine, *shape)
-    return sched.sqrt_dt * draws
+    def noise(self, iter_index: int) -> np.ndarray | None:
+        """Scaled Brownian block of one update; None for a noiseless run."""
+        if self.cfg.sigma == 0.0:
+            return None
+        k = iter_index - self._first
+        if not 0 <= k < len(self._blocks):
+            stop = min(iter_index + self.chunk, self.cfg.n_iters)
+            fine = self.offsets[iter_index:stop, None] + np.arange(self.slots)
+            self._blocks = self.sqrt_dt * step_normals(self.cfg.seed, fine,
+                                                       *self.shape)
+            self._first, k = iter_index, 0
+        return self._blocks[k]
 
 
 def _apply_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-                grid: TimeGrid, cfg: TrainerConfig, sched: _StepSchedule,
-                iter_index: int, drift: np.ndarray | None = None,
-                noise: np.ndarray | None = None) -> ParticleCloud:
-    """One update; ``noise`` is this step's scaled Brownian block if already drawn."""
+                grid: TimeGrid, cfg: TrainerConfig, iter_index: int,
+                noise: np.ndarray | None,
+                drift: np.ndarray | None = None) -> ParticleCloud:
+    """One update; ``noise`` is its scaled Brownian block (None: sigma 0)."""
     if drift is None:
         drift = mean_field_drift(model, cloud, dataset, grid)
     theta = cloud.particles
     move = drift + 0.5 * cfg.sigma ** 2 * cfg.prior.grad_U(theta)
     new = theta - cfg.gamma * move
     if cfg.sigma > 0.0:
-        if noise is None:
-            noise = _noise_block(cfg, sched, iter_index, theta.shape)
         new = new + cfg.sigma * noise
     if not np.all(np.isfinite(new)):
         raise NonFiniteParticleError(
@@ -161,8 +186,11 @@ def langevin_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
                   grid: TimeGrid, cfg: TrainerConfig,
                   iter_index: int) -> ParticleCloud:
     """One Euler-Maruyama update of the whole cloud."""
-    return _apply_step(model, cloud, dataset, grid, cfg, _StepSchedule.of(cfg),
-                       iter_index)
+    # The reader of a run that ends with this update draws its block alone.
+    sched = _StepSchedule(replace(cfg, n_iters=iter_index + 1),
+                          cloud.particles.shape)
+    return _apply_step(model, cloud, dataset, grid, cfg, iter_index,
+                       sched.noise(iter_index))
 
 
 def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
@@ -174,7 +202,7 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
     snapshots every ``snapshot_every`` iterations feed the studies.
     """
     history = TrainHistory()
-    sched = _StepSchedule.of(cfg)
+    sched = _StepSchedule(cfg, init.particles.shape)
 
     def record(it, cloud):
         """Append a history row for ``cloud``; return its drift."""
@@ -197,12 +225,76 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
             drift = record(it, cloud)
         if cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0:
             history.snapshots.append((it, cloud))
-        cloud = _apply_step(model, cloud, dataset, grid, cfg, sched, it, drift)
+        cloud = _apply_step(model, cloud, dataset, grid, cfg, it,
+                            sched.noise(it), drift)
     if cfg.record_every > 0:
         record(cfg.n_iters, cloud)
     if cfg.snapshot_every > 0:
         history.snapshots.append((cfg.n_iters, cloud))
     return cloud, history
+
+
+def coupled_runs(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
+                 cfgs: list[TrainerConfig], inits: list[ParticleCloud],
+                 observe=None) -> list[ParticleCloud]:
+    """Evolve several runs on one Brownian path, drawing each slot once.
+
+    The members share the seed and the fine slot length (``noise_dt``, or
+    ``gamma`` when it is unset) and may differ in init and in ``gamma``, a
+    multiple of ``noise_dt``.  The path is drawn a stretch of fine slots at
+    a time, at most ``_CHUNK_NORMALS`` normals or one update of the
+    coarsest member, and each member sums its own slots of a stretch in
+    slot order.  The slots of an update that straddles two stretches are
+    kept until the second is drawn, so memory stays bounded for any step
+    list, and every member ends on exactly the cloud ``train`` returns for
+    it alone.  ``observe(member, iterate, cloud)``, if given, is called
+    after every update, in the order the updates end on the path (in list
+    order where they end together).  Returns the final clouds.
+    """
+    if len(cfgs) != len(inits):
+        raise ValueError("need one init per coupled run")
+    shape = inits[0].particles.shape
+    if any(init.particles.shape != shape for init in inits):
+        raise ValueError("coupled runs need equal cloud shapes")
+    slots, dts = zip(*(_fine_slots(cfg) for cfg in cfgs))
+    if len({(cfg.seed, dt) for cfg, dt in zip(cfgs, dts)}) > 1:
+        raise ValueError("coupled runs need one seed and one noise_dt")
+    seed, sqrt_dt = cfgs[0].seed, math.sqrt(dts[0])
+    ends = [m * cfg.n_iters for m, cfg in zip(slots, cfgs)]
+    n_slots = max(ends)
+    noisy = any(cfg.sigma > 0.0 for cfg in cfgs)
+    stretch = max(_CHUNK_NORMALS // math.prod(shape), *slots)
+    clouds = list(inits)
+    done = [0] * len(cfgs)
+    # Raw normals of the fine slots start, start + 1, ... still needed.
+    path, start = np.zeros((0,) + shape), 0
+    for c0 in range(0, n_slots, stretch):
+        c1 = min(c0 + stretch, n_slots)
+        if noisy:
+            fresh = step_normals(seed, np.arange(c0, c1)[:, None], *shape)
+            path = np.concatenate([path, fresh]) if len(path) else fresh
+        updates = []
+        for j, (cfg, m) in enumerate(zip(cfgs, slots)):
+            first, n = done[j], min(cfg.n_iters, c1 // m) - done[j]
+            if n <= 0:
+                continue
+            blocks = [None] * n
+            if noisy:
+                rows = path[m * first - start:m * (first + n) - start]
+                blocks = sqrt_dt * rows.reshape((n, m) + shape).sum(axis=1)
+            updates += [(m * (it + 1), j, it, block)
+                        for it, block in zip(range(first, first + n), blocks)]
+            done[j] += n
+        for _, j, it, block in sorted(updates, key=lambda u: u[:2]):
+            clouds[j] = _apply_step(model, clouds[j], dataset, grid, cfgs[j],
+                                    it, block)
+            if observe is not None:
+                observe(j, it + 1, clouds[j])
+        # The first slot an unfinished member still needs.
+        keep = min((m * d for m, d, end in zip(slots, done, ends)
+                    if m * d < end), default=c1)
+        path, start = path[keep - start:], keep
+    return clouds
 
 
 @dataclass(frozen=True)
@@ -220,23 +312,25 @@ def coupled_pair_run(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
                      init_b: ParticleCloud) -> CoupledRunResult:
     """Evolve two initialisations under identical Brownian increments.
 
-    The recorded series is the paired-coupling distance
-    sqrt(sum_l mean_i |theta_a - theta_b|^2 dt) per iterate, an upper
-    bound on the integrated W2 between the clouds.
+    The two runs are the members of one :func:`coupled_runs`, so each step's
+    noise is drawn once for both.  The recorded series is the
+    paired-coupling distance sqrt(sum_l mean_i |theta_a - theta_b|^2 dt)
+    per iterate, an upper bound on the integrated W2 between the clouds.
     """
-    if init_a.particles.shape != init_b.particles.shape:
-        raise ValueError("coupled runs need equal cloud shapes")
-    sched = _StepSchedule.of(cfg)
     dist = np.zeros(cfg.n_iters + 1)
-    a, b = init_a, init_b
-    dist[0] = paired_distance(a.particles, b.particles, grid.dt)
-    for it in range(cfg.n_iters):
-        noise = (_noise_block(cfg, sched, it, a.particles.shape)
-                 if cfg.sigma > 0.0 else None)
-        a = _apply_step(model, a, dataset, grid, cfg, sched, it, noise=noise)
-        b = _apply_step(model, b, dataset, grid, cfg, sched, it, noise=noise)
-        dist[it + 1] = paired_distance(a.particles, b.particles, grid.dt)
-    return CoupledRunResult(s=sched.s, distance=dist, cloud_a=a, cloud_b=b)
+    latest = [init_a, init_b]
+
+    def observe(member, iterate, cloud):
+        latest[member] = cloud
+        if member == 1:
+            dist[iterate] = paired_distance(latest[0].particles,
+                                            cloud.particles, grid.dt)
+
+    a, b = coupled_runs(model, dataset, grid, [cfg, cfg], [init_a, init_b],
+                        observe)
+    dist[0] = paired_distance(init_a.particles, init_b.particles, grid.dt)
+    return CoupledRunResult(s=_step_times(cfg), distance=dist, cloud_a=a,
+                            cloud_b=b)
 
 
 @dataclass(frozen=True)
@@ -274,7 +368,7 @@ def picard_solve(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
                            np.arange(n_ref - n2), 0, 9, 0)
         picks = np.minimum((u * n2).astype(int), n2 - 1)
         theta0 = np.concatenate([theta0, theta0[picks]], axis=0)
-    sched = _StepSchedule.of(cfg)
+    sched = _StepSchedule(cfg, theta0.shape)
     frozen = [theta0] * (cfg.n_iters + 1)
     distances = np.zeros(n_picard)
     traj = frozen
@@ -288,8 +382,8 @@ def picard_solve(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
             p = adjoint_paths(model, flow_cloud, dataset, x, grid)
             drift = hamiltonian_grad_at(model, theta, dataset, x, p, grid)
             holder = ParticleCloud(particles=theta, grid=grid, seed=init.seed)
-            theta = _apply_step(model, holder, dataset, grid, cfg, sched, it,
-                                drift).particles
+            theta = _apply_step(model, holder, dataset, grid, cfg, it,
+                                sched.noise(it), drift).particles
             traj.append(theta)
         distances[r] = max(paired_distance(traj[it], frozen[it], grid.dt)
                            for it in range(cfg.n_iters + 1))

@@ -20,8 +20,8 @@ import numpy as np
 from .clouds import ParticleCloud, cloud_init
 from .datasets import Dataset, generate_dataset
 from .grids import TimeGrid
-from .langevin import (TrainerConfig, coupled_pair_run, lipschitz_probe,
-                       paired_distance, train)
+from .langevin import (TrainerConfig, coupled_pair_run, coupled_runs,
+                       lipschitz_probe, paired_distance, train)
 from .models import ModelSpec
 from .objective import objective_J
 from .odes import adjoint_paths, forward_paths
@@ -319,13 +319,17 @@ def run_euler_study(setup: StudySetup, gamma_list, *, s_final: float = 1.0,
     Brownian increments are generated at the reference resolution and
     summed by coarser runs, so every run discretises the same path and the
     final-time mean squared deviation from the reference isolates the
-    discretisation error.  The slope of log MSE against log gamma is
-    checked against ``slope_bounds``.
+    discretisation error.  The reference run and the coarse runs are two
+    independent points for ``threads``; the coarse runs advance together
+    on one draw of the path (:func:`coupled_runs`).  The slope of log MSE
+    against log gamma is checked against ``slope_bounds``.
     """
     t0 = time.perf_counter()
     gamma_list = sorted(gamma_list, reverse=True)
     if len(gamma_list) < 2:
         raise ValueError("need at least two step sizes")
+    if s_final <= 0 or gamma_list[-1] <= 0:
+        raise ValueError("the final time and the step sizes must be positive")
     gamma_ref = min(gamma_list) / ref_divisor
     for g in gamma_list + [gamma_ref]:
         if abs(s_final / g - round(s_final / g)) > 1e-9:
@@ -336,16 +340,23 @@ def run_euler_study(setup: StudySetup, gamma_list, *, s_final: float = 1.0,
     dataset = setup.make_dataset(setup.n_samples)
     init = setup.make_cloud(setup.n_particles)
 
-    def run_at(gamma: float) -> np.ndarray:
-        cfg = replace(setup.trainer, gamma=gamma,
-                      n_iters=int(round(s_final / gamma)),
-                      noise_dt=gamma_ref, record_every=0, snapshot_every=0)
-        cloud, _ = train(setup.model, dataset, setup.grid, cfg, init)
-        return cloud.particles
+    def config_at(gamma: float) -> TrainerConfig:
+        return replace(setup.trainer, gamma=gamma,
+                       n_iters=int(round(s_final / gamma)),
+                       noise_dt=gamma_ref, record_every=0, snapshot_every=0)
 
-    ref = run_at(gamma_ref)
-    finals = _map_points(run_at, list(gamma_list), threads)
-    mse = np.array([_squared_paired(f, ref, setup.grid.dt) for f in finals])
+    def point(coarse: bool) -> list:
+        if not coarse:
+            cloud, _ = train(setup.model, dataset, setup.grid,
+                             config_at(gamma_ref), init)
+            return [cloud]
+        return coupled_runs(setup.model, dataset, setup.grid,
+                            [config_at(g) for g in gamma_list],
+                            [init] * len(gamma_list))
+
+    (ref,), finals = _map_points(point, [False, True], threads)
+    mse = np.array([_squared_paired(f.particles, ref.particles, setup.grid.dt)
+                    for f in finals])
     slope, stderr = fit_loglog(gamma_list, mse)
     report = StudyReport(kind="euler", config={**setup.echo(),
                                                "gamma_list": list(gamma_list),

@@ -109,6 +109,37 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(config)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("study", "gamma_list", [0.004, 0.0]),
+        ("study", "s_final", -1),
+        ("study", "s_final", 0),
+        ("study", "tail_fraction", float("nan")),
+        ("trainer", "gamma", -4e-3),
+        ("trainer", "gamma", True),
+        ("trainer", "noise_dt", "x"),
+        ("trainer", "noise_dt", 0.0),
+        ("trainer", "sigma", -1.0),
+        ("trainer", "sigma", float("inf")),
+        ("trainer", "kappa", 0),
+        ("grid", "horizon", -0.25),
+        ("grid", "horizon", "1"),
+        ("init", "std", -1.0),
+        ("init", "mean", float("nan")),
+    ])
+    def test_float_keys_are_strict(self, section, key, value):
+        config = default_study_config("euler")
+        config.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(config)
+
+    def test_step_off_the_noise_grid_rejected(self):
+        config = default_train_config()
+        config["trainer"]["noise_dt"] = 0.003
+        with pytest.raises(ConfigError, match="multiple of noise_dt"):
+            build_setup(parse_config(config))
+        config["trainer"]["noise_dt"] = None
+        assert build_setup(parse_config(config)).trainer.noise_dt is None
+
     def test_integral_floats_are_accepted(self):
         config = default_train_config()
         config["trainer"]["n_iters"] = 40.0

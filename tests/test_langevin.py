@@ -23,6 +23,20 @@ def quadratic_toy(grid, n_particles=8, seed=0):
     return model, ds, init
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """The ``fine_iters`` of every ``step_normals`` call the trainer makes."""
+    calls = []
+    original = langevin.step_normals
+
+    def recording(seed, fine_iters, *shape):
+        calls.append(np.asarray(fine_iters))
+        return original(seed, fine_iters, *shape)
+
+    monkeypatch.setattr(langevin, "step_normals", recording)
+    return calls
+
+
 class TestStep:
     def test_zero_gradient_zero_sigma_leaves_cloud_unchanged(self):
         grid = TimeGrid(1.0, 3)
@@ -245,6 +259,70 @@ class TestCoupledRuns:
             coupled_pair_run(model, ds, grid, cfg, a, b)
 
 
+class TestSharedPath:
+    @staticmethod
+    def _problem():
+        grid = TimeGrid(0.25, 4)
+        model = make_builtin_model("one_layer_residual", d=1, p_hidden=1,
+                                   dim_data=1)
+        ds = generate_dataset("regression", 4, 1, 3, grid, target="scaled")
+        init = cloud_init(32, grid, model.dim_param, ("gaussian", 0.0, 1.0),
+                          seed=5)
+        return model, ds, grid, init
+
+    @pytest.mark.parametrize("ratios,n_iters", [
+        ((64, 32, 16, 8), (5, 10, 20, 40)),
+        # Not nested, and stretches of 51 slots (16,384 normals over 320
+        # per slot) that neither ratio divides: updates straddle stretches.
+        ((8, 12), (40, 25)),
+        ((12, 8, 1), (9, 13, 107)),
+    ])
+    def test_members_equal_solo_runs_bytewise(self, drawn, ratios,
+                                              n_iters):
+        model, ds, grid, init = self._problem()
+        noise_dt = 1e-3
+        cfgs = [TrainerConfig(sigma=1.0, prior=gaussian_prior(2.0, 2),
+                              gamma=m * noise_dt, n_iters=n, seed=6,
+                              record_every=0, noise_dt=noise_dt)
+                for m, n in zip(ratios, n_iters)]
+        finals = langevin.coupled_runs(model, ds, grid, cfgs,
+                                       [init] * len(cfgs))
+        slots = max(m * n for m, n in zip(ratios, n_iters))
+        np.testing.assert_array_equal(np.concatenate(drawn).ravel(),
+                                      np.arange(slots))
+        for cfg, final in zip(cfgs, finals):
+            solo, _ = train(model, ds, grid, cfg, init)
+            assert final.particles.tobytes() == solo.particles.tobytes()
+
+    def test_updates_are_observed_in_path_order(self):
+        model, ds, grid, init = self._problem()
+        cfgs = [TrainerConfig(sigma=1.0, prior=gaussian_prior(2.0, 2),
+                              gamma=m * 1e-3, n_iters=n, seed=6,
+                              noise_dt=1e-3)
+                for m, n in ((3, 4), (2, 6))]
+        seen = []
+        langevin.coupled_runs(model, ds, grid, cfgs, [init, init],
+                              lambda j, it, cloud: seen.append((j, it)))
+        # Member 0 ends updates on slots 3, 6, 9, 12; member 1 on 2, 4, ...
+        assert seen == [(1, 1), (0, 1), (1, 2), (0, 2), (1, 3), (1, 4),
+                        (0, 3), (1, 5), (0, 4), (1, 6)]
+
+    def test_members_must_share_the_path(self):
+        model, ds, grid, init = self._problem()
+        prior = gaussian_prior(2.0, 2)
+        base = TrainerConfig(sigma=1.0, prior=prior, gamma=0.002, n_iters=4,
+                             seed=6, noise_dt=1e-3)
+        for other in (TrainerConfig(sigma=1.0, prior=prior, gamma=0.002,
+                                    n_iters=4, seed=7, noise_dt=1e-3),
+                      TrainerConfig(sigma=1.0, prior=prior, gamma=0.002,
+                                    n_iters=4, seed=6, noise_dt=2e-3),
+                      TrainerConfig(sigma=1.0, prior=prior, gamma=0.002,
+                                    n_iters=4, seed=6)):
+            with pytest.raises(ValueError, match="one seed"):
+                langevin.coupled_runs(model, ds, grid, [base, other],
+                                      [init, init])
+
+
 class TestPicard:
     def test_zero_rounds_returns_init(self):
         grid = TimeGrid(1.0, 2)
@@ -319,22 +397,36 @@ class TestStepSchedule:
         train(model, ds, grid, cfg, init)
         assert len(calls) <= 1
 
-    def test_each_update_draws_noise_once(self, monkeypatch):
-        draws = []
-        original = langevin.step_normals
+    @pytest.mark.parametrize("n_iters,noise_dt,n_particles",
+                             [(30, 0.0025, 8), (130, None, 40),
+                              (7, 0.001, 300)])
+    def test_each_fine_slot_is_drawn_once(self, drawn, n_iters, noise_dt,
+                                          n_particles):
+        # Noise is read a chunk of updates per draw, at most 2^14 normals
+        # or one update's block; over the run every fine slot is drawn
+        # exactly once, and none past its last update.
+        grid = TimeGrid(1.0, 2)
+        model, ds, init = quadratic_toy(grid, n_particles=n_particles)
+        cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(1.0, 1),
+                            gamma=0.01, n_iters=n_iters, seed=2,
+                            record_every=4, noise_dt=noise_dt)
+        train(model, ds, grid, cfg, init)
+        slots = round(0.01 / noise_dt) if noise_dt else 1
+        per_slot = n_particles * grid.n_nodes
+        assert max(np.size(f) for f in drawn) * per_slot <= max(
+            1 << 14, slots * per_slot)
+        assert sum(np.size(f) for f in drawn) == n_iters * slots
+        np.testing.assert_array_equal(np.sort(np.concatenate(drawn), None),
+                                      np.arange(n_iters * slots))
 
-        def counting(*args, **kwargs):
-            draws.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(langevin, "step_normals", counting)
+    def test_langevin_step_draws_its_own_block(self, drawn):
         grid = TimeGrid(1.0, 2)
         model, ds, init = quadratic_toy(grid)
         cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(1.0, 1),
-                            gamma=0.01, n_iters=30, seed=2, record_every=4,
-                            noise_dt=0.0025)
-        train(model, ds, grid, cfg, init)
-        assert len(draws) == 30
+                            gamma=0.01, n_iters=30, seed=2, noise_dt=0.0025)
+        langevin_step(model, init, ds, grid, cfg, 5)
+        assert len(drawn) == 1
+        np.testing.assert_array_equal(drawn[0].ravel(), np.arange(20, 24))
 
     def test_recorded_rows_match_fresh_objective(self):
         # Recording reuses the drift's forward sweep; the row must equal

@@ -1,13 +1,18 @@
 """Property tests: invariants checked on inputs drawn by hypothesis."""
 
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mflangevin.clouds import cloud_init
+from mflangevin.clouds import (ParticleCloud, cloud_from_csv, cloud_init,
+                               cloud_to_csv)
 from mflangevin.datasets import generate_dataset
 from mflangevin.grids import TimeGrid
-from mflangevin.langevin import TrainerConfig, _StepSchedule
+from mflangevin.langevin import TrainerConfig, _step_times
 from mflangevin.models import (BUILTIN_KINDS, gaussian_prior,
                                make_builtin_model, make_linear_drift_model,
                                make_zero_cost_model)
@@ -101,5 +106,25 @@ class TestScheduleProperty:
                             gamma=gamma, n_iters=n_iters, noise_dt=noise_dt)
         steps = np.arange(n_iters + 1)
         np.testing.assert_array_equal(cfg.fine_offsets(), k * steps)
-        np.testing.assert_allclose(_StepSchedule.of(cfg).s, gamma * steps,
+        np.testing.assert_allclose(_step_times(cfg), gamma * steps,
                                    rtol=1e-12, atol=0)
+
+
+class TestCloudCsvProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(n2=st.integers(1, 4), n_steps=st.integers(1, 3),
+           p=st.integers(1, 3), data=st.data())
+    def test_csv_round_trip_is_exact(self, n2, n_steps, p, data):
+        # Every finite double, subnormals and signed zeros included, comes
+        # back with the same bits.
+        theta = data.draw(arrays(np.float64, (n2, n_steps + 1, p),
+                                 elements=st.floats(allow_nan=False,
+                                                    allow_infinity=False)))
+        grid = TimeGrid(1.0, n_steps)
+        cloud = ParticleCloud(particles=theta, grid=grid, seed=3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cloud.csv")
+            cloud_to_csv(cloud, path)
+            back = cloud_from_csv(path, grid, seed=3)
+        assert back.particles.shape == theta.shape
+        assert back.particles.tobytes() == theta.tobytes()

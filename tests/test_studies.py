@@ -1,12 +1,15 @@
 """Study runners at reduced scale: fits, checks, reports, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mflangevin import studies
 from mflangevin.grids import TimeGrid
-from mflangevin.langevin import TrainerConfig
+from mflangevin.langevin import TrainerConfig, train
+from mflangevin.metrics import paired_distance
 from mflangevin.models import (gaussian_prior, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model)
 from mflangevin.studies import (StudySetup, fit_loglog, fit_rate,
@@ -104,12 +107,64 @@ class TestEulerStudy:
         mse = report.series["points"]["mse"]
         assert mse[1] / mse[0] == pytest.approx(0.25, abs=0.12)
 
+    def test_final_clouds_equal_solo_runs_bytewise(self, monkeypatch):
+        # The coarse runs share one draw of the path; each must still end
+        # on the cloud train returns for it alone, and so must the
+        # reference run.
+        setup = small_setup(n_particles=16, n_samples=4)
+        finals = {}
+
+        def spy(fn):
+            def wrapped(model, dataset, grid, cfgs, *args):
+                out = fn(model, dataset, grid, cfgs, *args)
+                if isinstance(cfgs, list):
+                    finals.update((cfg.gamma, c) for cfg, c in zip(cfgs, out))
+                else:
+                    finals[cfgs.gamma] = out[0]
+                return out
+            return wrapped
+
+        monkeypatch.setattr(studies, "train", spy(studies.train))
+        monkeypatch.setattr(studies, "coupled_runs", spy(studies.coupled_runs))
+        # Slot ratios 5, 3 and 2 on 300 slots, drawn in stretches of 102
+        # (16,384 normals over 160 per slot): some updates straddle two.
+        gammas = [4e-3, 2.4e-3, 1.6e-3]
+        report = run_euler_study(setup, gammas, s_final=0.24, ref_divisor=2)
+        assert sorted(finals) == sorted(gammas + [8e-4])
+        dataset = setup.make_dataset(setup.n_samples)
+        init = setup.make_cloud(setup.n_particles)
+        for gamma, cloud in finals.items():
+            cfg = replace(setup.trainer, gamma=gamma,
+                          n_iters=round(0.24 / gamma), noise_dt=8e-4)
+            solo, _ = train(setup.model, dataset, setup.grid, cfg, init)
+            assert cloud.particles.tobytes() == solo.particles.tobytes()
+        ref = finals[8e-4].particles
+        mse = [paired_distance(finals[g].particles, ref, setup.grid.dt) ** 2
+               for g in gammas]
+        assert report.series["points"]["mse"] == mse
+
+    def test_outputs_do_not_depend_on_threads(self, tmp_path):
+        setup = small_setup(n_particles=16, n_samples=4)
+        for threads in (1, 2):
+            run_euler_study(setup, [4e-3, 2e-3, 1e-3], s_final=0.2,
+                            threads=threads).write(tmp_path / str(threads))
+        names = sorted(p.name for p in (tmp_path / "1").iterdir()
+                       if p.suffix in (".csv", ".dat"))
+        assert names == ["euler_mse_vs_gamma.dat", "euler_points.csv"]
+        for name in names:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
+
     def test_incompatible_schedule_rejected(self):
         setup = small_setup()
         with pytest.raises(ValueError):
             run_euler_study(setup, [3e-3, 1e-3], s_final=0.2)
         with pytest.raises(ValueError):
             run_euler_study(setup, [4e-3], s_final=0.2)
+        for gammas, s_final in (([4e-3, 2e-3], 0.0), ([4e-3, 2e-3], -1.0),
+                                ([4e-3, 0.0], 0.2), ([4e-3, -2e-3], 0.2)):
+            with pytest.raises(ValueError, match="positive"):
+                run_euler_study(setup, gammas, s_final=s_final)
 
 
 class TestContractionStudy:
