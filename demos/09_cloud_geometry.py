@@ -1,16 +1,12 @@
-"""Distances and entropy on particle clouds, plus the fixed-point solver.
+"""Distances and entropy on particle clouds.
 
 The integrated Wasserstein distance has three backends (sorted coupling,
 exact assignment, sliced projections); the entropy report uses a
-nearest-neighbour estimator whose Gaussian cases have closed forms.  The
-fixed-point iteration on the flow of measures contracts geometrically.
+nearest-neighbour estimator whose Gaussian cases have closed forms.
 """
 
-import numpy as np
-
-from mflangevin import (Dataset, TimeGrid, TrainerConfig, cloud_init,
-                        entropy_estimate, gaussian_prior,
-                        make_linear_drift_model, picard_solve, w2_distance)
+from mflangevin import (TimeGrid, cloud_init, entropy_estimate,
+                        gaussian_prior, w2_distance)
 
 grid = TimeGrid(horizon=1.0, n_steps=4)
 
@@ -28,12 +24,3 @@ print(f"entropy vs prior, matched cloud:  {entropy_estimate(matched, 0, prior):+
       " (closed form 0)")
 print(f"entropy vs prior, mean-1 cloud:   {entropy_estimate(shifted, 0, prior):+.4f}"
       " (closed form 0.5)")
-
-model = make_linear_drift_model(1)
-dataset = Dataset(xi=np.array([[0.0]]), zeta=np.array([[1.0]]))
-cfg = TrainerConfig(sigma=0.5, prior=gaussian_prior(4.0, 1), gamma=5e-3,
-                    n_iters=40, seed=2, record_every=0)
-init = cloud_init(24, grid, 1, ("gaussian", 0.0, 1.0), seed=6)
-result = picard_solve(model, dataset, grid, cfg, init, n_picard=5, n_ref=48)
-print("fixed-point iteration distances between successive flows:")
-print("  " + "  ".join(f"{d:.2e}" for d in result.round_distances))

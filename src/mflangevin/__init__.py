@@ -14,9 +14,8 @@ from .datasets import Dataset, generate_dataset
 from .exceptions import (ConfigError, NonFiniteCostateError,
                          NonFiniteParticleError, NonFiniteStateError)
 from .grids import TimeGrid
-from .langevin import (CoupledRunResult, PicardResult, TrainerConfig,
-                       TrainHistory, coupled_pair_run, langevin_step,
-                       lipschitz_probe, picard_solve, train)
+from .langevin import (CoupledRunResult, TrainerConfig, TrainHistory,
+                       coupled_pair_run, langevin_step, lipschitz_probe, train)
 from .metrics import CloudDistance, entropy_estimate, paired_distance, w2_distance
 from .models import (ModelSpec, PriorSpec, gaussian_prior, make_builtin_model,
                      make_linear_drift_model, make_zero_cost_model,
@@ -40,8 +39,7 @@ __all__ = [
     "objective_J", "objective_Jsigma", "ObjectiveValue",
     "discrete_gradient", "finite_diff_gradient",
     "TrainerConfig", "TrainHistory", "train", "langevin_step",
-    "coupled_pair_run", "CoupledRunResult", "picard_solve", "PicardResult",
-    "lipschitz_probe",
+    "coupled_pair_run", "CoupledRunResult", "lipschitz_probe",
     "w2_distance", "CloudDistance", "entropy_estimate", "paired_distance",
     "StudySetup", "StudyReport",
     "run_chaos_study", "run_euler_study", "run_contraction_study",

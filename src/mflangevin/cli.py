@@ -17,8 +17,10 @@ import os
 import numpy as np
 
 from .clouds import cloud_to_csv
-from .config import (build_setup, default_study_config, default_train_config,
-                     load_config, parse_config, study_arguments)
+from .config import (GRAD_CHECK_SEEDS, GRAD_CHECK_TOL, build_setup,
+                     default_study_config, default_train_config,
+                     grad_check_instance, load_config, parse_config,
+                     study_arguments)
 from .langevin import train
 from .objective import discrete_gradient, finite_diff_gradient
 from .studies import (run_chaos_study, run_contraction_study,
@@ -94,23 +96,12 @@ def _run_train(args) -> int:
 
 def _run_grad_check(args) -> int:
     """Exact-gradient verification on seeded random instances."""
-    from .clouds import cloud_init
-    from .datasets import generate_dataset
-    from .grids import TimeGrid
-    from .models import make_builtin_model
-
     config = load_config(args.config) if args.config else None
-    n_seeds, tol = 20, 1e-6
+    n_seeds, tol = GRAD_CHECK_SEEDS, GRAD_CHECK_TOL
     worst = 0.0
     for seed in range(n_seeds):
         if config is None:
-            grid = TimeGrid(1.0, 4)
-            model = make_builtin_model("neural_ode_tanh", d=2, p_hidden=1,
-                                       dim_data=2)
-            dataset = generate_dataset("regression", 2, 2, 100 + seed, grid,
-                                       target="scaled")
-            cloud = cloud_init(3, grid, model.dim_param,
-                               ("gaussian", 0.0, 1.0), seed=seed)
+            model, cloud, dataset, grid = grad_check_instance(seed)
         else:
             setup = build_setup(config, seed_override=args.seed)
             grid, model = setup.grid, setup.model

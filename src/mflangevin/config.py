@@ -13,15 +13,18 @@ import json
 import math
 import typing
 
+from .clouds import cloud_init
+from .datasets import generate_dataset
 from .exceptions import ConfigError
 from .grids import TimeGrid
 from .langevin import TrainerConfig
 from .models import (BUILTIN_KINDS, gaussian_prior, make_builtin_model,
                      make_linear_drift_model, make_zero_cost_model)
-from .studies import StudySetup
+from .studies import StudySetup, check_study_values
 
 __all__ = ["load_config", "parse_config", "build_setup", "study_arguments",
-           "default_study_config", "default_train_config", "STUDY_TABLE"]
+           "default_study_config", "default_train_config", "STUDY_TABLE",
+           "grad_check_instance", "GRAD_CHECK_SEEDS", "GRAD_CHECK_TOL"]
 
 # The keys of each study kind's ``study`` section, with their types and
 # defaults: the one home of every study default.  Each key sets the runner
@@ -173,7 +176,8 @@ def _study_value(name: str, value, kind, sign=None):
 
 
 def study_arguments(config: dict, study_kind: str) -> dict:
-    """Runner keywords: the ``study`` section over :data:`STUDY_TABLE`."""
+    """Runner keywords: the ``study`` section over :data:`STUDY_TABLE`,
+    with ConfigError for values that do not fit together."""
     table = STUDY_TABLE[study_kind]
     section = config.get("study", {})
     bad = set(section) - set(table)
@@ -184,6 +188,10 @@ def study_arguments(config: dict, study_kind: str) -> dict:
     args.update((key, _study_value(f"study.{key}", value, table[key][0],
                                    _STUDY_SIGNS.get(key)))
                 for key, value in section.items())
+    try:
+        check_study_values(study_kind, args)
+    except ValueError as exc:
+        raise ConfigError(f"study: {exc}") from None
     if "slope_lo" in args:
         args["slope_bounds"] = (args.pop("slope_lo"), args.pop("slope_hi"))
     return args
@@ -271,6 +279,24 @@ def default_train_config() -> dict:
         "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 2,
                  "n_particles": 128},
     }
+
+
+# Criterion 1, the default of ``mflangevin grad-check``: the exact gradient
+# against central differences on this many seeded instances, to this
+# largest relative deviation |exact - fd| / (1 + |fd|).
+GRAD_CHECK_SEEDS = 20
+GRAD_CHECK_TOL = 1e-6
+
+
+def grad_check_instance(seed: int) -> tuple:
+    """Model, cloud, dataset and grid of criterion 1's instance at ``seed``."""
+    grid = TimeGrid(1.0, 4)
+    model = make_builtin_model("neural_ode_tanh", d=2, p_hidden=1, dim_data=2)
+    dataset = generate_dataset("regression", 2, 2, 100 + seed, grid,
+                               target="scaled")
+    cloud = cloud_init(3, grid, model.dim_param, ("gaussian", 0.0, 1.0),
+                       seed=seed)
+    return model, cloud, dataset, grid
 
 
 # Built-in desk-scale configuration of each study: the settings the

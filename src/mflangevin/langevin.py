@@ -31,14 +31,13 @@ from .grids import TimeGrid
 from .metrics import paired_distance
 from .models import ModelSpec, PriorSpec
 from .objective import objective_Jsigma
-from .odes import (adjoint_paths, drift_and_states, forward_paths,
-                   hamiltonian_grad_at, mean_field_drift)
+from .odes import mean_field_drift, solve_paths
 from .rng import PURPOSE_PROBE, keyed_normals, step_normals
 
 __all__ = [
-    "TrainerConfig", "TrainHistory", "CoupledRunResult", "PicardResult",
+    "TrainerConfig", "TrainHistory", "CoupledRunResult",
     "langevin_step", "train", "coupled_runs", "coupled_pair_run",
-    "picard_solve", "lipschitz_probe", "drift_norm",
+    "lipschitz_probe", "drift_norm",
 ]
 
 
@@ -206,7 +205,7 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
 
     def record(it, cloud):
         """Append a history row for ``cloud``; return its drift."""
-        x, drift = drift_and_states(model, cloud, dataset, grid)
+        x, _, drift = solve_paths(model, cloud, dataset, grid)
         # J comes from the forward states the drift was computed from.
         val = objective_Jsigma(model, cloud, dataset, grid, cfg.sigma,
                                cfg.prior, x=x)
@@ -331,66 +330,6 @@ def coupled_pair_run(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
     dist[0] = paired_distance(init_a.particles, init_b.particles, grid.dt)
     return CoupledRunResult(s=_step_times(cfg), distance=dist, cloud_a=a,
                             cloud_b=b)
-
-
-@dataclass(frozen=True)
-class PicardResult:
-    """Output of the fixed-point iteration on the flow of measures."""
-
-    cloud: ParticleCloud
-    round_distances: np.ndarray
-
-
-def picard_solve(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
-                 cfg: TrainerConfig, init: ParticleCloud, n_picard: int,
-                 n_ref: int | None = None) -> PicardResult:
-    """Fixed-point iteration for the mean-field law.
-
-    Each round freezes the previous round's cloud trajectory as the flow
-    of measures, re-simulates ``n_ref`` particles against that frozen flow
-    (they interact only through it), and replaces the trajectory.  Noise
-    keys are fixed across rounds, so successive trajectories couple
-    synchronously and their sup-over-iterates paired distance measures the
-    contraction of the fixed-point map.  Extra particles beyond the init
-    cloud are bootstrap copies of init particles; the returned cloud is
-    the first block of the final trajectory.
-    """
-    n2 = init.n_particles
-    n_ref = n2 if n_ref is None else n_ref
-    if n_ref < n2:
-        raise ValueError("n_ref must be at least the init particle count")
-    if n_picard == 0:
-        return PicardResult(cloud=init, round_distances=np.zeros(0))
-    theta0 = init.particles
-    if n_ref > n2:
-        from .rng import PURPOSE_INIT, keyed_uniforms
-        u = keyed_uniforms(init.seed, PURPOSE_INIT,
-                           np.arange(n_ref - n2), 0, 9, 0)
-        picks = np.minimum((u * n2).astype(int), n2 - 1)
-        theta0 = np.concatenate([theta0, theta0[picks]], axis=0)
-    sched = _StepSchedule(cfg, theta0.shape)
-    frozen = [theta0] * (cfg.n_iters + 1)
-    distances = np.zeros(n_picard)
-    traj = frozen
-    for r in range(n_picard):
-        theta = theta0
-        traj = [theta]
-        for it in range(cfg.n_iters):
-            flow_cloud = ParticleCloud(particles=frozen[it], grid=grid,
-                                       seed=init.seed)
-            x = forward_paths(model, flow_cloud, dataset, grid)
-            p = adjoint_paths(model, flow_cloud, dataset, x, grid)
-            drift = hamiltonian_grad_at(model, theta, dataset, x, p, grid)
-            holder = ParticleCloud(particles=theta, grid=grid, seed=init.seed)
-            theta = _apply_step(model, holder, dataset, grid, cfg, it,
-                                sched.noise(it), drift).particles
-            traj.append(theta)
-        distances[r] = max(paired_distance(traj[it], frozen[it], grid.dt)
-                           for it in range(cfg.n_iters + 1))
-        frozen = traj
-    final = ParticleCloud(particles=traj[-1][:n2].copy(), grid=grid,
-                          seed=init.seed)
-    return PicardResult(cloud=final, round_distances=distances)
 
 
 def lipschitz_probe(model: ModelSpec, dataset: Dataset, grid: TimeGrid,

@@ -6,16 +6,22 @@ g(x, zeta), together with hand-coded partial derivatives.  Derivatives are
 analytic on purpose: the finite-difference self-check below is then a fully
 independent oracle rather than a test of one autodiff engine against itself.
 
-All maps follow a numpy broadcasting contract: ``x`` has shape (..., d),
-``a`` has shape (..., p), ``zeta_t`` has shape (..., q), batch dimensions
-broadcast, and outputs carry the broadcast batch shape.  The derivatives
-of phi are costate products, never Jacobians: ``grad_x_phi(t, x, a,
-zeta_t, p)`` returns (d_x phi)^T p with shape (..., d) and ``grad_a_phi``
-returns (d_a phi)^T p with shape (..., p), where the costate ``p`` broadcasts
-like ``x``.  They are the x- and a-gradients of phi . p, the first term of
-the Hamiltonian h = phi . p + f, which is all the sweeps need.  The
-built-ins form them from elementwise products only, so no BLAS call (and
-no BLAS thread count) touches the drift.
+All point maps follow a numpy broadcasting contract: ``x`` has shape
+(..., d), ``a`` has shape (..., p), ``zeta_t`` has shape (..., q), batch
+dimensions broadcast, and outputs carry the broadcast batch shape.  The
+derivatives of phi are costate products, never Jacobians: ``grad_x_phi(t,
+x, a, zeta_t, p)`` returns (d_x phi)^T p with shape (..., d) and
+``grad_a_phi`` returns (d_a phi)^T p with shape (..., p), where the costate
+``p`` broadcasts like ``x``.  They are the x- and a-gradients of phi . p,
+the first term of the Hamiltonian h = phi . p + f.
+
+The sweeps call a node pair (:meth:`ModelSpec.node_pair`).  At one grid
+node, ``forward(t, x, a, zeta_t)`` maps samples ``x`` (N1, d), particles
+``a`` (N2, p) and data (N1, q) or None to mean_i phi (N1, d) and a cache;
+``backward(cache, p)`` maps the costate (N1, d) to mean_i [(d_x phi)^T p
++ d_x f] (N1, d) and mean_k [(d_a phi)^T p + d_a f] (N2, p).  The tanh
+builtins fuse theirs into matrix products over (N1, N2 * m) blocks; other
+models derive theirs from the point maps.
 """
 
 from __future__ import annotations
@@ -48,6 +54,10 @@ class ModelSpec:
     or path) since terminal costs may look at any of it.  ``grad_x_phi``
     and ``grad_a_phi`` take the costate as a fifth argument and return its
     products with the Jacobians of phi (see the module docstring).
+
+    ``forward`` and ``backward`` are an optional fused node pair.
+    ``dataclasses.replace`` keeps them as given, so replace them with the
+    maps they fuse; a derived pair reads the current maps.
     """
 
     dim_state: int
@@ -62,12 +72,35 @@ class ModelSpec:
     g: Callable
     grad_x_g: Callable
     kind: str = "custom"
+    forward: Callable | None = None
+    backward: Callable | None = None
 
     def __post_init__(self):
         if self.dim_state < 1 or self.dim_param < 1:
             raise ValueError("dim_state and dim_param must be positive")
         if self.dim_data < 0:
             raise ValueError("dim_data must be nonnegative")
+        if (self.forward is None) != (self.backward is None):
+            raise ValueError("set both forward and backward, or neither")
+
+    def node_pair(self) -> tuple[Callable, Callable]:
+        """The fused (forward, backward) pair if set, else one derived now
+        from the point maps, with samples and particles on batch axes 0, 1."""
+        if self.forward is not None:
+            return self.forward, self.backward
+
+        def forward(t, x, a, zeta_t):
+            args = (t, x[:, None, :], a[None],
+                    None if zeta_t is None else zeta_t[:, None, :])
+            return self.phi(*args).mean(axis=1), args
+
+        def backward(args, p):
+            p = p[:, None, :]
+            gx = (self.grad_x_phi(*args, p).mean(axis=1)
+                  + self.grad_x_f(*args).mean(axis=1))
+            return gx, (self.grad_a_phi(*args, p) + self.grad_a_f(*args)).mean(axis=0)
+
+        return forward, backward
 
 
 @dataclass(frozen=True)
@@ -233,11 +266,9 @@ def make_zero_cost_model(d: int) -> ModelSpec:
     """Vanishing costs: the costate is identically zero, so the cloud feels
     only the prior gradient and the noise.  The control run for
     stationarity checks against the bare prior."""
-    base = make_linear_drift_model(d)
-    f, grad_x_f, grad_a_f = _zero_cost_maps(d, d)
-    g, grad_x_g = _zero_terminal()
-    return replace(base, f=f, grad_x_f=grad_x_f, grad_a_f=grad_a_f,
-                   g=g, grad_x_g=grad_x_g, kind="zero_cost")
+    g, grad_x_g = _zero_terminal()  # f is zero already
+    return replace(make_linear_drift_model(d), g=g, grad_x_g=grad_x_g,
+                   kind="zero_cost")
 
 
 def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
@@ -347,10 +378,46 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
             cols.append(_outer(v, zeta1))
         return _columns(_batch_shape(x, a, zeta_t, p), *cols)
 
+    # The fused node pair.  Unit u of particle i is column i * m + u of the
+    # (N1, N2 * m) blocks, so each sum over samples or particles is one
+    # matrix product.
+    def forward(t, x, a, zeta_t):
+        a1, *rest = _split(a, blocks)
+        w = xbar = zeta1 = z = None
+        if state_driven:
+            w = rest.pop(0).reshape(-1)
+            xbar = np.mean(x, axis=1)
+            z = xbar[:, None] * w
+        if data_driven:
+            zeta1 = zeta_t[:, :d]
+            az = zeta1 @ rest[0].transpose(2, 0, 1).reshape(d, -1)
+            z = az if z is None else z + az
+        h = np.tanh(z)
+        cols = a1.transpose(0, 2, 1).reshape(-1, d)  # row i * m + u: A1[i, :, u]
+        return (h @ cols) / len(a), (x, zeta_t, cols, w, xbar, zeta1, h)
+
+    def backward(cache, p):
+        x, zeta_t, cols, w, xbar, zeta1, h = cache
+        n1, n2 = len(p), len(cols) // m
+        v = (p @ cols.T) * (1.0 - h * h)
+        sums = [(p.T @ h).reshape(d, n2, m).transpose(1, 0, 2)]
+        if state_driven:
+            sums.append(xbar @ v)
+        if data_driven:
+            sums.append((zeta1.T @ v).reshape(d, n2, m).transpose(1, 2, 0))
+        ga = np.concatenate([s.reshape(n2, -1) for s in sums], axis=1) / n1
+        gx = np.zeros((n1, d))
+        if state_driven:  # phi reads x through mean(x) only, as in grad_x_phi
+            gx = np.broadcast_to(((v @ w) / (n2 * d))[:, None], (n1, d))
+        if kind == "timeseries_interp":
+            gx = gx + 2.0 * (x - zeta_t[:, d:])
+        return gx, ga
+
     return ModelSpec(dim_state=d, dim_param=dim_param, dim_data=q,
                      phi=phi, grad_x_phi=grad_x_phi, grad_a_phi=grad_a_phi,
                      f=f, grad_x_f=grad_x_f, grad_a_f=grad_a_f,
-                     g=g, grad_x_g=grad_x_g, kind=kind)
+                     g=g, grad_x_g=grad_x_g, kind=kind,
+                     forward=forward, backward=backward)
 
 
 @dataclass(frozen=True)

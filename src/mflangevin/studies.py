@@ -24,13 +24,14 @@ from .langevin import (TrainerConfig, coupled_pair_run, coupled_runs,
                        lipschitz_probe, paired_distance, train)
 from .models import ModelSpec
 from .objective import objective_J
-from .odes import adjoint_paths, forward_paths
+from .odes import solve_paths
 
 __all__ = [
     "StudySetup", "StudyReport", "FitResult", "CheckResult",
     "run_chaos_study", "run_euler_study", "run_contraction_study",
     "run_gibbs_check", "run_generalization_study",
     "fit_loglog", "fit_rate", "histogram_tv", "gibbs_log_density",
+    "check_study_values",
 ]
 
 
@@ -231,6 +232,35 @@ def _snapshots_dict(history) -> dict:
     return {it: cloud for it, cloud in history.snapshots}
 
 
+def check_study_values(kind: str, values: dict) -> None:
+    """Raise ValueError unless the values of one study kind fit together:
+    the runner's keywords of those names, as the messages below state."""
+    v = values
+    if kind == "euler":
+        steps, s_final = list(v["gamma_list"]), v["s_final"]
+        if len(steps) < 2:
+            raise ValueError("need at least two step sizes")
+        if s_final <= 0 or min(steps) <= 0:
+            raise ValueError("the final time and the step sizes must be positive")
+        gamma_ref = min(steps) / v["ref_divisor"]
+        for g in steps + [gamma_ref]:
+            if abs(s_final / g - round(s_final / g)) > 1e-9:
+                raise ValueError("every step size must divide the final time")
+            if abs(g / gamma_ref - round(g / gamma_ref)) > 1e-9:
+                raise ValueError("step sizes must be integer multiples of the "
+                                 "reference step")
+    elif kind == "chaos":
+        if not v["n2_list"] or not v["n1_list"]:
+            raise ValueError("size lists must be nonempty")
+        if max(v["n2_list"]) > v["n_ref"] or max(v["n1_list"]) > v["n1_ref"]:
+            raise ValueError("surrogate sizes must dominate the studied sizes")
+    elif kind == "generalization":
+        if not v["n1_list"]:
+            raise ValueError("n1_list must be nonempty")
+        if v["holdout_n"] < max(v["n1_list"]):
+            raise ValueError("holdout must dominate the studied sizes")
+
+
 # ---------------------------------------------------------------------------
 # propagation of chaos
 # ---------------------------------------------------------------------------
@@ -250,12 +280,10 @@ def run_chaos_study(setup: StudySetup, n2_list, n1_list, *, n_ref: int = 2048,
     ``slope_bounds``.
     """
     t0 = time.perf_counter()
+    check_study_values("chaos", dict(n2_list=n2_list, n1_list=n1_list,
+                                     n_ref=n_ref, n1_ref=n1_ref))
     n2_list = sorted(n2_list)
     n1_list = sorted(n1_list)
-    if not n2_list or not n1_list:
-        raise ValueError("size lists must be nonempty")
-    if max(n2_list) > n_ref or max(n1_list) > n1_ref:
-        raise ValueError("surrogate sizes must dominate the studied sizes")
     cfg = setup.trainer
     tail = _tail_iters(cfg.n_iters, snapshot_every, tail_fraction)
     mse = np.zeros((len(n1_list), len(n2_list)))
@@ -325,18 +353,10 @@ def run_euler_study(setup: StudySetup, gamma_list, *, s_final: float = 1.0,
     against log gamma is checked against ``slope_bounds``.
     """
     t0 = time.perf_counter()
+    check_study_values("euler", dict(gamma_list=gamma_list, s_final=s_final,
+                                     ref_divisor=ref_divisor))
     gamma_list = sorted(gamma_list, reverse=True)
-    if len(gamma_list) < 2:
-        raise ValueError("need at least two step sizes")
-    if s_final <= 0 or gamma_list[-1] <= 0:
-        raise ValueError("the final time and the step sizes must be positive")
     gamma_ref = min(gamma_list) / ref_divisor
-    for g in gamma_list + [gamma_ref]:
-        if abs(s_final / g - round(s_final / g)) > 1e-9:
-            raise ValueError("every step size must divide the final time")
-        if abs(g / gamma_ref - round(g / gamma_ref)) > 1e-9:
-            raise ValueError("step sizes must be integer multiples of the "
-                             "reference step")
     dataset = setup.make_dataset(setup.n_samples)
     init = setup.make_cloud(setup.n_particles)
 
@@ -465,11 +485,7 @@ def gibbs_log_density(model: ModelSpec, cloud: ParticleCloud,
     base = prior.log_density(a)
     if node >= grid.n_steps:
         return base
-    if paths is None:
-        x = forward_paths(model, cloud, dataset, grid)
-        p = adjoint_paths(model, cloud, dataset, x, grid)
-    else:
-        x, p = paths
+    x, p = solve_paths(model, cloud, dataset, grid)[:2] if paths is None else paths
     zeta_l = dataset.zeta_node(node)[None, :, :] if model.dim_data else None
     a_b = a[:, None, :]
     x_b = x[None, :, node, :]
@@ -545,8 +561,7 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
         if it >= cutoff:
             for l in range(setup.grid.n_nodes):
                 pooled.setdefault(l, []).append(cloud.particles[:, l, 0])
-    x = forward_paths(setup.model, final, dataset, setup.grid)
-    p = adjoint_paths(setup.model, final, dataset, x, setup.grid)
+    x, p, _ = solve_paths(setup.model, final, dataset, setup.grid)
     tvs = []
     for l in range(setup.grid.n_nodes):
         samples = np.concatenate(pooled[l])
@@ -574,8 +589,7 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
         for s_val in sigma_sweep:
             cfg_s = replace(cfg_run, sigma=float(s_val))
             final_s, _ = train(setup.model, dataset, setup.grid, cfg_s, init)
-            xs = forward_paths(setup.model, final_s, dataset, setup.grid)
-            ps = adjoint_paths(setup.model, final_s, dataset, xs, setup.grid)
+            xs, ps, _ = solve_paths(setup.model, final_s, dataset, setup.grid)
             worst = 0.0
             for l in range(setup.grid.n_steps):
                 worst = max(worst, _density_tv(
@@ -615,9 +629,9 @@ def run_generalization_study(setup: StudySetup, n1_list, holdout_n: int, *,
     squared gap against log(1/N1) is checked against ``slope_bounds``.
     """
     t0 = time.perf_counter()
+    check_study_values("generalization", dict(n1_list=n1_list,
+                                              holdout_n=holdout_n))
     n1_list = sorted(n1_list)
-    if holdout_n < max(n1_list):
-        raise ValueError("holdout must dominate the studied sizes")
     cfg = replace(setup.trainer, record_every=0, snapshot_every=0)
     holdout = setup.make_dataset(holdout_n, seed_shift=9000)
     ref_ds = setup.make_dataset(ref_samples, seed_shift=8000)

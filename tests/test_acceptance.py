@@ -11,7 +11,9 @@ import time
 import numpy as np
 
 from mflangevin.clouds import cloud_init
-from mflangevin.config import build_setup, default_study_config, parse_config
+from mflangevin.config import (GRAD_CHECK_SEEDS, GRAD_CHECK_TOL, build_setup,
+                               default_study_config, grad_check_instance,
+                               parse_config)
 from mflangevin.datasets import Dataset, generate_dataset
 from mflangevin.grids import TimeGrid
 from mflangevin.langevin import TrainerConfig, langevin_step, train
@@ -36,22 +38,18 @@ def _setup_from_default(kind):
 def test_criterion_1_gradient_exactness():
     """Exact gradient vs finite differences: 20 seeded small instances."""
     t0 = time.perf_counter()
-    grid = TimeGrid(1.0, 4)
-    model = make_builtin_model("neural_ode_tanh", d=2, p_hidden=1, dim_data=2)
-    assert model.dim_param == 3
     worst = 0.0
-    for seed in range(20):
-        ds = generate_dataset("regression", 2, 2, 100 + seed, grid,
-                              target="scaled")
-        cloud = cloud_init(3, grid, model.dim_param, ("gaussian", 0.0, 1.0),
-                           seed=seed)
+    for seed in range(GRAD_CHECK_SEEDS):
+        model, cloud, ds, grid = grad_check_instance(seed)
+        assert model.dim_param == 3
         dg = discrete_gradient(model, cloud, ds, grid)
         fd = finite_diff_gradient(model, cloud, ds, grid, step=1e-5)
         worst = max(worst, float(np.max(np.abs(dg - fd) / (1 + np.abs(fd)))))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 10.0
+    ok = worst <= GRAD_CHECK_TOL and elapsed < 10.0
     assert _report("criterion 1 (gradient exactness)", ok,
-                   f"max rel dev {worst:.3e} <= 1e-6, {elapsed:.1f}s < 10s")
+                   f"max rel dev {worst:.3e} <= {GRAD_CHECK_TOL}, "
+                   f"{GRAD_CHECK_SEEDS} seeds, {elapsed:.1f}s < 10s")
 
 
 def test_criterion_2_classical_gradient_descent_reduction():

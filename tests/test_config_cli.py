@@ -132,6 +132,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(config)
 
+    @pytest.mark.parametrize("kind,study,message", [
+        ("euler", {"gamma_list": [0.003, 0.001]}, "divide the final time"),
+        ("euler", {"gamma_list": [0.004, 0.003], "ref_divisor": 2},
+         "multiples of the reference step"),
+        ("euler", {"gamma_list": [0.004]}, "two step sizes"),
+        ("chaos", {"n2_list": [16, 4096]}, "dominate"),
+        ("chaos", {"n1_list": [8, 1024]}, "dominate"),
+        ("chaos", {"n1_list": []}, "nonempty"),
+        ("generalization", {"holdout_n": 32}, "holdout must dominate"),
+    ])
+    def test_study_values_must_fit_together(self, kind, study, message,
+                                            tmp_path):
+        # Each relation the runner needs fails at the boundary, from the
+        # command line too, with ConfigError rather than a raw ValueError.
+        config = default_study_config(kind)
+        config["study"] = study
+        with pytest.raises(ConfigError, match=message):
+            study_arguments(parse_config(config), kind)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        command = {"euler": "euler-study", "chaos": "chaos-study",
+                   "generalization": "generalization-study"}[kind]
+        with pytest.raises(ConfigError, match=message):
+            main([command, "--config", str(path), "--out", str(tmp_path)])
+
     def test_step_off_the_noise_grid_rejected(self):
         config = default_train_config()
         config["trainer"]["noise_dt"] = 0.003

@@ -1,4 +1,4 @@
-"""Trainer dynamics: steps, noise, coupling, and the fixed-point solver."""
+"""Trainer dynamics: steps, noise and coupling."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from mflangevin.datasets import Dataset, generate_dataset
 from mflangevin.exceptions import NonFiniteParticleError
 from mflangevin.grids import TimeGrid
 from mflangevin.langevin import (TrainerConfig, coupled_pair_run,
-                                 langevin_step, lipschitz_probe, picard_solve,
-                                 train)
+                                 langevin_step, lipschitz_probe, train)
 from mflangevin.models import (gaussian_prior, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model)
 from mflangevin.objective import objective_J, objective_Jsigma
@@ -321,47 +320,6 @@ class TestSharedPath:
             with pytest.raises(ValueError, match="one seed"):
                 langevin.coupled_runs(model, ds, grid, [base, other],
                                       [init, init])
-
-
-class TestPicard:
-    def test_zero_rounds_returns_init(self):
-        grid = TimeGrid(1.0, 2)
-        model, ds, init = quadratic_toy(grid)
-        cfg = TrainerConfig(sigma=0.5, prior=gaussian_prior(2.0, 1),
-                            gamma=0.01, n_iters=10, seed=1, record_every=0)
-        res = picard_solve(model, ds, grid, cfg, init, n_picard=0)
-        np.testing.assert_array_equal(res.cloud.particles, init.particles)
-
-    def test_drift_free_flow_is_fixed_point(self):
-        # With vanishing costs the frozen flow never matters, so the
-        # second round reproduces the first one exactly (same noise keys).
-        grid = TimeGrid(1.0, 2)
-        model = make_zero_cost_model(1)
-        ds = Dataset(xi=np.array([[0.0]]), zeta=np.array([[0.0]]))
-        init = cloud_init(16, grid, 1, ("gaussian", 0.0, 1.0), seed=2)
-        cfg = TrainerConfig(sigma=0.8, prior=gaussian_prior(2.0, 1),
-                            gamma=0.01, n_iters=25, seed=4, record_every=0)
-        res = picard_solve(model, ds, grid, cfg, init, n_picard=3)
-        assert res.round_distances[1] == pytest.approx(0.0, abs=1e-14)
-        assert res.round_distances[2] == pytest.approx(0.0, abs=1e-14)
-
-    def test_quadratic_toy_contracts_geometrically(self):
-        grid = TimeGrid(0.5, 3)
-        model, ds, init = quadratic_toy(grid, n_particles=24, seed=6)
-        cfg = TrainerConfig(sigma=0.5, prior=gaussian_prior(4.0, 1),
-                            gamma=0.005, n_iters=40, seed=2, record_every=0)
-        res = picard_solve(model, ds, grid, cfg, init, n_picard=5, n_ref=48)
-        d = res.round_distances
-        ratios = d[2:] / d[1:-1]
-        assert np.all(ratios < 1.0)
-
-    def test_reference_count_must_dominate(self):
-        grid = TimeGrid(1.0, 2)
-        model, ds, init = quadratic_toy(grid, n_particles=8)
-        cfg = TrainerConfig(sigma=0.5, prior=gaussian_prior(1.0, 1),
-                            gamma=0.01, n_iters=5, seed=0, record_every=0)
-        with pytest.raises(ValueError):
-            picard_solve(model, ds, grid, cfg, init, n_picard=1, n_ref=4)
 
 
 def test_lipschitz_probe_positive_and_deterministic():

@@ -1,16 +1,18 @@
 """Model builtins, analytic derivatives, Hamiltonian assembly, priors."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from mflangevin.datasets import Dataset
+from mflangevin.clouds import cloud_init
+from mflangevin.datasets import generate_dataset
 from mflangevin.grids import TimeGrid
 from mflangevin.models import (gaussian_prior, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model,
                                model_grad_selfcheck)
-from mflangevin.odes import hamiltonian_grad_at
+from mflangevin.odes import mean_field_drift, solve_paths
 from mflangevin.rng import PURPOSE_PROBE, keyed_normals
 
 
@@ -124,19 +126,15 @@ class TestNeuralOdeTanh:
 
 
 def _grad_a_h(model, x, p, a, z):
-    """grad_a of h = phi . p + f at one point, through the sweep assembly:
-    one sample, one particle and one step, so the point sits at t = 0."""
-    ds = Dataset(xi=x[None, :], zeta=z[None, :])
-
-    def path(v0, v1):
-        return np.stack([v0, v1])[None]
-
-    return hamiltonian_grad_at(model, path(a, a), ds, path(x, x),
-                               path(np.zeros_like(p), p), TimeGrid(1.0, 1))[0, 0]
+    """grad_a of h = phi . p + f at one point, through the node pair the
+    sweeps use: one sample and one particle at t = 0."""
+    forward, backward = model.node_pair()
+    _, cache = forward(0.0, x[None], a[None], z[None])
+    return backward(cache, p[None])[1][0]
 
 
 class TestHamiltonian:
-    """The data-averaged Hamiltonian a-gradient assembled by the sweeps."""
+    """The data-averaged Hamiltonian a-gradient of the node pair."""
 
     def test_linear_case(self):
         # f = 0 and phi(x, a) = a in one dimension: grad_a h = p.
@@ -287,3 +285,38 @@ def test_phi_matches_einsum_reference(kind, d, m):
     expected = np.einsum("...du,...u->...d", a1, np.tanh(z))
     np.testing.assert_allclose(model.phi(0.0, x, a, zeta), expected,
                                rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind,d,m", [
+    (kind, d, m) for kind in ("one_layer_residual", "neural_ode_tanh",
+                              "timeseries_interp")
+    for d, m in itertools.product((1, 2, 3), (1, 2, 3))])
+def test_fused_pair_matches_point_map_pair(kind, d, m):
+    # The builtins' fused node pair against the pair derived from their
+    # point maps, on a random cloud: the sums run in another order, so the
+    # states, costates and drifts agree to a few ulps of their largest
+    # entry.  The derived pair reads the maps when used, so a model made
+    # by replacing one drives with the new map (a stored pair would not).
+    timeseries = kind == "timeseries_interp"
+    fused = make_builtin_model(kind, d=d, p_hidden=m,
+                               dim_data=2 * d if timeseries else d)
+    derived = dataclasses.replace(fused, forward=None, backward=None)
+    grid = TimeGrid(1.0, 3)
+    ds = generate_dataset("timeseries" if timeseries else "regression", 5, d,
+                          10 * d + m, grid, target="scaled")
+    cloud = cloud_init(7, grid, fused.dim_param, ("gaussian", 0.0, 1.0),
+                       seed=d + 10 * m)
+    for got, want in zip(solve_paths(fused, cloud, ds, grid),
+                         solve_paths(derived, cloud, ds, grid)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    doubled = dataclasses.replace(
+        derived, grad_a_phi=lambda *args: 2.0 * derived.grad_a_phi(*args))
+    np.testing.assert_array_equal(mean_field_drift(doubled, cloud, ds, grid),
+                                  2.0 * mean_field_drift(derived, cloud, ds, grid))
+
+
+def test_node_pair_needs_both_maps():
+    model = make_linear_drift_model(1)
+    forward, _ = model.node_pair()
+    with pytest.raises(ValueError, match="both"):
+        dataclasses.replace(model, forward=forward)

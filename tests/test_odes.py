@@ -1,17 +1,22 @@
 """Forward/adjoint sweeps and the drift assembly against closed forms."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mflangevin.clouds import cloud_init
 from mflangevin.datasets import Dataset
-from mflangevin.exceptions import NonFiniteStateError
+from mflangevin.exceptions import NonFiniteCostateError, NonFiniteStateError
 from mflangevin.grids import TimeGrid
 from mflangevin.models import (ModelSpec, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model)
-from mflangevin.odes import adjoint_paths, forward_paths, mean_field_drift
+from mflangevin.odes import forward_paths, mean_field_drift, solve_paths
 from mflangevin.objective import discrete_gradient, finite_diff_gradient, objective_J
 
 
@@ -21,8 +26,8 @@ def _scalar_dataset(xi=1.0, zeta=0.0):
 
 def _one_sample_paths(model, cloud, ds, grid):
     """State and costate paths of a one-sample dataset, each (n_nodes, d)."""
-    x = forward_paths(model, cloud, ds, grid)
-    return x[0], adjoint_paths(model, cloud, ds, x, grid)[0]
+    x, p, _ = solve_paths(model, cloud, ds, grid)
+    return x[0], p[0]
 
 
 def make_scaling_model(rate=1.0):
@@ -244,3 +249,58 @@ class TestDriftAssembly:
         ds = Dataset(xi=np.array([[0.0], [1.0]]), zeta=np.array([[1.0], [3.0]]))
         assert objective_J(model, cloud, ds, grid) == pytest.approx(
             (1.0 + 4.0) / 2.0)
+
+
+# Prints a digest of the states, costates and drift of one builtin at
+# (N1, N2) = (64, 256), with p_hidden = 8 so that the larger products pass
+# OpenBLAS's threshold for splitting work across threads.
+_DRIFT_DIGEST = """
+import hashlib, sys
+from mflangevin import cloud_init, generate_dataset, make_builtin_model
+from mflangevin.grids import TimeGrid
+from mflangevin.odes import solve_paths
+kind = sys.argv[1]
+series = kind == "timeseries_interp"
+model = make_builtin_model(kind, d=2, p_hidden=8, dim_data=4 if series else 2)
+grid = TimeGrid(1.0, 4)
+ds = generate_dataset("timeseries" if series else "regression", 64, 2, 5,
+                      grid, target="scaled")
+cloud = cloud_init(256, grid, model.dim_param, ("gaussian", 0.0, 1.0), seed=6)
+paths = solve_paths(model, cloud, ds, grid)
+print(hashlib.sha256(b"".join(a.tobytes() for a in paths)).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("kind", ["one_layer_residual", "timeseries_interp"])
+def test_drift_bytes_do_not_depend_on_blas_threads(kind):
+    # The fused node pair sums with matrix products; each BLAS thread count
+    # runs in its own process, since OpenBLAS reads it at load time.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _DRIFT_DIGEST, kind],
+                             env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert out.returncode == 0, out.stderr[-2000:]
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+def test_nonfinite_costate_names_node_and_sample():
+    # A running cost whose x-gradient is infinite at sample 1 from t = 0.5
+    # on: the backward loop meets it first at node 3.
+    def grad_x_f(t, x, a, z):
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a)))
+        if t >= 0.5:
+            out[1] = np.inf
+        return out
+
+    model = dataclasses.replace(make_linear_drift_model(1), grad_x_f=grad_x_f)
+    grid = TimeGrid(1.0, 4)
+    ds = Dataset(xi=np.zeros((3, 1)), zeta=np.ones((3, 1)))
+    cloud = cloud_init(2, grid, 1, ("constant", 0.5))
+    with pytest.raises(NonFiniteCostateError,
+                       match="non-finite costate at node 3, sample 1"):
+        mean_field_drift(model, cloud, ds, grid)
