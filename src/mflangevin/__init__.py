@@ -16,7 +16,7 @@ from .exceptions import (ConfigError, NonFiniteCostateError,
 from .grids import TimeGrid
 from .langevin import (CoupledRunResult, TrainerConfig, TrainHistory,
                        coupled_pair_run, langevin_step, lipschitz_probe, train)
-from .metrics import CloudDistance, entropy_estimate, paired_distance, w2_distance
+from .metrics import entropy_estimate, paired_distance
 from .models import (ModelSpec, PriorSpec, gaussian_prior, make_builtin_model,
                      make_linear_drift_model, make_zero_cost_model,
                      model_grad_selfcheck)
@@ -40,7 +40,7 @@ __all__ = [
     "discrete_gradient", "finite_diff_gradient",
     "TrainerConfig", "TrainHistory", "train", "langevin_step",
     "coupled_pair_run", "CoupledRunResult", "lipschitz_probe",
-    "w2_distance", "CloudDistance", "entropy_estimate", "paired_distance",
+    "entropy_estimate", "paired_distance",
     "StudySetup", "StudyReport",
     "run_chaos_study", "run_euler_study", "run_contraction_study",
     "run_gibbs_check", "run_generalization_study",

@@ -1,117 +1,28 @@
-"""Distances between clouds and entropy estimates for reporting.
+"""Coupling distances between clouds and entropy estimates for reporting.
 
-The integrated squared Wasserstein distance aggregates per-node distances
-between the empirical parameter measures with the same left-Riemann rule
-the solvers use for time integrals.  Entropy is estimated only for
-reporting the regularised objective; it never enters the dynamics.
+The paired distance aggregates per-node distances between two coupled
+clouds with the same left-Riemann rule the solvers use for time
+integrals.  Entropy is estimated only for reporting the regularised
+objective; it never enters the dynamics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .clouds import ParticleCloud
 from .models import PriorSpec
-from .rng import PURPOSE_PROJ, keyed_normals
 
-__all__ = ["CloudDistance", "w2_distance", "entropy_estimate", "paired_distance",
-           "ENTROPY_MIN_PARTICLES"]
+__all__ = ["entropy_estimate", "paired_distance", "ENTROPY_MIN_PARTICLES"]
 
 # Fewest particles for which the nearest-neighbour entropy estimate is given.
 ENTROPY_MIN_PARTICLES = 8
-
-
-@dataclass(frozen=True)
-class CloudDistance:
-    """Per-node Wasserstein-2 values and their time-integrated aggregate."""
-
-    w2T: float
-    per_node: np.ndarray
-    method: str
-
-
-def _w2_1d(u: np.ndarray, v: np.ndarray) -> float:
-    """Exact squared W2 between two one-dimensional empirical measures."""
-    u = np.sort(u)
-    v = np.sort(v)
-    if u.size == v.size:
-        return float(np.mean((u - v) ** 2))
-    # Unequal supports: integrate the squared quantile gap over the merged
-    # breakpoints of the two empirical CDFs.
-    levels = np.union1d(np.arange(1, u.size) / u.size,
-                        np.arange(1, v.size) / v.size)
-    edges = np.concatenate([[0.0], levels, [1.0]])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    uu = u[np.minimum((mids * u.size).astype(int), u.size - 1)]
-    vv = v[np.minimum((mids * v.size).astype(int), v.size - 1)]
-    return float(np.sum(np.diff(edges) * (uu - vv) ** 2))
-
-
-def _w2_hungarian(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact squared W2 between equal-size empirical measures via assignment."""
-    from scipy.optimize import linear_sum_assignment  # deferred: slow import
-    diff = a[:, None, :] - b[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
-
-
-def _unit_projections(n_proj: int, dim: int, seed: int) -> np.ndarray:
-    raw = keyed_normals(seed, PURPOSE_PROJ,
-                        np.arange(dim), np.arange(n_proj).reshape(-1, 1), 0, 0)
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
-
-
-def w2_distance(a: ParticleCloud, b: ParticleCloud, method: str = "auto",
-                n_projections: int = 64, projection_seed: int = 0) -> CloudDistance:
-    """Per-node W2 between two clouds plus the time-integrated aggregate.
-
-    Methods: ``exact1d`` (sorted coupling, one-dimensional parameters),
-    ``hungarian`` (exact assignment, equal particle counts), ``sliced``
-    (average over fixed random unit projections; a biased diagnostic).
-    ``auto`` picks exact1d when p == 1, hungarian when both clouds have at
-    most 512 particles, and sliced otherwise.
-    """
-    if a.grid != b.grid:
-        raise ValueError("clouds must share a grid")
-    if a.dim_param != b.dim_param:
-        raise ValueError("clouds must share the parameter dimension")
-    p = a.dim_param
-    if method == "auto":
-        if p == 1:
-            method = "exact1d"
-        elif max(a.n_particles, b.n_particles) <= 512:
-            method = "hungarian"
-        else:
-            method = "sliced"
-    n_nodes = a.grid.n_nodes
-    per_node_sq = np.zeros(n_nodes)
-    if method == "exact1d":
-        if p != 1:
-            raise ValueError("exact1d requires one-dimensional parameters")
-        for l in range(n_nodes):
-            per_node_sq[l] = _w2_1d(a.particles[:, l, 0], b.particles[:, l, 0])
-    elif method == "hungarian":
-        if a.n_particles != b.n_particles:
-            raise ValueError("hungarian requires equal particle counts")
-        for l in range(n_nodes):
-            per_node_sq[l] = _w2_hungarian(a.particles[:, l, :],
-                                           b.particles[:, l, :])
-    elif method == "sliced":
-        proj = _unit_projections(n_projections, p, projection_seed)
-        pa = np.einsum("ilp,kp->kil", a.particles, proj)
-        pb = np.einsum("ilp,kp->kil", b.particles, proj)
-        for l in range(n_nodes):
-            vals = [_w2_1d(pa[k, :, l], pb[k, :, l]) for k in range(n_projections)]
-            per_node_sq[l] = float(np.mean(vals))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    w2T = math.sqrt(float(np.sum(per_node_sq[:-1]) * a.grid.dt))
-    return CloudDistance(w2T=w2T, per_node=np.sqrt(per_node_sq), method=method)
+# Most entries in one tile of squared distances, 1 MiB of float64, so the
+# nearest-neighbour search stays small at large particle counts (a tile
+# holds at least one row, so above 2^17 particles it is one row).
+TILE_ENTRIES = 2**17
 
 
 def paired_distance(xa: np.ndarray, xb: np.ndarray, dt: float) -> float:
@@ -120,29 +31,52 @@ def paired_distance(xa: np.ndarray, xb: np.ndarray, dt: float) -> float:
     An upper bound for the integrated W2 between the two empirical clouds,
     exact when the coupling is optimal.
     """
+    if xa.shape != xb.shape:
+        raise ValueError("coupled clouds must have the same shape")
     diff = xa[:, :-1, :] - xb[:, :-1, :]
     return math.sqrt(float(np.sum(diff * diff, axis=2).mean(axis=0).sum() * dt))
 
 
-def entropy_estimate(cloud: ParticleCloud, node: int, prior: PriorSpec) -> float:
-    """Relative entropy of one node's empirical measure against the prior.
+def _nearest_sq_distances(x: np.ndarray) -> np.ndarray:
+    """Squared distance from each point of ``x`` (n, p) to its nearest other.
 
-    Differential entropy comes from the nearest-neighbour (k = 1)
-    Kozachenko-Leonenko estimator; adding the sample mean of U gives
-    Ent = E[log density - log gamma].  Returns +inf when duplicate
-    particles make the estimator undefined.  Used for reporting only.
+    Exact squared differences, not a Gram product, so near-ties pick the
+    right neighbour; computed in row tiles of at most ``TILE_ENTRIES``.
     """
-    from scipy.spatial import cKDTree  # deferred: slow import
-    x = cloud.particles[:, node, :]
-    n, p = x.shape
+    from scipy.spatial.distance import cdist  # deferred: slow import
+    n = x.shape[0]
+    rows = max(1, TILE_ENTRIES // n)
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        tile = cdist(x[start:start + rows], x, "sqeuclidean")
+        np.fill_diagonal(tile[:, start:], np.inf)
+        out[start:start + rows] = tile.min(axis=1)
+    return out
+
+
+def entropy_estimate(cloud: ParticleCloud, prior: PriorSpec) -> np.ndarray:
+    """Relative entropy against the prior at every left-rule node.
+
+    Returns shape (n_nodes - 1,).  Differential entropy comes from the
+    nearest-neighbour (k = 1) Kozachenko-Leonenko estimator; adding the
+    sample mean of U gives Ent = E[log density - log gamma].  A node is
+    +inf when duplicate particles make the estimator undefined there.
+    The neighbour search is exact and dense: O(N2^2 p) work per node, in
+    tiles of at most ``TILE_ENTRIES`` distances.  Used for reporting only.
+    """
+    x = cloud.particles[:, :-1, :]
+    n, n_nodes, p = x.shape
     if n < ENTROPY_MIN_PARTICLES:
         raise ValueError(f"entropy estimate needs at least "
                          f"{ENTROPY_MIN_PARTICLES} particles")
-    dist, _ = cKDTree(x).query(x, k=2)
-    eps = dist[:, 1]
-    if np.any(eps == 0.0):
-        return math.inf
-    log_ball = 0.5 * p * math.log(math.pi) - gammaln(0.5 * p + 1.0)
-    entropy = (digamma(n) - digamma(1) + log_ball
-               + p * float(np.mean(np.log(eps))))
-    return float(np.mean(prior.U(x)) - entropy)
+    eps_sq = np.stack([_nearest_sq_distances(np.ascontiguousarray(x[:, l, :]))
+                       for l in range(n_nodes)], axis=1)
+    with np.errstate(divide="ignore"):
+        log_eps_sq = np.log(eps_sq)
+    harmonic = math.fsum(1.0 / k for k in range(1, n))  # digamma(n) - digamma(1)
+    log_ball = 0.5 * p * math.log(math.pi) - math.lgamma(0.5 * p + 1.0)
+    entropy = harmonic + log_ball + 0.5 * p * np.mean(log_eps_sq, axis=0)
+    est = np.mean(prior.U(x), axis=0) - entropy
+    # A duplicate pair leaves the estimator undefined at its node.
+    est[np.any(eps_sq == 0.0, axis=0)] = math.inf
+    return est

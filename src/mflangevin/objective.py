@@ -70,8 +70,11 @@ def objective_Jsigma(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     The entropy term exists for reporting only; the Langevin noise realises
     it in the dynamics, so no score estimate ever feeds back into training.
     At sigma = 0 the term is omitted entirely; with fewer particles than
-    the entropy estimator needs it is +inf.  ``x``, the forward states of
-    ``cloud`` when the caller already has them, saves the forward sweep.
+    the entropy estimator needs, or a duplicate pair at any node, it is
+    +inf.  One :func:`entropy_estimate` call covers every node, at
+    O(N2^2 p) per node for its exact neighbour search.  ``x``, the forward
+    states of ``cloud`` when the caller already has them, saves the
+    forward sweep.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -83,13 +86,10 @@ def objective_Jsigma(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
         return ObjectiveValue(j=j, ent_term=None, j_sigma=j)
     if cloud.n_particles < ENTROPY_MIN_PARTICLES:
         return ObjectiveValue(j=j, ent_term=math.inf, j_sigma=math.inf)
-    ent = 0.0
-    for l in range(grid.n_steps):
-        e = entropy_estimate(cloud, l, prior)
-        if math.isinf(e):
-            return ObjectiveValue(j=j, ent_term=math.inf, j_sigma=math.inf)
-        ent += e * grid.dt
-    term = 0.5 * sigma * sigma * ent
+    ent = entropy_estimate(cloud, prior)
+    if np.isinf(ent).any():
+        return ObjectiveValue(j=j, ent_term=math.inf, j_sigma=math.inf)
+    term = 0.5 * sigma * sigma * float(np.sum(ent * grid.dt))
     return ObjectiveValue(j=j, ent_term=term, j_sigma=j + term)
 
 

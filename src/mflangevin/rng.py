@@ -18,7 +18,6 @@ known-answer vectors in the test suite.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
@@ -36,7 +35,6 @@ PURPOSE_INIT = 0x11
 PURPOSE_STEP = 0x22
 PURPOSE_DATA = 0x33
 PURPOSE_PROBE = 0x44
-PURPOSE_PROJ = 0x55
 
 
 def _splitmix64(z: int) -> int:
@@ -109,6 +107,7 @@ def keyed_uniforms(seed: int, purpose: int, c0, c1, c2, c3) -> np.ndarray:
 
 def keyed_normals(seed: int, purpose: int, c0, c1, c2, c3) -> np.ndarray:
     """Standard normal draws via the inverse Gaussian CDF."""
+    from scipy.special import ndtri  # deferred: slow import
     return ndtri(keyed_uniforms(seed, purpose, c0, c1, c2, c3))
 
 

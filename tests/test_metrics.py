@@ -1,19 +1,15 @@
-"""Wasserstein distances (with exhaustive oracles) and entropy estimates."""
+"""Coupling distances and nearest-neighbour entropy estimates."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 
 from mflangevin.clouds import ParticleCloud, cloud_init
 from mflangevin.grids import TimeGrid
-from mflangevin.metrics import entropy_estimate, paired_distance, w2_distance
+from mflangevin.metrics import TILE_ENTRIES, entropy_estimate, paired_distance
 from mflangevin.models import gaussian_prior
-
-
-def _cloud_from(arr, grid):
-    return ParticleCloud(particles=np.asarray(arr, dtype=float), grid=grid)
 
 
 @pytest.fixture
@@ -22,97 +18,46 @@ def grid():
 
 
 class TestW2:
+    """The paired distance: the synchronous-coupling bound on integrated W2."""
+
     def test_identical_clouds_have_zero_distance(self, grid):
         cloud = cloud_init(12, grid, 2, ("gaussian", 0.0, 1.0), seed=1)
-        for method in ("hungarian", "sliced"):
-            res = w2_distance(cloud, cloud, method=method)
-            assert res.w2T == pytest.approx(0.0, abs=1e-12)
+        assert paired_distance(cloud.particles, cloud.particles, grid.dt) == 0.0
 
     def test_translation_property_one_dim(self, grid):
-        # Shifting every particle by c gives per-node distance |c| and
-        # integrated distance |c| sqrt(T).
+        # Shifting every particle by c gives integrated distance |c| sqrt(T).
         a = cloud_init(20, grid, 1, ("gaussian", 0.0, 1.0), seed=2)
         c = 0.75
-        b = a.with_particles(a.particles + c)
-        res = w2_distance(a, b, method="exact1d")
-        np.testing.assert_allclose(res.per_node, c, rtol=1e-12)
-        assert res.w2T == pytest.approx(c * math.sqrt(grid.horizon), rel=1e-12)
-
-    def test_hungarian_matches_brute_force_assignment(self, grid):
-        # 8 particles in two dimensions at a single node, checked against
-        # the minimum over all 8! pairings.
-        rng = np.random.default_rng(5)
-        n = 8
-        xa = rng.normal(size=(n, 1, 2))
-        xb = rng.normal(size=(n, 1, 2))
-        ga = _cloud_from(np.repeat(xa, grid.n_nodes, axis=1), grid)
-        gb = _cloud_from(np.repeat(xb, grid.n_nodes, axis=1), grid)
-        res = w2_distance(ga, gb, method="hungarian")
-        cost = np.sum((xa[:, None, 0, :] - xb[None, :, 0, :]) ** 2, axis=2)
-        best = min(np.sum(cost[range(n), perm])
-                   for perm in itertools.permutations(range(n)))
-        assert res.per_node[0] ** 2 == pytest.approx(best / n, rel=1e-12)
-
-    def test_exact1d_agrees_with_hungarian(self, grid):
-        a = cloud_init(32, grid, 1, ("gaussian", 0.0, 1.0), seed=3)
-        b = cloud_init(32, grid, 1, ("gaussian", 0.4, 1.3), seed=4)
-        r1 = w2_distance(a, b, method="exact1d")
-        r2 = w2_distance(a, b, method="hungarian")
-        np.testing.assert_allclose(r1.per_node, r2.per_node, atol=1e-12)
-
-    def test_exact1d_unequal_sizes(self, grid):
-        # Two-point versus one-point empirical measures: W2^2 is the mean
-        # squared distance to the single atom.
-        a = _cloud_from(np.tile(np.array([[0.0], [1.0]])[:, None, :],
-                                (1, grid.n_nodes, 1)), grid)
-        b = _cloud_from(np.full((1, grid.n_nodes, 1), 0.5), grid)
-        res = w2_distance(a, b, method="exact1d")
-        assert res.per_node[0] ** 2 == pytest.approx(0.25)
+        b = a.particles + c
+        assert (paired_distance(a.particles, b, grid.dt)
+                == pytest.approx(c * math.sqrt(grid.horizon), rel=1e-12))
 
     def test_metric_axioms_on_sampled_triples(self, grid):
-        clouds = [cloud_init(16, grid, 2, ("gaussian", 0.2 * k, 1.0), seed=k)
-                  for k in range(3)]
-        d01 = w2_distance(clouds[0], clouds[1], method="hungarian").w2T
-        d10 = w2_distance(clouds[1], clouds[0], method="hungarian").w2T
-        d02 = w2_distance(clouds[0], clouds[2], method="hungarian").w2T
-        d12 = w2_distance(clouds[1], clouds[2], method="hungarian").w2T
-        assert d01 == pytest.approx(d10, abs=1e-12)
+        xs = [cloud_init(16, grid, 2, ("gaussian", 0.2 * k, 1.0),
+                         seed=k).particles for k in range(3)]
+        d01 = paired_distance(xs[0], xs[1], grid.dt)
+        d10 = paired_distance(xs[1], xs[0], grid.dt)
+        d02 = paired_distance(xs[0], xs[2], grid.dt)
+        d12 = paired_distance(xs[1], xs[2], grid.dt)
+        assert d01 == d10
         assert d02 <= d01 + d12 + 1e-12
 
-    def test_sliced_fixed_projections_reproducible(self, grid):
-        a = cloud_init(24, grid, 3, ("gaussian", 0.0, 1.0), seed=6)
-        b = cloud_init(24, grid, 3, ("gaussian", 0.5, 1.0), seed=7)
-        r1 = w2_distance(a, b, method="sliced", n_projections=16)
-        r2 = w2_distance(a, b, method="sliced", n_projections=16)
-        np.testing.assert_array_equal(r1.per_node, r2.per_node)
-        assert r1.w2T > 0
-
-    def test_auto_method_selection(self, grid):
-        a = cloud_init(8, grid, 1, ("gaussian", 0.0, 1.0), seed=1)
-        b = cloud_init(8, grid, 1, ("gaussian", 1.0, 1.0), seed=2)
-        assert w2_distance(a, b).method == "exact1d"
-        a2 = cloud_init(8, grid, 2, ("gaussian", 0.0, 1.0), seed=1)
-        b2 = cloud_init(8, grid, 2, ("gaussian", 1.0, 1.0), seed=2)
-        assert w2_distance(a2, b2).method == "hungarian"
-        a3 = cloud_init(600, grid, 2, ("gaussian", 0.0, 1.0), seed=1)
-        b3 = cloud_init(600, grid, 2, ("gaussian", 1.0, 1.0), seed=2)
-        assert w2_distance(a3, b3).method == "sliced"
-
     def test_shape_mismatch_rejected(self, grid):
-        a = cloud_init(8, grid, 1, ("gaussian", 0.0, 1.0), seed=1)
-        b = cloud_init(9, grid, 1, ("gaussian", 0.0, 1.0), seed=1)
-        with pytest.raises(ValueError):
-            w2_distance(a, b, method="hungarian")
-        c = cloud_init(8, grid, 2, ("gaussian", 0.0, 1.0), seed=1)
-        with pytest.raises(ValueError):
-            w2_distance(c, c, method="exact1d")
+        # One particle against nine would broadcast without the check.
+        a = cloud_init(9, grid, 1, ("gaussian", 0.0, 1.0), seed=1).particles
+        for b in (a[:1], a[:8], np.concatenate([a, a], axis=2)):
+            with pytest.raises(ValueError):
+                paired_distance(a, b, grid.dt)
 
     def test_paired_distance_bounds_w2(self, grid):
+        # In one dimension the sorted coupling is optimal, so it gives the
+        # integrated W2 that any other coupling bounds from above.
         a = cloud_init(16, grid, 1, ("gaussian", 0.0, 1.0), seed=8)
         b = cloud_init(16, grid, 1, ("gaussian", 0.7, 1.2), seed=9)
-        w = w2_distance(a, b, method="exact1d").w2T
+        w = paired_distance(np.sort(a.particles, axis=0),
+                            np.sort(b.particles, axis=0), grid.dt)
         paired = paired_distance(a.particles, b.particles, grid.dt)
-        assert w <= paired + 1e-12
+        assert 0.0 < w <= paired + 1e-12
 
 
 class TestEntropy:
@@ -120,8 +65,9 @@ class TestEntropy:
         grid = TimeGrid(1.0, 1)
         cloud = cloud_init(10_000, grid, 1, ("gaussian", 0.0, 1.0), seed=0)
         prior = gaussian_prior(1.0, 1)
-        est = entropy_estimate(cloud, 0, prior)
-        assert abs(est) < 0.05
+        est = entropy_estimate(cloud, prior)
+        assert est.shape == (1,)
+        assert abs(est[0]) < 0.05
 
     def test_shifted_gaussian_matches_closed_form(self):
         # KL(N(m, 1) || N(0, 1)) = m^2 / 2.
@@ -129,24 +75,47 @@ class TestEntropy:
         m = 1.0
         cloud = cloud_init(10_000, grid, 1, ("gaussian", m, 1.0), seed=1)
         prior = gaussian_prior(1.0, 1)
-        est = entropy_estimate(cloud, 0, prior)
-        assert est == pytest.approx(m * m / 2.0, abs=0.05)
+        est = entropy_estimate(cloud, prior)
+        assert est[0] == pytest.approx(m * m / 2.0, abs=0.05)
 
     def test_two_dimensional_consistency(self):
         grid = TimeGrid(1.0, 1)
         cloud = cloud_init(10_000, grid, 2, ("gaussian", 0.0, 1.0), seed=2)
         prior = gaussian_prior(1.0, 2)
-        assert abs(entropy_estimate(cloud, 0, prior)) < 0.08
+        assert abs(entropy_estimate(cloud, prior)[0]) < 0.08
 
     def test_duplicate_particles_flagged_infinite(self):
-        grid = TimeGrid(1.0, 1)
-        arr = np.random.default_rng(0).normal(size=(16, 2, 1))
-        arr[3] = arr[11]
+        # Only the node that holds the duplicate pair is undefined.
+        grid = TimeGrid(1.0, 3)
+        arr = np.random.default_rng(0).normal(size=(16, 4, 1))
+        arr[3, 1] = arr[11, 1]
         cloud = ParticleCloud(particles=arr, grid=grid)
-        assert math.isinf(entropy_estimate(cloud, 0, gaussian_prior(1.0, 1)))
+        est = entropy_estimate(cloud, gaussian_prior(1.0, 1))
+        assert est.shape == (3,)
+        assert math.isinf(est[1]) and est[1] > 0
+        assert np.isfinite(est[[0, 2]]).all()
 
     def test_small_cloud_rejected(self):
         grid = TimeGrid(1.0, 1)
         cloud = cloud_init(7, grid, 1, ("gaussian", 0.0, 1.0), seed=0)
         with pytest.raises(ValueError):
-            entropy_estimate(cloud, 0, gaussian_prior(1.0, 1))
+            entropy_estimate(cloud, gaussian_prior(1.0, 1))
+
+    def test_distance_tiles_stay_within_the_bound(self, monkeypatch):
+        # 1,000 particles need 131-row tiles; 1,000 is not a multiple of
+        # 131, so the last tile is short.  Every row is searched once.
+        shapes = []
+        cdist = scipy.spatial.distance.cdist
+
+        def recording_cdist(xa, xb, *args, **kwargs):
+            shapes.append((len(xa), len(xb)))
+            return cdist(xa, xb, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", recording_cdist)
+        grid = TimeGrid(1.0, 2)
+        cloud = cloud_init(1000, grid, 2, ("gaussian", 0.0, 1.0), seed=4)
+        assert np.isfinite(entropy_estimate(cloud, gaussian_prior(1.0, 2))).all()
+        assert max(rows * cols for rows, cols in shapes) <= TILE_ENTRIES
+        assert {cols for _, cols in shapes} == {1000}
+        assert sum(rows for rows, _ in shapes) == 1000 * grid.n_steps
+        assert len(shapes) == 8 * grid.n_steps

@@ -100,6 +100,16 @@ class TestObjectiveSigma:
         assert not val.entropy_defined
         assert math.isfinite(val.j)
 
+    def test_one_duplicate_pair_at_a_middle_node_gives_inf(self):
+        grid = TimeGrid(1.0, 4)
+        model = make_linear_drift_model(1)
+        cloud = cloud_init(16, grid, 1, ("gaussian", 0.0, 1.0), seed=2)
+        cloud.particles[5, 2] = cloud.particles[9, 2]
+        ds = Dataset(xi=np.array([[0.0]]), zeta=np.array([[1.0]]))
+        val = objective_Jsigma(model, cloud, ds, grid, 1.0, gaussian_prior(1.0, 1))
+        assert math.isinf(val.ent_term) and math.isinf(val.j_sigma)
+        assert val.j == objective_J(model, cloud, ds, grid)
+
     def test_fewer_particles_than_the_estimator_needs_give_inf(self):
         # Reporting only: a cloud too small for the entropy estimate must
         # not abort the caller.

@@ -44,3 +44,14 @@ def test_import_leaves_w2_and_entropy_dependencies_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # Philox normals load ndtri on their first draw, not at import.
+    code = "import sys, mflangevin; print('scipy.special' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(mflangevin.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,18 +1,22 @@
 """Property tests: invariants checked on inputs drawn by hypothesis."""
 
+import math
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import digamma, gammaln
 
 from mflangevin.clouds import (ParticleCloud, cloud_from_csv, cloud_init,
                                cloud_to_csv)
 from mflangevin.datasets import generate_dataset
 from mflangevin.grids import TimeGrid
 from mflangevin.langevin import TrainerConfig, _step_times
+from mflangevin.metrics import entropy_estimate
 from mflangevin.models import (BUILTIN_KINDS, gaussian_prior,
                                make_builtin_model, make_linear_drift_model,
                                make_zero_cost_model)
@@ -128,3 +132,67 @@ class TestCloudCsvProperty:
             back = cloud_from_csv(path, grid, seed=3)
         assert back.particles.shape == theta.shape
         assert back.particles.tobytes() == theta.tobytes()
+
+
+def _entropy_oracle(theta, kappa):
+    """Kozachenko-Leonenko (k = 1) relative entropy against N(0, I / kappa)
+    at every left-rule node: direct differences, one node at a time."""
+    n, n_nodes, p = theta.shape
+    out = []
+    for l in range(n_nodes - 1):
+        x = theta[:, l, :]
+        diff = x[:, None, :] - x[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        np.fill_diagonal(dist, np.inf)
+        eps = dist.min(axis=1)
+        if np.any(eps == 0.0):
+            out.append(math.inf)
+            continue
+        entropy = (digamma(n) - digamma(1) + 0.5 * p * math.log(math.pi)
+                   - gammaln(0.5 * p + 1.0) + p * np.mean(np.log(eps)))
+        u = (0.5 * kappa * np.sum(x * x, axis=1)
+             + 0.5 * p * math.log(2.0 * math.pi / kappa))
+        out.append(np.mean(u) - entropy)
+    return np.array(out)
+
+
+def _gaussian_cloud(n, n_steps, p, seed, offset=0.0, scale=1.0):
+    theta = offset + scale * np.random.default_rng(seed).standard_normal(
+        (n, n_steps + 1, p))
+    return ParticleCloud(particles=theta, grid=TimeGrid(1.0, n_steps))
+
+
+class TestEntropyOracle:
+    @pytest.mark.parametrize("n, p", [(8, 2), (9, 3), (40, 1), (40, 10),
+                                      # 131-row tiles, the last one short
+                                      (1000, 2)])
+    def test_matches_the_oracle(self, n, p):
+        cloud = _gaussian_cloud(n, 3, p, seed=n + p)
+        est = entropy_estimate(cloud, gaussian_prior(1.5, p))
+        np.testing.assert_allclose(est, _entropy_oracle(cloud.particles, 1.5),
+                                   rtol=1e-12, atol=0)
+
+    def test_near_tie_far_from_the_origin(self):
+        # At |x| ~ 1e3 a pair 1e-7 apart is below what a Gram product
+        # (|x|^2 + |y|^2 - 2 x.y) resolves; exact differences find it.
+        cloud = _gaussian_cloud(32, 2, 3, seed=5, offset=1e3)
+        theta = cloud.particles
+        theta[7, 1] = theta[20, 1] + np.array([1e-7, 0.0, 0.0])
+        est = entropy_estimate(cloud, gaussian_prior(1.0, 3))
+        np.testing.assert_allclose(est, _entropy_oracle(theta, 1.0),
+                                   rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(8, 48), n_steps=st.integers(1, 3),
+           p=st.integers(1, 4), seed=st.integers(0, 2**16),
+           offset=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3),
+           duplicate=st.booleans())
+    def test_random_clouds_match_the_oracle(self, n, n_steps, p, seed,
+                                            offset, scale, duplicate):
+        cloud = _gaussian_cloud(n, n_steps, p, seed, offset, scale)
+        if duplicate:
+            cloud.particles[1, n_steps - 1] = cloud.particles[0, n_steps - 1]
+        est = entropy_estimate(cloud, gaussian_prior(1.0, p))
+        # The absolute floor covers estimates that cross zero.
+        np.testing.assert_allclose(est, _entropy_oracle(cloud.particles, 1.0),
+                                   rtol=1e-12, atol=1e-12)
