@@ -90,12 +90,11 @@ def cloud_init(n_particles: int, grid: TimeGrid, dim_param: int,
 def cloud_to_csv(cloud: ParticleCloud, path) -> None:
     """Write a cloud as CSV rows particle,node,coord,value (17 significant digits)."""
     arr = cloud.particles
+    columns = [ix.ravel().tolist() for ix in np.indices(arr.shape)]
     with open(path, "w") as fh:
         fh.write("particle,node,coord,value\n")
-        for i in range(arr.shape[0]):
-            for l in range(arr.shape[1]):
-                for c in range(arr.shape[2]):
-                    fh.write(f"{i},{l},{c},{arr[i, l, c]:.17g}\n")
+        fh.writelines(f"{i},{l},{c},{v:.17g}\n"
+                      for i, l, c, v in zip(*columns, arr.ravel().tolist()))
 
 
 def cloud_from_csv(path, grid: TimeGrid, seed: int = 0) -> ParticleCloud:

@@ -11,16 +11,16 @@ The noise realises the entropic regularisation, so no score term is ever
 evaluated.  Brownian increments come from the counter-based generator
 keyed by (seed, fine iteration, particle, node); runs that share a seed
 share a Brownian path, which is what the coupled-pair, surrogate, and
-step-size studies rely on.  A run reads its path a chunk of updates per
-draw; runs on one path that advance together (:func:`coupled_runs`) draw
-each stretch of it once and each sum their own slots, bit-identical to
-running alone.
+step-size studies rely on.  One reader draws the path a stretch of fine
+slots at a time for a single run (:func:`train`) or for several that
+advance together (:func:`coupled_runs`), and each run sums its own slots,
+so a member of a coupled group is its solo run by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,21 +62,30 @@ class TrainerConfig:
     noise_dt: float | None = None
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        # Chained comparisons are false for NaN, so NaN fails them too.
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         if self.n_iters < 0:
             raise ValueError("n_iters must be nonnegative")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and positive")
+        if self.record_every < 0 or self.snapshot_every < 0:
+            raise ValueError("record_every and snapshot_every must be "
+                             "nonnegative")
         if self.noise_dt is not None:
-            if self.noise_dt <= 0:
-                raise ValueError("noise_dt must be positive")
+            if not 0.0 < self.noise_dt < math.inf:
+                raise ValueError("noise_dt must be finite and positive")
             ratio = self.gamma / self.noise_dt
             if abs(ratio - round(ratio)) > 1e-9 * ratio:
                 raise ValueError("gamma must be a multiple of noise_dt")
 
     def fine_offsets(self) -> np.ndarray:
-        """Start index of each step's block of fine Brownian increments."""
+        """Start index of each step's block of fine Brownian increments.
+
+        The trainer's path reader counts slots itself and no longer calls
+        this; it stays as the schedule's public statement, and
+        ``bench/tracing.py`` wraps it by name.
+        """
         return _fine_slots(self)[0] * np.arange(self.n_iters + 1)
 
 
@@ -126,40 +135,53 @@ def _step_times(cfg: TrainerConfig) -> np.ndarray:
                                                     float(cfg.gamma)))])
 
 
-class _StepSchedule:
-    """One run's step times and the reader of its Brownian path.
+def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
+    """Read one Brownian path for runs that advance together.
 
-    ``s[k]`` is the training time before update k, and update k consumes
-    fine Brownian slots ``offsets[k]:offsets[k + 1]``.  :meth:`noise` draws
-    the path a chunk of updates at a time: at most ``_CHUNK_NORMALS``
-    normals, or one update's block if that is larger, and never past the
-    run's last update.  The chunk lives on this object, so runs on
-    different threads never share one.
+    Yields ``(member, iteration, noise)`` for every update of every member
+    of ``cfgs``, in the order the updates end on the path (in list order
+    where they end together); ``noise`` is the update's scaled Brownian
+    block, or None when no member is noisy.  The members share the seed
+    and the fine slot length.  The path is drawn a stretch of fine slots
+    at a time, at most ``_CHUNK_NORMALS`` normals or one update of the
+    coarsest member, and each member sums its own slots of a stretch in
+    slot order.  The slots of an update that straddles two stretches are
+    kept until the second is drawn, so memory stays bounded for any step
+    list.
     """
-
-    def __init__(self, cfg: TrainerConfig, shape: tuple):
-        self.cfg = cfg
-        self.shape = shape
-        self.s = _step_times(cfg)
-        self.offsets = cfg.fine_offsets()
-        self.slots, dt = _fine_slots(cfg)
-        self.sqrt_dt = math.sqrt(dt)
-        self.chunk = max(1, _CHUNK_NORMALS // (self.slots * math.prod(shape)))
-        self._first = 0
-        self._blocks = np.zeros((0,) + shape)
-
-    def noise(self, iter_index: int) -> np.ndarray | None:
-        """Scaled Brownian block of one update; None for a noiseless run."""
-        if self.cfg.sigma == 0.0:
-            return None
-        k = iter_index - self._first
-        if not 0 <= k < len(self._blocks):
-            stop = min(iter_index + self.chunk, self.cfg.n_iters)
-            fine = self.offsets[iter_index:stop, None] + np.arange(self.slots)
-            self._blocks = self.sqrt_dt * step_normals(self.cfg.seed, fine,
-                                                       *self.shape)
-            self._first, k = iter_index, 0
-        return self._blocks[k]
+    slots, dts = zip(*(_fine_slots(cfg) for cfg in cfgs))
+    seed, sqrt_dt = cfgs[0].seed, math.sqrt(dts[0])
+    ends = [m * cfg.n_iters for m, cfg in zip(slots, cfgs)]
+    n_slots = max(ends)
+    noisy = any(cfg.sigma > 0.0 for cfg in cfgs)
+    stretch = max(_CHUNK_NORMALS // math.prod(shape), *slots)
+    done = [0] * len(cfgs)
+    # Raw normals of the fine slots start, start + 1, ... still needed.
+    path, start = np.zeros((0,) + shape), 0
+    for c0 in range(0, n_slots, stretch):
+        c1 = min(c0 + stretch, n_slots)
+        if noisy:
+            fresh = step_normals(seed, np.arange(c0, c1)[:, None], *shape)
+            path = np.concatenate([path, fresh]) if len(path) else fresh
+        updates = []
+        for j, (cfg, m) in enumerate(zip(cfgs, slots)):
+            first, n = done[j], min(cfg.n_iters, c1 // m) - done[j]
+            if n <= 0:
+                continue
+            blocks = [None] * n
+            if noisy:
+                rows = path[m * first - start:m * (first + n) - start]
+                blocks = sqrt_dt * rows.reshape((n, m) + shape).sum(axis=1)
+            updates += [(m * (it + 1), j, it, block)
+                        for it, block in zip(range(first, first + n), blocks)]
+            done[j] += n
+        # (end slot, member) is unique, so blocks are never compared.
+        for _, j, it, block in sorted(updates):
+            yield j, it, block
+        # The first slot an unfinished member still needs.
+        keep = min((m * d for m, d, end in zip(slots, done, ends)
+                    if m * d < end), default=c1)
+        path, start = path[keep - start:], keep
 
 
 def _apply_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
@@ -185,11 +207,13 @@ def langevin_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
                   grid: TimeGrid, cfg: TrainerConfig,
                   iter_index: int) -> ParticleCloud:
     """One Euler-Maruyama update of the whole cloud."""
-    # The reader of a run that ends with this update draws its block alone.
-    sched = _StepSchedule(replace(cfg, n_iters=iter_index + 1),
-                          cloud.particles.shape)
-    return _apply_step(model, cloud, dataset, grid, cfg, iter_index,
-                       sched.noise(iter_index))
+    noise = None
+    if cfg.sigma > 0.0:
+        slots, dt = _fine_slots(cfg)
+        noise = math.sqrt(dt) * step_normals(
+            cfg.seed, slots * iter_index + np.arange(slots),
+            *cloud.particles.shape)
+    return _apply_step(model, cloud, dataset, grid, cfg, iter_index, noise)
 
 
 def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
@@ -201,7 +225,7 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
     snapshots every ``snapshot_every`` iterations feed the studies.
     """
     history = TrainHistory()
-    sched = _StepSchedule(cfg, init.particles.shape)
+    s = _step_times(cfg)
 
     def record(it, cloud):
         """Append a history row for ``cloud``; return its drift."""
@@ -210,7 +234,7 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
         val = objective_Jsigma(model, cloud, dataset, grid, cfg.sigma,
                                cfg.prior, x=x)
         history.iters.append(it)
-        history.s.append(float(sched.s[it]))
+        history.s.append(float(s[it]))
         history.J.append(val.j)
         history.Jsigma.append(val.j_sigma if cfg.sigma > 0.0 else None)
         history.grad_norm.append(drift_norm(drift, grid))
@@ -218,14 +242,14 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
         return drift
 
     cloud = init
-    for it in range(cfg.n_iters):
+    for _, it, noise in _path_blocks([cfg], init.particles.shape):
         drift = None
         if cfg.record_every > 0 and it % cfg.record_every == 0:
             drift = record(it, cloud)
         if cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0:
             history.snapshots.append((it, cloud))
-        cloud = _apply_step(model, cloud, dataset, grid, cfg, it,
-                            sched.noise(it), drift)
+        cloud = _apply_step(model, cloud, dataset, grid, cfg, it, noise,
+                            drift)
     if cfg.record_every > 0:
         record(cfg.n_iters, cloud)
     if cfg.snapshot_every > 0:
@@ -240,59 +264,26 @@ def coupled_runs(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
 
     The members share the seed and the fine slot length (``noise_dt``, or
     ``gamma`` when it is unset) and may differ in init and in ``gamma``, a
-    multiple of ``noise_dt``.  The path is drawn a stretch of fine slots at
-    a time, at most ``_CHUNK_NORMALS`` normals or one update of the
-    coarsest member, and each member sums its own slots of a stretch in
-    slot order.  The slots of an update that straddles two stretches are
-    kept until the second is drawn, so memory stays bounded for any step
-    list, and every member ends on exactly the cloud ``train`` returns for
-    it alone.  ``observe(member, iterate, cloud)``, if given, is called
-    after every update, in the order the updates end on the path (in list
-    order where they end together).  Returns the final clouds.
+    multiple of ``noise_dt``.  They read the path through the reader that
+    :func:`train` uses for one run, so every member ends on exactly the
+    cloud ``train`` returns for it alone.  ``observe(member, iterate,
+    cloud)``, if given, is called after every update, in the order the
+    updates end on the path (in list order where they end together).
+    Returns the final clouds.
     """
     if len(cfgs) != len(inits):
         raise ValueError("need one init per coupled run")
     shape = inits[0].particles.shape
     if any(init.particles.shape != shape for init in inits):
         raise ValueError("coupled runs need equal cloud shapes")
-    slots, dts = zip(*(_fine_slots(cfg) for cfg in cfgs))
-    if len({(cfg.seed, dt) for cfg, dt in zip(cfgs, dts)}) > 1:
+    if len({(cfg.seed, _fine_slots(cfg)[1]) for cfg in cfgs}) > 1:
         raise ValueError("coupled runs need one seed and one noise_dt")
-    seed, sqrt_dt = cfgs[0].seed, math.sqrt(dts[0])
-    ends = [m * cfg.n_iters for m, cfg in zip(slots, cfgs)]
-    n_slots = max(ends)
-    noisy = any(cfg.sigma > 0.0 for cfg in cfgs)
-    stretch = max(_CHUNK_NORMALS // math.prod(shape), *slots)
     clouds = list(inits)
-    done = [0] * len(cfgs)
-    # Raw normals of the fine slots start, start + 1, ... still needed.
-    path, start = np.zeros((0,) + shape), 0
-    for c0 in range(0, n_slots, stretch):
-        c1 = min(c0 + stretch, n_slots)
-        if noisy:
-            fresh = step_normals(seed, np.arange(c0, c1)[:, None], *shape)
-            path = np.concatenate([path, fresh]) if len(path) else fresh
-        updates = []
-        for j, (cfg, m) in enumerate(zip(cfgs, slots)):
-            first, n = done[j], min(cfg.n_iters, c1 // m) - done[j]
-            if n <= 0:
-                continue
-            blocks = [None] * n
-            if noisy:
-                rows = path[m * first - start:m * (first + n) - start]
-                blocks = sqrt_dt * rows.reshape((n, m) + shape).sum(axis=1)
-            updates += [(m * (it + 1), j, it, block)
-                        for it, block in zip(range(first, first + n), blocks)]
-            done[j] += n
-        for _, j, it, block in sorted(updates, key=lambda u: u[:2]):
-            clouds[j] = _apply_step(model, clouds[j], dataset, grid, cfgs[j],
-                                    it, block)
-            if observe is not None:
-                observe(j, it + 1, clouds[j])
-        # The first slot an unfinished member still needs.
-        keep = min((m * d for m, d, end in zip(slots, done, ends)
-                    if m * d < end), default=c1)
-        path, start = path[keep - start:], keep
+    for j, it, noise in _path_blocks(cfgs, shape):
+        clouds[j] = _apply_step(model, clouds[j], dataset, grid, cfgs[j], it,
+                                noise)
+        if observe is not None:
+            observe(j, it + 1, clouds[j])
     return clouds
 
 

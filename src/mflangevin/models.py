@@ -122,8 +122,8 @@ class PriorSpec:
 
 def gaussian_prior(kappa: float, dim_param: int) -> PriorSpec:
     """Gaussian prior U(a) = kappa|a|^2/2 + normaliser, grad U = kappa a."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:  # NaN fails the comparison too
+        raise ValueError("kappa must be finite and positive")
     log_norm = 0.5 * dim_param * math.log(2.0 * math.pi / kappa)
 
     def grad_U(a):

@@ -89,6 +89,19 @@ def test_csv_roundtrip_extreme_values(tmp_path, grid):
     np.testing.assert_array_equal(back.particles, cloud.particles)
 
 
+def test_csv_bytes_match_per_entry_format(tmp_path, grid):
+    arr = cloud_init(3, grid, 2, ("gaussian", 0.0, 1.0), seed=5).particles
+    arr[0, 0, 0], arr[0, 1, 1], arr[1, 2, 0] = 1e-300, -2.5e-300, 3.0
+    arr[2, 0, 1], arr[2, 4, 0] = -7.0, -0.0
+    cloud = ParticleCloud(particles=arr, grid=grid)
+    path = tmp_path / "cloud.csv"
+    cloud_to_csv(cloud, path)
+    expected = "particle,node,coord,value\n" + "".join(
+        f"{i},{l},{c},{arr[i, l, c]:.17g}\n"
+        for i in range(3) for l in range(grid.n_nodes) for c in range(2))
+    assert path.read_bytes() == expected.encode()
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 4)

@@ -173,6 +173,21 @@ class TestTrain:
                             noise_dt=0.0025)
         np.testing.assert_array_equal(cfg.fine_offsets(), [0, 4, 8, 12])
 
+    @pytest.mark.parametrize("field,value", [
+        ("sigma", float("nan")), ("sigma", float("inf")),
+        ("gamma", float("nan")), ("gamma", float("inf")),
+        ("noise_dt", float("nan")), ("noise_dt", float("inf")),
+        ("record_every", -1), ("snapshot_every", -1),
+    ])
+    def test_non_finite_or_negative_field_rejected(self, field, value):
+        # Accepted, a NaN or infinite value fails only at the first update
+        # with a misleading message, and a negative period silently turns
+        # recording off.
+        fields = dict(sigma=0.5, prior=gaussian_prior(1.0, 1), gamma=0.01,
+                      n_iters=3)
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{**fields, field: value})
+
     def test_coarse_run_consumes_fine_brownian_path(self):
         # Zero drift, pure noise: one run at gamma and one at gamma/4 with
         # shared noise_dt land on the same Brownian endpoint.
@@ -293,6 +308,26 @@ class TestSharedPath:
             solo, _ = train(model, ds, grid, cfg, init)
             assert final.particles.tobytes() == solo.particles.tobytes()
 
+    @pytest.mark.parametrize("n_iters,noise_dt,record_every",
+                             [(1, None, 0), (40, None, 7), (120, 0.0025, 0),
+                              (300, 0.005, 50)])
+    def test_train_reads_the_path_as_a_one_member_coupled_run(
+            self, drawn, n_iters, noise_dt, record_every):
+        # 200 particles on 3 nodes: stretches of 27 slots, so the longer
+        # runs draw their path in several stretches and updates of 2 or 4
+        # slots straddle them.
+        grid = TimeGrid(1.0, 2)
+        model, ds, init = quadratic_toy(grid, n_particles=200)
+        cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(1.0, 1),
+                            gamma=0.01, n_iters=n_iters, seed=2,
+                            record_every=record_every, noise_dt=noise_dt)
+        final, _ = train(model, ds, grid, cfg, init)
+        solo = list(drawn)
+        drawn.clear()
+        [member] = langevin.coupled_runs(model, ds, grid, [cfg], [init])
+        assert [f.tolist() for f in drawn] == [f.tolist() for f in solo]
+        assert member.particles.tobytes() == final.particles.tobytes()
+
     def test_updates_are_observed_in_path_order(self):
         model, ds, grid, init = self._problem()
         cfgs = [TrainerConfig(sigma=1.0, prior=gaussian_prior(2.0, 2),
@@ -334,35 +369,14 @@ def test_lipschitz_probe_positive_and_deterministic():
 
 
 class TestStepSchedule:
-    @pytest.mark.parametrize("n_iters,noise_dt,record_every",
-                             [(1, None, 0), (40, None, 7), (120, 0.0025, 0),
-                              (300, 0.005, 50)])
-    def test_train_builds_fine_offsets_once(self, monkeypatch, n_iters,
-                                            noise_dt, record_every):
-        calls = []
-        original = TrainerConfig.fine_offsets
-
-        def counting(self):
-            calls.append(1)
-            return original(self)
-
-        monkeypatch.setattr(TrainerConfig, "fine_offsets", counting)
-        grid = TimeGrid(1.0, 2)
-        model, ds, init = quadratic_toy(grid)
-        cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(1.0, 1),
-                            gamma=0.01, n_iters=n_iters, seed=2,
-                            record_every=record_every, noise_dt=noise_dt)
-        train(model, ds, grid, cfg, init)
-        assert len(calls) <= 1
-
     @pytest.mark.parametrize("n_iters,noise_dt,n_particles",
                              [(30, 0.0025, 8), (130, None, 40),
                               (7, 0.001, 300)])
     def test_each_fine_slot_is_drawn_once(self, drawn, n_iters, noise_dt,
                                           n_particles):
-        # Noise is read a chunk of updates per draw, at most 2^14 normals
-        # or one update's block; over the run every fine slot is drawn
-        # exactly once, and none past its last update.
+        # Noise is read a stretch of fine slots per draw, at most 2^14
+        # normals or one update's block; over the run every fine slot is
+        # drawn exactly once, and none past its last update.
         grid = TimeGrid(1.0, 2)
         model, ds, init = quadratic_toy(grid, n_particles=n_particles)
         cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(1.0, 1),
@@ -385,6 +399,20 @@ class TestStepSchedule:
         langevin_step(model, init, ds, grid, cfg, 5)
         assert len(drawn) == 1
         np.testing.assert_array_equal(drawn[0].ravel(), np.arange(20, 24))
+
+    @pytest.mark.parametrize("noise_dt", [None, 0.0025])
+    def test_langevin_step_continues_train_snapshots(self, noise_dt):
+        # 300 particles on 3 nodes: train draws 18 slots a stretch, so
+        # the run crosses stretches, straddled ones with noise_dt set.
+        grid = TimeGrid(1.0, 2)
+        model, ds, init = quadratic_toy(grid, n_particles=300, seed=3)
+        cfg = TrainerConfig(sigma=0.8, prior=gaussian_prior(1.0, 1),
+                            gamma=0.01, n_iters=25, seed=4, record_every=0,
+                            snapshot_every=1, noise_dt=noise_dt)
+        _, hist = train(model, ds, grid, cfg, init)
+        for (k, cloud), (_, after) in zip(hist.snapshots, hist.snapshots[1:]):
+            stepped = langevin_step(model, cloud, ds, grid, cfg, k)
+            assert stepped.particles.tobytes() == after.particles.tobytes()
 
     def test_recorded_rows_match_fresh_objective(self):
         # Recording reuses the drift's forward sweep; the row must equal

@@ -206,6 +206,11 @@ class TestPrior:
         with pytest.raises(ValueError):
             gaussian_prior(0.0, 1)
 
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_kappa_must_be_finite(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            gaussian_prior(kappa, 1)
+
 
 def test_zero_cost_model_has_vanishing_costs():
     model = make_zero_cost_model(2)

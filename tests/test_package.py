@@ -1,6 +1,8 @@
-"""The package surface: exported names, names the demos import, import cost."""
+"""The package surface: exported names, names the demos import and the
+benchmark wraps, import cost."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -8,8 +10,10 @@ import sys
 from pathlib import Path
 
 import mflangevin
+from mflangevin import langevin
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_every_exported_name_resolves():
@@ -31,6 +35,21 @@ def test_demos_import_only_names_that_exist():
                             for alias in node.names
                             if not hasattr(module, alias.name)]
     assert not missing
+
+
+def test_benchmark_tracer_names_exist():
+    # bench/tracing.py wraps these by name; a rename would make a traced
+    # benchmark run fail.  Its MODEL_MAPS is read without importing bench/.
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    [maps] = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets]
+              == ["MODEL_MAPS"]]
+    fields = {f.name for f in dataclasses.fields(mflangevin.ModelSpec)}
+    assert maps and not set(maps) - fields
+    assert callable(langevin.TrainerConfig.fine_offsets)
+    assert callable(langevin.step_normals)
+    assert callable(langevin.train)
 
 
 def test_import_leaves_w2_and_entropy_dependencies_unloaded():
