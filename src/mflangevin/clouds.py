@@ -58,6 +58,14 @@ class ParticleCloud:
     def with_particles(self, particles: np.ndarray) -> "ParticleCloud":
         return replace(self, particles=particles)
 
+    def _with_checked(self, particles: np.ndarray) -> "ParticleCloud":
+        """This cloud with ``particles``, a float array of its shape that the
+        caller has checked is finite: built without ``__post_init__``, so the
+        trainer tests each update once."""
+        cloud = object.__new__(type(self))
+        cloud.__dict__.update(self.__dict__, particles=particles)
+        return cloud
+
 
 def cloud_init(n_particles: int, grid: TimeGrid, dim_param: int,
                init=("gaussian", 0.0, 1.0), seed: int = 0) -> ParticleCloud:

@@ -196,11 +196,11 @@ def _apply_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     new = theta - cfg.gamma * move
     if cfg.sigma > 0.0:
         new = new + cfg.sigma * noise
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         raise NonFiniteParticleError(
             f"non-finite particle after iteration {iter_index} "
             "(training step too large for the drift scale)")
-    return cloud.with_particles(new)
+    return cloud._with_checked(new)
 
 
 def langevin_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,

@@ -15,13 +15,15 @@ x, a, zeta_t, p)`` returns (d_x phi)^T p with shape (..., d) and
 ``p`` broadcasts like ``x``.  They are the x- and a-gradients of phi . p,
 the first term of the Hamiltonian h = phi . p + f.
 
-The sweeps call a node pair (:meth:`ModelSpec.node_pair`).  At one grid
-node, ``forward(t, x, a, zeta_t)`` maps samples ``x`` (N1, d), particles
-``a`` (N2, p) and data (N1, q) or None to mean_i phi (N1, d) and a cache;
-``backward(cache, p)`` maps the costate (N1, d) to mean_i [(d_x phi)^T p
-+ d_x f] (N1, d) and mean_k [(d_a phi)^T p + d_a f] (N2, p).  The tanh
-builtins fuse theirs into matrix products over (N1, N2 * m) blocks; other
-models derive theirs from the point maps.
+The sweeps call a sweep pair (:meth:`ModelSpec.sweep_pair`) that runs the
+whole grid.  ``forward(grid, xi, theta, zeta)`` maps the initial states
+``xi`` (N1, d), the particles ``theta`` (N2, n_nodes, p) and the data
+(N1, q), (N1, n_nodes, q) or None to the Euler states x (N1, n_nodes, d)
+and a cache; ``backward(cache, p_n)`` maps the terminal costate (N1, d) to
+the costates p (N1, n_nodes, d) and the drift (N2, n_nodes, p), whose
+entry at node l is mean_k [(d_a phi)^T p_{l+1} + d_a f] and whose terminal
+row is zero.  The tanh builtins fuse theirs into matrix products over
+(N1, N2 * m) blocks; other models derive theirs from the point maps.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ class ModelSpec:
     and ``grad_a_phi`` take the costate as a fifth argument and return its
     products with the Jacobians of phi (see the module docstring).
 
-    ``forward`` and ``backward`` are an optional fused node pair.
-    ``dataclasses.replace`` keeps them as given, so replace them with the
-    maps they fuse; a derived pair reads the current maps.
+    ``forward`` and ``backward`` are an optional fused sweep pair (see the
+    module docstring).  ``dataclasses.replace`` keeps them as given, so
+    replace them with the maps they fuse; a derived pair reads the current
+    maps.
     """
 
     dim_state: int
@@ -83,22 +86,38 @@ class ModelSpec:
         if (self.forward is None) != (self.backward is None):
             raise ValueError("set both forward and backward, or neither")
 
-    def node_pair(self) -> tuple[Callable, Callable]:
+    def sweep_pair(self) -> tuple[Callable, Callable]:
         """The fused (forward, backward) pair if set, else one derived now
-        from the point maps, with samples and particles on batch axes 0, 1."""
+        from the point maps, with samples and particles on batch axes 0, 1
+        of each node's call."""
         if self.forward is not None:
             return self.forward, self.backward
 
-        def forward(t, x, a, zeta_t):
-            args = (t, x[:, None, :], a[None],
-                    None if zeta_t is None else zeta_t[:, None, :])
-            return self.phi(*args).mean(axis=1), args
+        def forward(grid, xi, theta, zeta):
+            x = np.empty((len(xi), grid.n_nodes, self.dim_state))
+            x[:, 0, :] = xi
+            nodes = []
+            for l in range(grid.n_steps):
+                zeta_l = None if zeta is None else _node_data(zeta, l)[:, None, :]
+                args = (grid.nodes[l], x[:, l, None, :], theta[None, :, l, :],
+                        zeta_l)
+                x[:, l + 1, :] = x[:, l, :] + grid.dt * self.phi(*args).mean(axis=1)
+                nodes.append(args)
+            return x, (grid, theta.shape, nodes)
 
-        def backward(args, p):
-            p = p[:, None, :]
-            gx = (self.grad_x_phi(*args, p).mean(axis=1)
-                  + self.grad_x_f(*args).mean(axis=1))
-            return gx, (self.grad_a_phi(*args, p) + self.grad_a_f(*args)).mean(axis=0)
+        def backward(cache, p_n):
+            grid, shape, nodes = cache
+            p = np.empty((len(p_n), grid.n_nodes, self.dim_state))
+            p[:, -1, :] = p_n
+            drift = np.zeros(shape)
+            for l in range(grid.n_steps - 1, -1, -1):
+                args, p_next = nodes[l], p[:, l + 1, None, :]
+                gx = (self.grad_x_phi(*args, p_next).mean(axis=1)
+                      + self.grad_x_f(*args).mean(axis=1))
+                drift[:, l, :] = (self.grad_a_phi(*args, p_next)
+                                  + self.grad_a_f(*args)).mean(axis=0)
+                p[:, l, :] = p[:, l + 1, :] + grid.dt * gx
+            return p, drift
 
         return forward, backward
 
@@ -152,6 +171,17 @@ def _spread(out: np.ndarray, bshape: tuple, n_core: int) -> np.ndarray:
     if out.shape[:out.ndim - n_core] == bshape:
         return out
     return np.broadcast_to(out, bshape + out.shape[out.ndim - n_core:]).copy()
+
+
+def _node_data(zeta: np.ndarray, l: int) -> np.ndarray:
+    """The data slice (N1, q) at node ``l`` of vector or path data."""
+    return zeta[:, l, :] if zeta.ndim == 3 else zeta
+
+
+def _nodes_data(zeta: np.ndarray, n: int) -> np.ndarray:
+    """The data slices (N1, n, q) of nodes 0 .. n - 1 of path data, or
+    (N1, 1, q) of vector data, as a view."""
+    return zeta[:, :n, :] if zeta.ndim == 3 else zeta[:, None, :]
 
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -378,40 +408,88 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
             cols.append(_outer(v, zeta1))
         return _columns(_batch_shape(x, a, zeta_t, p), *cols)
 
-    # The fused node pair.  Unit u of particle i is column i * m + u of the
-    # (N1, N2 * m) blocks, so each sum over samples or particles is one
-    # matrix product.
-    def forward(t, x, a, zeta_t):
-        a1, *rest = _split(a, blocks)
-        w = xbar = zeta1 = z = None
+    # The fused sweep pair.  At node l, unit u of particle i is column
+    # i * m + u of the (N1, N2 * m) blocks, so each sum over samples or
+    # particles is one matrix product, and one reshape per sweep lays out
+    # every node's parameter blocks.  one_layer_residual's units do not
+    # read the state, so its products are stacked over nodes; the
+    # state-driven kinds loop over nodes for the x- and p-recursions and
+    # keep their (N1, N2 * m) working arrays per node.
+    def forward(grid, xi, theta, zeta):
+        n, n2 = grid.n_steps, len(theta)
+        # A1 columns (n, N2 * m, d), w (n, N2 * m) and A (n, d, N2 * m).
+        a1, *rest = _split(theta[:, :n], blocks)
+        cols = a1.transpose(1, 0, 3, 2).reshape(n, n2 * m, d)
+        w = amat = None
         if state_driven:
-            w = rest.pop(0).reshape(-1)
-            xbar = np.mean(x, axis=1)
-            z = xbar[:, None] * w
+            w = rest.pop(0).transpose(1, 0, 2).reshape(n, n2 * m)
         if data_driven:
-            zeta1 = zeta_t[:, :d]
-            az = zeta1 @ rest[0].transpose(2, 0, 1).reshape(d, -1)
-            z = az if z is None else z + az
-        h = np.tanh(z)
-        cols = a1.transpose(0, 2, 1).reshape(-1, d)  # row i * m + u: A1[i, :, u]
-        return (h @ cols) / len(a), (x, zeta_t, cols, w, xbar, zeta1, h)
+            amat = rest[0].transpose(1, 3, 0, 2).reshape(n, d, n2 * m)
+        x = np.empty((len(xi), grid.n_nodes, d))
+        x[:, 0, :] = xi
+        xbars = []
+        if state_driven:
+            h = []
+            for l in range(n):
+                xbars.append(x[:, l, :].sum(axis=1) / d)  # mean(x)
+                z = xbars[l][:, None] * w[l]
+                if data_driven:
+                    z = z + _node_data(zeta, l)[:, :d] @ amat[l]
+                h.append(np.tanh(z))
+                x[:, l + 1, :] = x[:, l, :] + grid.dt * ((h[l] @ cols[l]) / n2)
+        else:
+            zeta1 = _nodes_data(zeta, n)[..., :d].transpose(1, 0, 2)
+            h = zeta1 @ amat
+            np.tanh(h, out=h)
+            x[:, 1:, :] = (grid.dt * ((h @ cols) / n2)).transpose(1, 0, 2)
+            x.cumsum(axis=1, out=x)  # the Euler adds, in node order
+        return x, (grid, theta.shape, cols, w, zeta, x, xbars, h)
 
-    def backward(cache, p):
-        x, zeta_t, cols, w, xbar, zeta1, h = cache
-        n1, n2 = len(p), len(cols) // m
-        v = (p @ cols.T) * (1.0 - h * h)
-        sums = [(p.T @ h).reshape(d, n2, m).transpose(1, 0, 2)]
+    def backward(cache, p_n):
+        grid, shape, cols, w, zeta, x, xbars, h = cache
+        n, n1, n2 = grid.n_steps, len(p_n), shape[0]
+        p = np.empty((n1, grid.n_nodes, d))
+        p[:, -1, :] = p_n
+        # Per node, with v = (A1^T p) * tanh'(z): sum_k p_k h_k^T
+        # (d, N2 * m), sum_k xbar_k v_k and sum_k zeta1_k v_k^T (d, N2 * m).
         if state_driven:
-            sums.append(xbar @ v)
+            sums = [np.empty((n, d, n2 * m)), np.empty((n, n2 * m))]
+            if data_driven:
+                sums.append(np.empty((n, d, n2 * m)))
+            if kind == "timeseries_interp":
+                running = 2.0 * (x[:, :n, :] - _nodes_data(zeta, n)[..., d:])
+            for l in range(n - 1, -1, -1):
+                p_next, h_l = p[:, l + 1, :], h[l]
+                v = (p_next @ cols[l].T) * (1.0 - h_l * h_l)
+                sums[0][l] = p_next.T @ h_l
+                sums[1][l] = xbars[l] @ v
+                if data_driven:
+                    sums[2][l] = _node_data(zeta, l)[:, :d].T @ v
+                # phi reads x through mean(x) only, as in grad_x_phi.
+                gx = ((v @ w[l]) / (n2 * d))[:, None]
+                if kind == "timeseries_interp":
+                    gx = gx + running[:, l, :]
+                p[:, l, :] = p_next + grid.dt * gx
+        else:
+            # grad_x phi and f vanish, so every step adds dt * 0.
+            p[:, :-1, :] = (p_n + grid.dt * 0.0)[:, None, :]
+            p_next = p[:, 1:, :].transpose(1, 0, 2)
+            # In place: these arrays hold every node's (N1, N2 * m) block.
+            v = p_next @ cols.transpose(0, 2, 1)
+            dh = h * h
+            v *= np.subtract(1.0, dh, out=dh)
+            sums = [p_next.transpose(0, 2, 1) @ h,
+                    _nodes_data(zeta, n)[..., :d].transpose(1, 2, 0) @ v]
+        # Parameter order within a particle: A1 (d, m), w (m), A (m, d).
+        sums[0] = sums[0].reshape(n, d, n2, m).transpose(2, 0, 1, 3)
+        if state_driven:
+            sums[1] = sums[1].reshape(n, n2, m).transpose(1, 0, 2)
         if data_driven:
-            sums.append((zeta1.T @ v).reshape(d, n2, m).transpose(1, 2, 0))
-        ga = np.concatenate([s.reshape(n2, -1) for s in sums], axis=1) / n1
-        gx = np.zeros((n1, d))
-        if state_driven:  # phi reads x through mean(x) only, as in grad_x_phi
-            gx = np.broadcast_to(((v @ w) / (n2 * d))[:, None], (n1, d))
-        if kind == "timeseries_interp":
-            gx = gx + 2.0 * (x - zeta_t[:, d:])
-        return gx, ga
+            sums[-1] = sums[-1].reshape(n, d, n2, m).transpose(2, 0, 3, 1)
+        drift = np.zeros(shape)
+        for (sl, _), s in zip(blocks, sums):
+            drift[:, :n, sl] = s.reshape(n2, n, -1) / n1
+        return p, drift
 
     return ModelSpec(dim_state=d, dim_param=dim_param, dim_data=q,
                      phi=phi, grad_x_phi=grad_x_phi, grad_a_phi=grad_a_phi,

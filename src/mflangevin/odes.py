@@ -15,10 +15,12 @@ running cost at node l).  The terminal node carries no drift: theta_{i,n}
 never enters the discrete objective, so its entry in the drift array is
 zero and the corresponding particles feel only the prior and the noise.
 
-Both sweeps go through the model's node pair
-(:meth:`~mflangevin.models.ModelSpec.node_pair`): the forward sweep keeps
-each node's cache, and one backward loop turns the caches into the costate
-and the drift together (:func:`solve_paths`).
+Both sweeps run inside the model's sweep pair
+(:meth:`~mflangevin.models.ModelSpec.sweep_pair`): its forward runs the
+Euler states over the whole grid and keeps a cache, and its backward turns
+the cache and the terminal costate into every costate and the drift
+together (:func:`solve_paths`).  This module checks the setup before a
+sweep and the states and costates after it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,15 @@ def _check_setup(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
         raise ValueError("path data must be sampled on the grid nodes")
 
 
+def _first_nonfinite(values: np.ndarray, nodes) -> tuple[int, int]:
+    """(node, sample) of the first non-finite entry of ``values``
+    (N1, n_nodes, d) on ``nodes``, taken in the order given."""
+    bad = ~np.isfinite(values).all(axis=2)
+    for l in nodes:
+        if bad[:, l].any():
+            return l, int(np.argmax(bad[:, l]))
+
+
 def forward_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
                   grid: TimeGrid) -> np.ndarray:
     """Euler states for every sample, shape (N1, n_nodes, d).
@@ -58,52 +69,41 @@ def forward_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
 
 
 def _forward(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-             grid: TimeGrid) -> tuple[np.ndarray, list]:
-    """The Euler states and each node's cache from the model's node pair."""
+             grid: TimeGrid) -> tuple[np.ndarray, object]:
+    """The Euler states and the cache of the model's forward sweep."""
     _check_setup(model, cloud, dataset, grid)
-    forward, _ = model.node_pair()
-    x = np.empty((dataset.n_samples, grid.n_nodes, model.dim_state))
-    x[:, 0, :] = dataset.xi
-    caches = []
-    theta = cloud.particles
-    dt = grid.dt
-    for l in range(grid.n_steps):
-        zeta_l = dataset.zeta_node(l) if model.dim_data else None
-        drift, cache = forward(grid.nodes[l], x[:, l, :], theta[:, l, :], zeta_l)
-        x[:, l + 1, :] = x[:, l, :] + dt * drift
-        if not np.isfinite(x[:, l + 1, :]).all():
-            bad = int(np.argwhere(~np.isfinite(x[:, l + 1, :]).all(axis=1))[0, 0])
-            raise NonFiniteStateError(
-                f"non-finite state at node {l + 1}, sample {bad} "
-                "(step too large or model blow-up)")
-        caches.append(cache)
-    return x, caches
+    forward, _ = model.sweep_pair()
+    x, cache = forward(grid, dataset.xi, cloud.particles,
+                       dataset.zeta if model.dim_data else None)
+    # A non-finite xi makes node 1 non-finite too, so the scan skips node 0.
+    if not np.isfinite(x).all():
+        node, sample = _first_nonfinite(x, range(1, grid.n_nodes))
+        raise NonFiniteStateError(
+            f"non-finite state at node {node}, sample {sample} "
+            "(step too large or model blow-up)")
+    return x, cache
 
 
 def solve_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
                 grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """States and costates (N1, n_nodes, d) and the drift (N2, n_nodes, p).
 
-    One forward sweep keeps each node's cache; one backward loop then
-    gives, from p_n = grad_x g(x_n, zeta),
+    One forward sweep keeps its cache; one backward sweep then gives, from
+    p_n = grad_x g(x_n, zeta),
     p_l = p_{l+1} + dt * mean_i [ (grad_x phi_{t_l})^T p_{l+1} + grad_x f_{t_l} ]
     and the drift entry [i, l] = mean_k [ (grad_a phi_{t_l})^T p_{l+1}
     + grad_a f_{t_l} ], all at (X_{k,l}, theta_{i,l}).  The terminal row of
     the drift is zero per the node convention above.
     """
-    x, caches = _forward(model, cloud, dataset, grid)
-    _, backward = model.node_pair()
-    p = np.empty_like(x)
-    p[:, -1, :] = model.grad_x_g(x[:, -1, :], dataset.zeta)
-    drift = np.zeros(cloud.particles.shape)
-    dt = grid.dt
-    for l in range(grid.n_steps - 1, -1, -1):
-        gx, drift[:, l, :] = backward(caches[l], p[:, l + 1, :])
-        p[:, l, :] = p[:, l + 1, :] + dt * gx
-        if not np.isfinite(p[:, l, :]).all():
-            bad = int(np.argwhere(~np.isfinite(p[:, l, :]).all(axis=1))[0, 0])
-            raise NonFiniteCostateError(
-                f"non-finite costate at node {l}, sample {bad}")
+    x, cache = _forward(model, cloud, dataset, grid)
+    _, backward = model.sweep_pair()
+    p, drift = backward(cache, model.grad_x_g(x[:, -1, :], dataset.zeta))
+    if not np.isfinite(p).all():
+        # The backward sweep meets node n - 1 first; a non-finite p_n makes
+        # it non-finite too.
+        node, sample = _first_nonfinite(p, range(grid.n_steps - 1, -1, -1))
+        raise NonFiniteCostateError(
+            f"non-finite costate at node {node}, sample {sample}")
     return x, p, drift
 
 

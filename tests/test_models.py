@@ -9,9 +9,9 @@ import pytest
 from mflangevin.clouds import cloud_init
 from mflangevin.datasets import generate_dataset
 from mflangevin.grids import TimeGrid
-from mflangevin.models import (gaussian_prior, make_builtin_model,
-                               make_linear_drift_model, make_zero_cost_model,
-                               model_grad_selfcheck)
+from mflangevin.models import (BUILTIN_KINDS, gaussian_prior,
+                               make_builtin_model, make_linear_drift_model,
+                               make_zero_cost_model, model_grad_selfcheck)
 from mflangevin.odes import mean_field_drift, solve_paths
 from mflangevin.rng import PURPOSE_PROBE, keyed_normals
 
@@ -126,15 +126,17 @@ class TestNeuralOdeTanh:
 
 
 def _grad_a_h(model, x, p, a, z):
-    """grad_a of h = phi . p + f at one point, through the node pair the
-    sweeps use: one sample and one particle at t = 0."""
-    forward, backward = model.node_pair()
-    _, cache = forward(0.0, x[None], a[None], z[None])
-    return backward(cache, p[None])[1][0]
+    """grad_a of h = phi . p + f at one point, through the sweep pair the
+    sweeps use: one sample, one particle and one step from t = 0, so the
+    drift at node 0 pairs the state x with the terminal costate p."""
+    forward, backward = model.sweep_pair()
+    _, cache = forward(TimeGrid(1.0, 1), x[None], np.stack([a, a])[None],
+                       z[None])
+    return backward(cache, p[None])[1][0, 0]
 
 
 class TestHamiltonian:
-    """The data-averaged Hamiltonian a-gradient of the node pair."""
+    """The data-averaged Hamiltonian a-gradient of the sweep pair."""
 
     def test_linear_case(self):
         # f = 0 and phi(x, a) = a in one dimension: grad_a h = p.
@@ -297,7 +299,7 @@ def test_phi_matches_einsum_reference(kind, d, m):
                               "timeseries_interp")
     for d, m in itertools.product((1, 2, 3), (1, 2, 3))])
 def test_fused_pair_matches_point_map_pair(kind, d, m):
-    # The builtins' fused node pair against the pair derived from their
+    # The builtins' fused sweep pair against the pair derived from their
     # point maps, on a random cloud: the sums run in another order, so the
     # states, costates and drifts agree to a few ulps of their largest
     # entry.  The derived pair reads the maps when used, so a model made
@@ -320,8 +322,88 @@ def test_fused_pair_matches_point_map_pair(kind, d, m):
                                   2.0 * mean_field_drift(derived, cloud, ds, grid))
 
 
-def test_node_pair_needs_both_maps():
+def _node_loop(kind, d, m, grid, xi, theta, zeta, p_n):
+    """The tanh builtins' sweeps one node at a time: states, costates and
+    drift from the same per-node products as the fused sweep pair."""
+    state, data = kind != "one_layer_residual", kind != "neural_ode_tanh"
+    n1, n2, dt = len(xi), len(theta), grid.dt
+    x = np.empty((n1, grid.n_nodes, d))
+    x[:, 0] = xi
+    p = np.empty_like(x)
+    p[:, -1] = p_n
+    drift = np.zeros(theta.shape)
+    units = []
+    for l in range(grid.n_steps):
+        a, zeta_l = theta[:, l], zeta[:, l] if zeta.ndim == 3 else zeta
+        cols = a[:, :d * m].reshape(n2, d, m).transpose(0, 2, 1).reshape(-1, d)
+        w = a[:, d * m:d * m + m].reshape(-1) if state else None
+        xbar = np.mean(x[:, l], axis=1)
+        z = xbar[:, None] * w if state else None
+        if data:
+            amat = a[:, -m * d:].reshape(n2, m, d).transpose(2, 0, 1).reshape(d, -1)
+            az = zeta_l[:, :d] @ amat
+            z = az if z is None else z + az
+        h = np.tanh(z)
+        x[:, l + 1] = x[:, l] + dt * ((h @ cols) / n2)
+        units.append((zeta_l, cols, w, xbar, h))
+    for l in range(grid.n_steps - 1, -1, -1):
+        zeta_l, cols, w, xbar, h = units[l]
+        v = (p[:, l + 1] @ cols.T) * (1.0 - h * h)
+        sums = [(p[:, l + 1].T @ h).reshape(d, n2, m).transpose(1, 0, 2)]
+        gx = np.zeros((n1, d))
+        if state:
+            sums.append(xbar @ v)
+            gx = np.broadcast_to(((v @ w) / (n2 * d))[:, None], (n1, d))
+        if data:
+            sums.append((zeta_l[:, :d].T @ v).reshape(d, n2, m).transpose(1, 2, 0))
+        if kind == "timeseries_interp":
+            gx = gx + 2.0 * (x[:, l] - zeta_l[:, d:])
+        drift[:, l] = np.concatenate([s.reshape(n2, -1) for s in sums], axis=1) / n1
+        p[:, l] = p[:, l + 1] + dt * gx
+    return x, p, drift
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (5, 6)])
+@pytest.mark.parametrize("n_steps", [1, 4])
+@pytest.mark.parametrize("path", [False, True], ids=["vector", "path"])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+def test_fused_sweep_matches_derived_sweep(kind, m, path, n_steps, n1, n2):
+    # The sweep pairs called directly, at the edge shapes: one step, one
+    # sample, one particle, and vector or path data of every builtin.  The
+    # fused sweep equals the node loop bit for bit, its states and costates
+    # start exactly at xi and p_n, its drift's terminal row is exactly
+    # zero, and the derived sweep agrees with it to a few ulps.
+    d = 2
+    fused = make_builtin_model(kind, d=d, p_hidden=m,
+                               dim_data=2 * d if kind == "timeseries_interp" else d)
+    derived = dataclasses.replace(fused, forward=None, backward=None)
+    grid = TimeGrid(1.0, n_steps)
+    rng = np.random.default_rng(100 * n_steps + 10 * n1 + n2)
+    xi = rng.normal(size=(n1, d))
+    theta = rng.normal(size=(n2, grid.n_nodes, fused.dim_param))
+    zeta = rng.normal(size=(n1, grid.n_nodes, fused.dim_data) if path
+                      else (n1, fused.dim_data))
+    p_n = rng.normal(size=(n1, d))
+    runs = []
+    for model in (fused, derived):
+        forward, backward = model.sweep_pair()
+        x, cache = forward(grid, xi, theta, zeta)
+        runs.append((x, *backward(cache, p_n)))
+    x, p, drift = runs[0]
+    assert x.shape == p.shape == (n1, grid.n_nodes, d)
+    np.testing.assert_array_equal(x[:, 0], xi)
+    np.testing.assert_array_equal(p[:, -1], p_n)
+    assert not drift[:, -1].any()
+    for got, want in zip(runs[0], _node_loop(kind, d, m, grid, xi, theta,
+                                             zeta, p_n)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(*runs):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_sweep_pair_needs_both_maps():
     model = make_linear_drift_model(1)
-    forward, _ = model.node_pair()
+    forward, _ = model.sweep_pair()
     with pytest.raises(ValueError, match="both"):
         dataclasses.replace(model, forward=forward)

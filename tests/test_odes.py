@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflangevin.clouds import cloud_init
+from mflangevin.clouds import ParticleCloud, cloud_init
 from mflangevin.datasets import Dataset
 from mflangevin.exceptions import NonFiniteCostateError, NonFiniteStateError
 from mflangevin.grids import TimeGrid
@@ -91,6 +91,22 @@ class TestForward:
         with pytest.raises(NonFiniteStateError):
             with np.errstate(over="ignore", invalid="ignore"):
                 forward_paths(model, cloud, _scalar_dataset(xi=1.0), grid)
+
+    def test_builtin_blowup_names_node_and_sample(self):
+        # one_layer_residual's forward stacks every node's units at once.
+        # Huge A1 weights at node 2 overflow the drift of the samples whose
+        # units are nonzero (data 3, not 0), so node 3 is the first bad one.
+        model = make_builtin_model("one_layer_residual", d=1, p_hidden=1,
+                                   dim_data=1)
+        grid = TimeGrid(1.0, 4)
+        theta = np.ones((2, grid.n_nodes, 2))
+        theta[:, 2, 0] = 1e308
+        cloud = ParticleCloud(particles=theta, grid=grid)
+        ds = Dataset(xi=np.zeros((3, 1)), zeta=np.array([[0.0], [3.0], [3.0]]))
+        with pytest.raises(NonFiniteStateError,
+                           match="non-finite state at node 3, sample 1 "):
+            with np.errstate(over="ignore", invalid="ignore"):
+                forward_paths(model, cloud, ds, grid)
 
 
 class TestAdjoint:
@@ -271,10 +287,13 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in paths)).hexdigest())
 """
 
 
-@pytest.mark.parametrize("kind", ["one_layer_residual", "timeseries_interp"])
+@pytest.mark.parametrize("kind", ["one_layer_residual", "neural_ode_tanh",
+                                  "timeseries_interp"])
 def test_drift_bytes_do_not_depend_on_blas_threads(kind):
-    # The fused node pair sums with matrix products; each BLAS thread count
-    # runs in its own process, since OpenBLAS reads it at load time.
+    # The fused sweep pair sums with matrix products, stacked over nodes for
+    # one_layer_residual and per node for the state-driven kinds; each BLAS
+    # thread count runs in its own process, since OpenBLAS reads it at load
+    # time.
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
