@@ -11,16 +11,19 @@ The noise realises the entropic regularisation, so no score term is ever
 evaluated.  Brownian increments come from the counter-based generator
 keyed by (seed, fine iteration, particle, node); runs that share a seed
 share a Brownian path, which is what the coupled-pair, surrogate, and
-step-size studies rely on.  One reader draws the path a stretch of fine
-slots at a time for a single run (:func:`train`) or for several that
-advance together (:func:`coupled_runs`), and each run sums its own slots,
-so a member of a coupled group is its solo run by construction.
+step-size studies rely on.  :func:`train` advances one run, or a group of
+runs on one path (:func:`coupled_runs`): one reader draws the path a
+stretch of fine slots at a time and each run sums its own slots, and the
+members whose updates end on the same slot share one sweep on the sweep
+pair's member axis, so a member of a group is its solo run by
+construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .grids import TimeGrid
 from .metrics import paired_distance
 from .models import ModelSpec, PriorSpec
 from .objective import objective_Jsigma
-from .odes import mean_field_drift, solve_paths
+from .odes import mean_field_drift, solve_group, solve_paths
 from .rng import PURPOSE_PROBE, keyed_normals, step_normals
 
 __all__ = [
@@ -138,10 +141,10 @@ def _step_times(cfg: TrainerConfig) -> np.ndarray:
 def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
     """Read one Brownian path for runs that advance together.
 
-    Yields ``(member, iteration, noise)`` for every update of every member
-    of ``cfgs``, in the order the updates end on the path (in list order
-    where they end together); ``noise`` is the update's scaled Brownian
-    block, or None when no member is noisy.  The members share the seed
+    Yields, for each fine slot on which updates end, the list of
+    ``(member, iteration, noise)`` of those updates in the order of
+    ``cfgs``; ``noise`` is the update's scaled Brownian block, or None when
+    no member is noisy.  The members share the seed
     and the fine slot length.  The path is drawn a stretch of fine slots
     at a time, at most ``_CHUNK_NORMALS`` normals or one update of the
     coarsest member, and each member sums its own slots of a stretch in
@@ -176,8 +179,8 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
                         for it, block in zip(range(first, first + n), blocks)]
             done[j] += n
         # (end slot, member) is unique, so blocks are never compared.
-        for _, j, it, block in sorted(updates):
-            yield j, it, block
+        for _, group in itertools.groupby(sorted(updates), key=lambda u: u[0]):
+            yield [(j, it, block) for _, j, it, block in group]
         # The first slot an unfinished member still needs.
         keep = min((m * d for m, d, end in zip(slots, done, ends)
                     if m * d < end), default=c1)
@@ -217,19 +220,39 @@ def langevin_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
 
 
 def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
-          cfg: TrainerConfig, init: ParticleCloud):
+          cfg: TrainerConfig, init: ParticleCloud, *, coupled=(),
+          observe=None):
     """Run ``cfg.n_iters`` updates from ``init``; deterministic given the seed.
 
     Returns (final cloud, history).  Scalar rows are recorded every
     ``record_every`` iterations (0 disables) plus at the final state; cloud
     snapshots every ``snapshot_every`` iterations feed the studies.
+
+    ``coupled`` lists further runs, as (config, init) pairs, that advance
+    with this one on its Brownian path, drawing each fine slot once; they
+    share its seed, fine slot length and cloud shape and record nothing.
+    The runs are members 0, 1, ... in the order given, and this one is the
+    last.  Members whose updates end on the same fine slot share one call
+    of the sweep pair (:func:`~mflangevin.odes.solve_group`), and each
+    member's clouds are exactly those it has alone.  ``observe(member,
+    iterate, cloud)``, if given, is called after every update, in the
+    order the updates end on the path (in member order where they end
+    together).
     """
+    cfgs = [c for c, _ in coupled] + [cfg]
+    clouds = [cloud for _, cloud in coupled] + [init]
+    shape = init.particles.shape
+    if any(cloud.particles.shape != shape for cloud in clouds):
+        raise ValueError("coupled runs need equal cloud shapes")
+    if len({(c.seed, _fine_slots(c)[1]) for c in cfgs}) > 1:
+        raise ValueError("coupled runs need one seed and one noise_dt")
+    own = len(coupled)
     history = TrainHistory()
     s = _step_times(cfg)
 
-    def record(it, cloud):
-        """Append a history row for ``cloud``; return its drift."""
-        x, _, drift = solve_paths(model, cloud, dataset, grid)
+    def record(it, cloud, x, drift):
+        """Append a history row for ``cloud``, whose states and drift are
+        ``x`` and ``drift``."""
         # J comes from the forward states the drift was computed from.
         val = objective_Jsigma(model, cloud, dataset, grid, cfg.sigma,
                                cfg.prior, x=x)
@@ -239,19 +262,24 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
         history.Jsigma.append(val.j_sigma if cfg.sigma > 0.0 else None)
         history.grad_norm.append(drift_norm(drift, grid))
         history.second_moment.append(cloud.second_moment())
-        return drift
 
-    cloud = init
-    for _, it, noise in _path_blocks([cfg], init.particles.shape):
-        drift = None
-        if cfg.record_every > 0 and it % cfg.record_every == 0:
-            drift = record(it, cloud)
-        if cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0:
-            history.snapshots.append((it, cloud))
-        cloud = _apply_step(model, cloud, dataset, grid, cfg, it, noise,
-                            drift)
+    for group in _path_blocks(cfgs, shape):
+        xs, _, drifts = solve_group(model, [clouds[j] for j, _, _ in group],
+                                    dataset, grid)
+        for (j, it, noise), x, drift in zip(group, xs, drifts):
+            if j == own:
+                if cfg.record_every > 0 and it % cfg.record_every == 0:
+                    record(it, clouds[j], x, drift)
+                if cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0:
+                    history.snapshots.append((it, clouds[j]))
+            clouds[j] = _apply_step(model, clouds[j], dataset, grid, cfgs[j],
+                                    it, noise, drift)
+            if observe is not None:
+                observe(j, it + 1, clouds[j])
+    cloud = clouds[own]
     if cfg.record_every > 0:
-        record(cfg.n_iters, cloud)
+        x, _, drift = solve_paths(model, cloud, dataset, grid)
+        record(cfg.n_iters, cloud, x, drift)
     if cfg.snapshot_every > 0:
         history.snapshots.append((cfg.n_iters, cloud))
     return cloud, history
@@ -264,27 +292,26 @@ def coupled_runs(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
 
     The members share the seed and the fine slot length (``noise_dt``, or
     ``gamma`` when it is unset) and may differ in init and in ``gamma``, a
-    multiple of ``noise_dt``.  They read the path through the reader that
-    :func:`train` uses for one run, so every member ends on exactly the
-    cloud ``train`` returns for it alone.  ``observe(member, iterate,
-    cloud)``, if given, is called after every update, in the order the
-    updates end on the path (in list order where they end together).
-    Returns the final clouds.
+    multiple of ``noise_dt``.  They run as one :func:`train` group, the last
+    member being ``train``'s own run with recording off, so every member
+    ends on exactly the cloud ``train`` returns for it alone.
+    ``observe(member, iterate, cloud)``, if given, is called after every
+    update, in the order the updates end on the path (in list order where
+    they end together).  Returns the final clouds.
     """
     if len(cfgs) != len(inits):
         raise ValueError("need one init per coupled run")
-    shape = inits[0].particles.shape
-    if any(init.particles.shape != shape for init in inits):
-        raise ValueError("coupled runs need equal cloud shapes")
-    if len({(cfg.seed, _fine_slots(cfg)[1]) for cfg in cfgs}) > 1:
-        raise ValueError("coupled runs need one seed and one noise_dt")
-    clouds = list(inits)
-    for j, it, noise in _path_blocks(cfgs, shape):
-        clouds[j] = _apply_step(model, clouds[j], dataset, grid, cfgs[j], it,
-                                noise)
+    finals = list(inits)
+
+    def keep(member, iterate, cloud):
+        finals[member] = cloud
         if observe is not None:
-            observe(j, it + 1, clouds[j])
-    return clouds
+            observe(member, iterate, cloud)
+
+    train(model, dataset, grid,
+          replace(cfgs[-1], record_every=0, snapshot_every=0), inits[-1],
+          coupled=list(zip(cfgs[:-1], inits[:-1])), observe=keep)
+    return finals
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,18 @@ x, a, zeta_t, p)`` returns (d_x phi)^T p with shape (..., d) and
 the first term of the Hamiltonian h = phi . p + f.
 
 The sweeps call a sweep pair (:meth:`ModelSpec.sweep_pair`) that runs the
-whole grid.  ``forward(grid, xi, theta, zeta)`` maps the initial states
-``xi`` (N1, d), the particles ``theta`` (N2, n_nodes, p) and the data
-(N1, q), (N1, n_nodes, q) or None to the Euler states x (N1, n_nodes, d)
-and a cache; ``backward(cache, p_n)`` maps the terminal costate (N1, d) to
-the costates p (N1, n_nodes, d) and the drift (N2, n_nodes, p), whose
-entry at node l is mean_k [(d_a phi)^T p_{l+1} + d_a f] and whose terminal
-row is zero.  The tanh builtins fuse theirs into matrix products over
-(N1, N2 * m) blocks; other models derive theirs from the point maps.
+whole grid for r clouds at once, the members of one coupled group, on a
+leading member axis.  ``forward(grid, xi, theta, zeta)`` maps the initial
+states ``xi`` (N1, d), the particles ``theta`` (r, N2, n_nodes, p) and the
+data (N1, q), (N1, n_nodes, q) or None to the Euler states x
+(r, N1, n_nodes, d) and a cache; ``backward(cache, p_n)`` maps the
+terminal costates (r, N1, d) to the costates p (r, N1, n_nodes, d) and the
+drift (r, N2, n_nodes, p), whose entry at node l is mean_k [(d_a phi)^T
+p_{l+1} + d_a f] and whose terminal row is zero.  Each member's results
+are the bytes it gets alone (r = 1).  ``grad_x_g`` is called once per
+group, on the terminal states (r, N1, d) of every member.  The tanh
+builtins fuse their pair into matrix products over (N1, N2 * m) blocks;
+other models derive theirs from the point maps, one member at a time.
 """
 
 from __future__ import annotations
@@ -89,34 +93,39 @@ class ModelSpec:
     def sweep_pair(self) -> tuple[Callable, Callable]:
         """The fused (forward, backward) pair if set, else one derived now
         from the point maps, with samples and particles on batch axes 0, 1
-        of each node's call."""
+        of each member's and node's call."""
         if self.forward is not None:
             return self.forward, self.backward
 
         def forward(grid, xi, theta, zeta):
-            x = np.empty((len(xi), grid.n_nodes, self.dim_state))
-            x[:, 0, :] = xi
+            x = np.empty((len(theta), len(xi), grid.n_nodes, self.dim_state))
+            x[:, :, 0, :] = xi
             nodes = []
-            for l in range(grid.n_steps):
-                zeta_l = None if zeta is None else _node_data(zeta, l)[:, None, :]
-                args = (grid.nodes[l], x[:, l, None, :], theta[None, :, l, :],
-                        zeta_l)
-                x[:, l + 1, :] = x[:, l, :] + grid.dt * self.phi(*args).mean(axis=1)
-                nodes.append(args)
+            for x_j, theta_j in zip(x, theta):
+                nodes.append([])
+                for l in range(grid.n_steps):
+                    zeta_l = (None if zeta is None
+                              else _node_data(zeta, l)[:, None, :])
+                    args = (grid.nodes[l], x_j[:, l, None, :],
+                            theta_j[None, :, l, :], zeta_l)
+                    x_j[:, l + 1, :] = (x_j[:, l, :]
+                                        + grid.dt * self.phi(*args).mean(axis=1))
+                    nodes[-1].append(args)
             return x, (grid, theta.shape, nodes)
 
         def backward(cache, p_n):
             grid, shape, nodes = cache
-            p = np.empty((len(p_n), grid.n_nodes, self.dim_state))
-            p[:, -1, :] = p_n
+            p = np.empty(p_n.shape[:2] + (grid.n_nodes, self.dim_state))
+            p[:, :, -1, :] = p_n
             drift = np.zeros(shape)
-            for l in range(grid.n_steps - 1, -1, -1):
-                args, p_next = nodes[l], p[:, l + 1, None, :]
-                gx = (self.grad_x_phi(*args, p_next).mean(axis=1)
-                      + self.grad_x_f(*args).mean(axis=1))
-                drift[:, l, :] = (self.grad_a_phi(*args, p_next)
-                                  + self.grad_a_f(*args)).mean(axis=0)
-                p[:, l, :] = p[:, l + 1, :] + grid.dt * gx
+            for p_j, drift_j, nodes_j in zip(p, drift, nodes):
+                for l in range(grid.n_steps - 1, -1, -1):
+                    args, p_next = nodes_j[l], p_j[:, l + 1, None, :]
+                    gx = (self.grad_x_phi(*args, p_next).mean(axis=1)
+                          + self.grad_x_f(*args).mean(axis=1))
+                    drift_j[:, l, :] = (self.grad_a_phi(*args, p_next)
+                                        + self.grad_a_f(*args)).mean(axis=0)
+                    p_j[:, l, :] = p_j[:, l + 1, :] + grid.dt * gx
             return p, drift
 
         return forward, backward
@@ -411,84 +420,91 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
     # The fused sweep pair.  At node l, unit u of particle i is column
     # i * m + u of the (N1, N2 * m) blocks, so each sum over samples or
     # particles is one matrix product, and one reshape per sweep lays out
-    # every node's parameter blocks.  one_layer_residual's units do not
-    # read the state, so its products are stacked over nodes; the
-    # state-driven kinds loop over nodes for the x- and p-recursions and
-    # keep their (N1, N2 * m) working arrays per node.
+    # every member's and node's parameter blocks.  one_layer_residual's
+    # units do not read the state, so its products are stacked over members
+    # and nodes; the state-driven kinds loop over members and nodes for the
+    # x- and p-recursions and keep their (N1, N2 * m) working arrays per
+    # node.
     def forward(grid, xi, theta, zeta):
-        n, n2 = grid.n_steps, len(theta)
-        # A1 columns (n, N2 * m, d), w (n, N2 * m) and A (n, d, N2 * m).
-        a1, *rest = _split(theta[:, :n], blocks)
-        cols = a1.transpose(1, 0, 3, 2).reshape(n, n2 * m, d)
+        r, n2, n = len(theta), theta.shape[1], grid.n_steps
+        # With r members: A1 columns (r, n, N2 * m, d), w (r, n, N2 * m)
+        # and A (r, n, d, N2 * m).
+        a1, *rest = _split(theta[:, :, :n], blocks)
+        cols = a1.transpose(0, 2, 1, 4, 3).reshape(r, n, n2 * m, d)
         w = amat = None
         if state_driven:
-            w = rest.pop(0).transpose(1, 0, 2).reshape(n, n2 * m)
+            w = rest.pop(0).transpose(0, 2, 1, 3).reshape(r, n, n2 * m)
         if data_driven:
-            amat = rest[0].transpose(1, 3, 0, 2).reshape(n, d, n2 * m)
-        x = np.empty((len(xi), grid.n_nodes, d))
-        x[:, 0, :] = xi
-        xbars = []
+            amat = rest[0].transpose(0, 2, 4, 1, 3).reshape(r, n, d, n2 * m)
+        x = np.empty((r, len(xi), grid.n_nodes, d))
+        x[:, :, 0, :] = xi
+        xbars, h = [], []
         if state_driven:
-            h = []
-            for l in range(n):
-                xbars.append(x[:, l, :].sum(axis=1) / d)  # mean(x)
-                z = xbars[l][:, None] * w[l]
-                if data_driven:
-                    z = z + _node_data(zeta, l)[:, :d] @ amat[l]
-                h.append(np.tanh(z))
-                x[:, l + 1, :] = x[:, l, :] + grid.dt * ((h[l] @ cols[l]) / n2)
+            for j, x_j in enumerate(x):
+                xbars.append([])
+                h.append([])
+                for l in range(n):
+                    xbars[j].append(x_j[:, l, :].sum(axis=1) / d)  # mean(x)
+                    z = xbars[j][l][:, None] * w[j, l]
+                    if data_driven:
+                        z = z + _node_data(zeta, l)[:, :d] @ amat[j, l]
+                    h[j].append(np.tanh(z))
+                    x_j[:, l + 1, :] = (x_j[:, l, :]
+                                        + grid.dt * ((h[j][l] @ cols[j, l]) / n2))
         else:
             zeta1 = _nodes_data(zeta, n)[..., :d].transpose(1, 0, 2)
             h = zeta1 @ amat
             np.tanh(h, out=h)
-            x[:, 1:, :] = (grid.dt * ((h @ cols) / n2)).transpose(1, 0, 2)
-            x.cumsum(axis=1, out=x)  # the Euler adds, in node order
+            x[:, :, 1:, :] = (grid.dt * ((h @ cols) / n2)).transpose(0, 2, 1, 3)
+            x.cumsum(axis=2, out=x)  # the Euler adds, in node order
         return x, (grid, theta.shape, cols, w, zeta, x, xbars, h)
 
     def backward(cache, p_n):
         grid, shape, cols, w, zeta, x, xbars, h = cache
-        n, n1, n2 = grid.n_steps, len(p_n), shape[0]
-        p = np.empty((n1, grid.n_nodes, d))
-        p[:, -1, :] = p_n
+        (r, n2), n, n1 = shape[:2], grid.n_steps, p_n.shape[1]
+        p = np.empty((r, n1, grid.n_nodes, d))
+        p[:, :, -1, :] = p_n
         # Per node, with v = (A1^T p) * tanh'(z): sum_k p_k h_k^T
         # (d, N2 * m), sum_k xbar_k v_k and sum_k zeta1_k v_k^T (d, N2 * m).
         if state_driven:
-            sums = [np.empty((n, d, n2 * m)), np.empty((n, n2 * m))]
+            sums = [np.empty((r, n, d, n2 * m)), np.empty((r, n, n2 * m))]
             if data_driven:
-                sums.append(np.empty((n, d, n2 * m)))
+                sums.append(np.empty((r, n, d, n2 * m)))
             if kind == "timeseries_interp":
-                running = 2.0 * (x[:, :n, :] - _nodes_data(zeta, n)[..., d:])
-            for l in range(n - 1, -1, -1):
-                p_next, h_l = p[:, l + 1, :], h[l]
-                v = (p_next @ cols[l].T) * (1.0 - h_l * h_l)
-                sums[0][l] = p_next.T @ h_l
-                sums[1][l] = xbars[l] @ v
-                if data_driven:
-                    sums[2][l] = _node_data(zeta, l)[:, :d].T @ v
-                # phi reads x through mean(x) only, as in grad_x_phi.
-                gx = ((v @ w[l]) / (n2 * d))[:, None]
-                if kind == "timeseries_interp":
-                    gx = gx + running[:, l, :]
-                p[:, l, :] = p_next + grid.dt * gx
+                running = 2.0 * (x[:, :, :n, :] - _nodes_data(zeta, n)[..., d:])
+            for j, p_j in enumerate(p):
+                for l in range(n - 1, -1, -1):
+                    p_next, h_l = p_j[:, l + 1, :], h[j][l]
+                    v = (p_next @ cols[j, l].T) * (1.0 - h_l * h_l)
+                    sums[0][j, l] = p_next.T @ h_l
+                    sums[1][j, l] = xbars[j][l] @ v
+                    if data_driven:
+                        sums[2][j, l] = _node_data(zeta, l)[:, :d].T @ v
+                    # phi reads x through mean(x) only, as in grad_x_phi.
+                    gx = ((v @ w[j, l]) / (n2 * d))[:, None]
+                    if kind == "timeseries_interp":
+                        gx = gx + running[j, :, l, :]
+                    p_j[:, l, :] = p_next + grid.dt * gx
         else:
             # grad_x phi and f vanish, so every step adds dt * 0.
-            p[:, :-1, :] = (p_n + grid.dt * 0.0)[:, None, :]
-            p_next = p[:, 1:, :].transpose(1, 0, 2)
-            # In place: these arrays hold every node's (N1, N2 * m) block.
-            v = p_next @ cols.transpose(0, 2, 1)
+            p[:, :, :-1, :] = (p_n + grid.dt * 0.0)[:, :, None, :]
+            p_next = p[:, :, 1:, :].transpose(0, 2, 1, 3)
+            # In place: these arrays hold every member's and node's
+            # (N1, N2 * m) block.
+            v = p_next @ cols.transpose(0, 1, 3, 2)
             dh = h * h
             v *= np.subtract(1.0, dh, out=dh)
-            sums = [p_next.transpose(0, 2, 1) @ h,
+            sums = [p_next.transpose(0, 1, 3, 2) @ h,
                     _nodes_data(zeta, n)[..., :d].transpose(1, 2, 0) @ v]
         # Parameter order within a particle: A1 (d, m), w (m), A (m, d).
-        sums[0] = sums[0].reshape(n, d, n2, m).transpose(2, 0, 1, 3)
+        sums[0] = sums[0].reshape(r, n, d, n2, m).transpose(0, 3, 1, 2, 4)
         if state_driven:
-            sums[1] = sums[1].reshape(n, n2, m).transpose(1, 0, 2)
+            sums[1] = sums[1].reshape(r, n, n2, m).transpose(0, 2, 1, 3)
         if data_driven:
-            sums[-1] = sums[-1].reshape(n, d, n2, m).transpose(2, 0, 3, 1)
+            sums[-1] = sums[-1].reshape(r, n, d, n2, m).transpose(0, 3, 1, 4, 2)
         drift = np.zeros(shape)
         for (sl, _), s in zip(blocks, sums):
-            drift[:, :n, sl] = s.reshape(n2, n, -1) / n1
+            drift[:, :, :n, sl] = s.reshape(r, n2, n, -1) / n1
         return p, drift
 
     return ModelSpec(dim_state=d, dim_param=dim_param, dim_data=q,

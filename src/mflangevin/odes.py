@@ -19,8 +19,10 @@ Both sweeps run inside the model's sweep pair
 (:meth:`~mflangevin.models.ModelSpec.sweep_pair`): its forward runs the
 Euler states over the whole grid and keeps a cache, and its backward turns
 the cache and the terminal costate into every costate and the drift
-together (:func:`solve_paths`).  This module checks the setup before a
-sweep and the states and costates after it.
+together (:func:`solve_paths`).  The pair takes several clouds on a leading
+member axis, so the members of a coupled group that update together share
+one sweep (:func:`solve_group`).  This module checks the setup before a
+sweep and each member's states and costates after it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .exceptions import NonFiniteCostateError, NonFiniteStateError
 from .grids import TimeGrid
 from .models import ModelSpec
 
-__all__ = ["forward_paths", "solve_paths", "mean_field_drift"]
+__all__ = ["forward_paths", "solve_paths", "solve_group", "mean_field_drift"]
 
 
 def _check_setup(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
@@ -59,29 +61,67 @@ def _first_nonfinite(values: np.ndarray, nodes) -> tuple[int, int]:
             return l, int(np.argmax(bad[:, l]))
 
 
+def _forward(model: ModelSpec, clouds: list, dataset: Dataset,
+             grid: TimeGrid) -> tuple[np.ndarray, object, int | None]:
+    """The Euler states (r, N1, n_nodes, d) of r clouds on the sweep pair's
+    member axis, the sweep's cache, and the first member whose states are
+    not finite (None if all are)."""
+    for cloud in clouds:
+        _check_setup(model, cloud, dataset, grid)
+    forward, _ = model.sweep_pair()
+    x, cache = forward(grid, dataset.xi,
+                       np.array([cloud.particles for cloud in clouds]),
+                       dataset.zeta if model.dim_data else None)
+    bad = None
+    if not np.isfinite(x).all():
+        bad = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
+    return x, cache, bad
+
+
+def _state_error(x: np.ndarray, grid: TimeGrid) -> NonFiniteStateError:
+    # A non-finite xi makes node 1 non-finite too, so the scan skips node 0.
+    node, sample = _first_nonfinite(x, range(1, grid.n_nodes))
+    return NonFiniteStateError(f"non-finite state at node {node}, sample "
+                               f"{sample} (step too large or model blow-up)")
+
+
 def forward_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
                   grid: TimeGrid) -> np.ndarray:
     """Euler states for every sample, shape (N1, n_nodes, d).
 
     x_{l+1} = x_l + dt * mean_i phi_{t_l}(x_l, theta_{i,l}, zeta_l).
     """
-    return _forward(model, cloud, dataset, grid)[0]
+    x, _, bad = _forward(model, [cloud], dataset, grid)
+    if bad is not None:
+        raise _state_error(x[0], grid)
+    return x[0]
 
 
-def _forward(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-             grid: TimeGrid) -> tuple[np.ndarray, object]:
-    """The Euler states and the cache of the model's forward sweep."""
-    _check_setup(model, cloud, dataset, grid)
-    forward, _ = model.sweep_pair()
-    x, cache = forward(grid, dataset.xi, cloud.particles,
-                       dataset.zeta if model.dim_data else None)
-    # A non-finite xi makes node 1 non-finite too, so the scan skips node 0.
-    if not np.isfinite(x).all():
-        node, sample = _first_nonfinite(x, range(1, grid.n_nodes))
-        raise NonFiniteStateError(
-            f"non-finite state at node {node}, sample {sample} "
-            "(step too large or model blow-up)")
-    return x, cache
+def solve_group(model: ModelSpec, clouds: list, dataset: Dataset,
+                grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`solve_paths` of r clouds, stacked on a leading member axis,
+    from one call of each half of the sweep pair.
+
+    Member j's states, costates and drift are the bytes its own
+    :func:`solve_paths` returns.  The first member whose states or
+    costates are not finite raises the error its own :func:`solve_paths`
+    raises.
+    """
+    x, cache, bad = _forward(model, clouds, dataset, grid)
+    if bad is not None:
+        if bad:
+            solve_group(model, clouds[:bad], dataset, grid)
+        raise _state_error(x[bad], grid)
+    _, backward = model.sweep_pair()
+    p, drift = backward(cache, model.grad_x_g(x[:, :, -1, :], dataset.zeta))
+    if not np.isfinite(p).all():
+        p_j = next(p_j for p_j in p if not np.isfinite(p_j).all())
+        # The backward sweep meets node n - 1 first; a non-finite p_n makes
+        # it non-finite too.
+        node, sample = _first_nonfinite(p_j, range(grid.n_steps - 1, -1, -1))
+        raise NonFiniteCostateError(
+            f"non-finite costate at node {node}, sample {sample}")
+    return x, p, drift
 
 
 def solve_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
@@ -95,16 +135,8 @@ def solve_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     + grad_a f_{t_l} ], all at (X_{k,l}, theta_{i,l}).  The terminal row of
     the drift is zero per the node convention above.
     """
-    x, cache = _forward(model, cloud, dataset, grid)
-    _, backward = model.sweep_pair()
-    p, drift = backward(cache, model.grad_x_g(x[:, -1, :], dataset.zeta))
-    if not np.isfinite(p).all():
-        # The backward sweep meets node n - 1 first; a non-finite p_n makes
-        # it non-finite too.
-        node, sample = _first_nonfinite(p, range(grid.n_steps - 1, -1, -1))
-        raise NonFiniteCostateError(
-            f"non-finite costate at node {node}, sample {sample}")
-    return x, p, drift
+    x, p, drift = solve_group(model, [cloud], dataset, grid)
+    return x[0], p[0], drift[0]
 
 
 def mean_field_drift(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,

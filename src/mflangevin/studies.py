@@ -347,10 +347,10 @@ def run_euler_study(setup: StudySetup, gamma_list, *, s_final: float = 1.0,
     Brownian increments are generated at the reference resolution and
     summed by coarser runs, so every run discretises the same path and the
     final-time mean squared deviation from the reference isolates the
-    discretisation error.  The reference run and the coarse runs are two
-    independent points for ``threads``; the coarse runs advance together
-    on one draw of the path (:func:`coupled_runs`).  The slope of log MSE
-    against log gamma is checked against ``slope_bounds``.
+    discretisation error.  The coarse runs and the reference run, last, are
+    one coupled group (:func:`coupled_runs`) that draws the path once;
+    ``threads`` does not split it.  The slope of log MSE against log gamma
+    is checked against ``slope_bounds``.
     """
     t0 = time.perf_counter()
     check_study_values("euler", dict(gamma_list=gamma_list, s_final=s_final,
@@ -365,16 +365,9 @@ def run_euler_study(setup: StudySetup, gamma_list, *, s_final: float = 1.0,
                        n_iters=int(round(s_final / gamma)),
                        noise_dt=gamma_ref, record_every=0, snapshot_every=0)
 
-    def point(coarse: bool) -> list:
-        if not coarse:
-            cloud, _ = train(setup.model, dataset, setup.grid,
-                             config_at(gamma_ref), init)
-            return [cloud]
-        return coupled_runs(setup.model, dataset, setup.grid,
-                            [config_at(g) for g in gamma_list],
-                            [init] * len(gamma_list))
-
-    (ref,), finals = _map_points(point, [False, True], threads)
+    cfgs = [config_at(g) for g in gamma_list + [gamma_ref]]
+    *finals, ref = coupled_runs(setup.model, dataset, setup.grid, cfgs,
+                                [init] * len(cfgs))
     mse = np.array([_squared_paired(f.particles, ref.particles, setup.grid.dt)
                     for f in finals])
     slope, stderr = fit_loglog(gamma_list, mse)

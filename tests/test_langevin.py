@@ -1,12 +1,16 @@
 """Trainer dynamics: steps, noise and coupling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mflangevin import langevin
-from mflangevin.clouds import cloud_init
+from mflangevin.clouds import ParticleCloud, cloud_init
 from mflangevin.datasets import Dataset, generate_dataset
-from mflangevin.exceptions import NonFiniteParticleError
+from mflangevin.exceptions import (NonFiniteCostateError,
+                                   NonFiniteParticleError,
+                                   NonFiniteStateError)
 from mflangevin.grids import TimeGrid
 from mflangevin.langevin import (TrainerConfig, coupled_pair_run,
                                  langevin_step, lipschitz_probe, train)
@@ -20,20 +24,6 @@ def quadratic_toy(grid, n_particles=8, seed=0):
     ds = Dataset(xi=np.array([[0.0]]), zeta=np.array([[1.0]]))
     init = cloud_init(n_particles, grid, 1, ("gaussian", 0.0, 1.0), seed=seed)
     return model, ds, init
-
-
-@pytest.fixture
-def drawn(monkeypatch):
-    """The ``fine_iters`` of every ``step_normals`` call the trainer makes."""
-    calls = []
-    original = langevin.step_normals
-
-    def recording(seed, fine_iters, *shape):
-        calls.append(np.asarray(fine_iters))
-        return original(seed, fine_iters, *shape)
-
-    monkeypatch.setattr(langevin, "step_normals", recording)
-    return calls
 
 
 class TestStep:
@@ -340,6 +330,56 @@ class TestSharedPath:
         # Member 0 ends updates on slots 3, 6, 9, 12; member 1 on 2, 4, ...
         assert seen == [(1, 1), (0, 1), (1, 2), (0, 2), (1, 3), (1, 4),
                         (0, 3), (1, 5), (0, 4), (1, 6)]
+
+    @staticmethod
+    def _blowup(kind):
+        """A model, data, a config and a cloud whose run raises ``kind``,
+        and a healthy cloud of the same shape."""
+        grid = TimeGrid(1.0, 2)
+        ds = Dataset(xi=np.zeros((3, 1)), zeta=np.array([[0.0], [3.0], [3.0]]))
+        model = make_linear_drift_model(1)
+        gamma = 0.01
+        healthy = np.full((4, grid.n_nodes, 1), 0.5)
+        bad = healthy.copy()
+        if kind is NonFiniteParticleError:
+            # No drift and gamma (sigma^2 kappa / 2) = 3: the big particle
+            # doubles in size every update until it overflows.
+            model = make_zero_cost_model(1)
+            gamma, bad[0, 0, 0] = 3.0, 1e303
+        elif kind is NonFiniteStateError:
+            # Huge A1 weights at node 1 overflow the states from node 2.
+            model = make_builtin_model("one_layer_residual", d=1, p_hidden=1,
+                                       dim_data=1)
+            healthy = np.ones((4, grid.n_nodes, 2))
+            bad = healthy.copy()
+            bad[:, 1, 0] = 1e308
+        else:
+            def grad_x_f(t, x, a, z):
+                return np.where(np.abs(a) > 1e3, np.inf, 0.0) + 0.0 * x
+
+            model = dataclasses.replace(model, grad_x_f=grad_x_f)
+            bad[0, 1, 0] = 1e4
+        cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(2.0, 1),
+                            gamma=gamma, n_iters=20, seed=3, record_every=0)
+        return (model, ds, grid, cfg, ParticleCloud(particles=bad, grid=grid),
+                ParticleCloud(particles=healthy, grid=grid))
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    @pytest.mark.parametrize("kind", [NonFiniteParticleError,
+                                      NonFiniteStateError,
+                                      NonFiniteCostateError])
+    def test_blowup_in_a_group_raises_its_solo_error(self, kind, bad_first):
+        # Both members end every update on the same slot, so they share
+        # each sweep; the one that blows up raises the text of its solo
+        # run, and the healthy one next to it does not change that.
+        model, ds, grid, cfg, bad, healthy = self._blowup(kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(kind) as solo:
+                train(model, ds, grid, cfg, bad)
+            inits = [bad, healthy] if bad_first else [healthy, bad]
+            with pytest.raises(kind) as group:
+                langevin.coupled_runs(model, ds, grid, [cfg, cfg], inits)
+        assert str(group.value) == str(solo.value)
 
     def test_members_must_share_the_path(self):
         model, ds, grid, init = self._problem()

@@ -130,9 +130,9 @@ def _grad_a_h(model, x, p, a, z):
     sweeps use: one sample, one particle and one step from t = 0, so the
     drift at node 0 pairs the state x with the terminal costate p."""
     forward, backward = model.sweep_pair()
-    _, cache = forward(TimeGrid(1.0, 1), x[None], np.stack([a, a])[None],
+    _, cache = forward(TimeGrid(1.0, 1), x[None], np.stack([a, a])[None, None],
                        z[None])
-    return backward(cache, p[None])[1][0, 0]
+    return backward(cache, p[None, None])[1][0, 0, 0]
 
 
 class TestHamiltonian:
@@ -388,8 +388,8 @@ def test_fused_sweep_matches_derived_sweep(kind, m, path, n_steps, n1, n2):
     runs = []
     for model in (fused, derived):
         forward, backward = model.sweep_pair()
-        x, cache = forward(grid, xi, theta, zeta)
-        runs.append((x, *backward(cache, p_n)))
+        x, cache = forward(grid, xi, theta[None], zeta)
+        runs.append([out[0] for out in (x, *backward(cache, p_n[None]))])
     x, p, drift = runs[0]
     assert x.shape == p.shape == (n1, grid.n_nodes, d)
     np.testing.assert_array_equal(x[:, 0], xi)
@@ -400,6 +400,42 @@ def test_fused_sweep_matches_derived_sweep(kind, m, path, n_steps, n1, n2):
         np.testing.assert_array_equal(got, want)
     for got, want in zip(*runs):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _stacking_models():
+    """Every builtin at d, p_hidden in {1, 2}, the two linear models, and a
+    linear model whose phi is replaced, so its derived pair reads x."""
+    models = {f"{kind}-d{d}-m{m}": make_builtin_model(
+        kind, d=d, p_hidden=m, dim_data=2 * d if kind == "timeseries_interp" else d)
+        for kind in BUILTIN_KINDS for d in (1, 2) for m in (1, 2)}
+    models["linear_drift"] = make_linear_drift_model(2)
+    models["zero_cost"] = make_zero_cost_model(2)
+    models["replaced_phi"] = dataclasses.replace(
+        make_linear_drift_model(2), phi=lambda t, x, a, z: a * np.tanh(x))
+    return models
+
+
+@pytest.mark.parametrize("members", [1, 2, 5])
+@pytest.mark.parametrize("name", list(_stacking_models()))
+def test_stacked_sweep_equals_solo_sweeps(name, members):
+    # Clouds on the sweep pair's member axis: every member's states,
+    # costates and drift are the bytes of its own one-member sweep.
+    model = _stacking_models()[name]
+    grid = TimeGrid(1.0, 3)
+    rng = np.random.default_rng(members)
+    path = model.kind == "timeseries_interp"
+    xi = rng.normal(size=(5, model.dim_state))
+    theta = rng.normal(size=(members, 6, grid.n_nodes, model.dim_param))
+    zeta = rng.normal(size=(5, grid.n_nodes, model.dim_data) if path
+                      else (5, model.dim_data))
+    p_n = rng.normal(size=(members, 5, model.dim_state))
+    forward, backward = model.sweep_pair()
+    x, cache = forward(grid, xi, theta, zeta)
+    stacked = (x, *backward(cache, p_n))
+    for j in range(members):
+        x, cache = forward(grid, xi, theta[j:j + 1], zeta)
+        for got, want in zip(stacked, (x, *backward(cache, p_n[j:j + 1]))):
+            assert got[j].tobytes() == want[0].tobytes()
 
 
 def test_sweep_pair_needs_both_maps():

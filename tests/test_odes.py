@@ -274,26 +274,28 @@ _DRIFT_DIGEST = """
 import hashlib, sys
 from mflangevin import cloud_init, generate_dataset, make_builtin_model
 from mflangevin.grids import TimeGrid
-from mflangevin.odes import solve_paths
+from mflangevin.odes import solve_group, solve_paths
 kind = sys.argv[1]
 series = kind == "timeseries_interp"
 model = make_builtin_model(kind, d=2, p_hidden=8, dim_data=4 if series else 2)
 grid = TimeGrid(1.0, 4)
 ds = generate_dataset("timeseries" if series else "regression", 64, 2, 5,
                       grid, target="scaled")
-cloud = cloud_init(256, grid, model.dim_param, ("gaussian", 0.0, 1.0), seed=6)
-paths = solve_paths(model, cloud, ds, grid)
-print(hashlib.sha256(b"".join(a.tobytes() for a in paths)).hexdigest())
+clouds = [cloud_init(256, grid, model.dim_param, ("gaussian", 0.0, 1.0),
+                     seed=seed) for seed in (6, 7, 8)]
+paths = solve_paths(model, clouds[0], ds, grid)
+stacked = solve_group(model, clouds, ds, grid)
+print(hashlib.sha256(b"".join(a.tobytes() for a in paths + stacked)).hexdigest())
 """
 
 
 @pytest.mark.parametrize("kind", ["one_layer_residual", "neural_ode_tanh",
                                   "timeseries_interp"])
 def test_drift_bytes_do_not_depend_on_blas_threads(kind):
-    # The fused sweep pair sums with matrix products, stacked over nodes for
-    # one_layer_residual and per node for the state-driven kinds; each BLAS
-    # thread count runs in its own process, since OpenBLAS reads it at load
-    # time.
+    # The fused sweep pair sums with matrix products, stacked over members
+    # and nodes for one_layer_residual and per node for the state-driven
+    # kinds; one cloud and a stack of three are digested.  Each BLAS thread
+    # count runs in its own process, since OpenBLAS reads it at load time.
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):

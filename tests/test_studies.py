@@ -108,25 +108,20 @@ class TestEulerStudy:
         assert mse[1] / mse[0] == pytest.approx(0.25, abs=0.12)
 
     def test_final_clouds_equal_solo_runs_bytewise(self, monkeypatch):
-        # The coarse runs share one draw of the path; each must still end
-        # on the cloud train returns for it alone, and so must the
-        # reference run.
+        # The coarse runs and the reference share one draw of the path as
+        # one coupled group; each must still end on the cloud train
+        # returns for it alone.
         setup = small_setup(n_particles=16, n_samples=4)
         finals = {}
 
-        def spy(fn):
-            def wrapped(model, dataset, grid, cfgs, *args):
-                out = fn(model, dataset, grid, cfgs, *args)
-                if isinstance(cfgs, list):
-                    finals.update((cfg.gamma, c) for cfg, c in zip(cfgs, out))
-                else:
-                    finals[cfgs.gamma] = out[0]
-                return out
-            return wrapped
+        def spy(model, dataset, grid, cfgs, *args):
+            out = true_group(model, dataset, grid, cfgs, *args)
+            finals.update((cfg.gamma, c) for cfg, c in zip(cfgs, out))
+            return out
 
-        monkeypatch.setattr(studies, "train", spy(studies.train))
-        monkeypatch.setattr(studies, "coupled_runs", spy(studies.coupled_runs))
-        # Slot ratios 5, 3 and 2 on 300 slots, drawn in stretches of 102
+        true_group = studies.coupled_runs
+        monkeypatch.setattr(studies, "coupled_runs", spy)
+        # Slot ratios 5, 3, 2 and 1 on 300 slots, drawn in stretches of 102
         # (16,384 normals over 160 per slot): some updates straddle two.
         gammas = [4e-3, 2.4e-3, 1.6e-3]
         report = run_euler_study(setup, gammas, s_final=0.24, ref_divisor=2)
@@ -142,6 +137,16 @@ class TestEulerStudy:
         mse = [paired_distance(finals[g].particles, ref, setup.grid.dt) ** 2
                for g in gammas]
         assert report.series["points"]["mse"] == mse
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_fine_slot_is_drawn_once(self, drawn, threads):
+        # The reference run is a member of the coarse runs' group, so the
+        # study draws its 300 fine slots once, not once per run.
+        setup = small_setup(n_particles=16, n_samples=4)
+        run_euler_study(setup, [4e-3, 2.4e-3, 1.6e-3], s_final=0.24,
+                        ref_divisor=2, threads=threads)
+        np.testing.assert_array_equal(np.concatenate(drawn).ravel(),
+                                      np.arange(300))
 
     def test_outputs_do_not_depend_on_threads(self, tmp_path):
         setup = small_setup(n_particles=16, n_samples=4)
