@@ -14,8 +14,8 @@ from .datasets import Dataset, generate_dataset
 from .exceptions import (ConfigError, NonFiniteCostateError,
                          NonFiniteParticleError, NonFiniteStateError)
 from .grids import TimeGrid
-from .langevin import (CoupledRunResult, TrainerConfig, TrainHistory,
-                       coupled_pair_run, langevin_step, lipschitz_probe, train)
+from .langevin import (TrainerConfig, TrainHistory, langevin_step,
+                       lipschitz_probe, train)
 from .metrics import entropy_estimate, paired_distance
 from .models import (ModelSpec, PriorSpec, gaussian_prior, make_builtin_model,
                      make_linear_drift_model, make_zero_cost_model,
@@ -39,7 +39,7 @@ __all__ = [
     "objective_J", "objective_Jsigma", "ObjectiveValue",
     "discrete_gradient", "finite_diff_gradient",
     "TrainerConfig", "TrainHistory", "train", "langevin_step",
-    "coupled_pair_run", "CoupledRunResult", "lipschitz_probe",
+    "lipschitz_probe",
     "entropy_estimate", "paired_distance",
     "StudySetup", "StudyReport",
     "run_chaos_study", "run_euler_study", "run_contraction_study",

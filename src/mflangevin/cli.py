@@ -4,8 +4,8 @@ Subcommands: train, grad-check, chaos-study, euler-study,
 contraction-study, gibbs-check, generalization-study.  Every command
 accepts --config (JSON; a built-in desk-scale default is used when
 omitted), --seed (overrides the trainer seed), --out (output directory),
-and --threads (parallelism over independent study points; outputs are
-byte-identical at any thread count).
+and --threads (parallelism over a study's independent runs, its reference
+runs among them; outputs are byte-identical at any thread count).
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ def _common_flags(sub):
                      help="override the trainer seed")
     sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for independent study points")
+                     help="worker threads for a study's independent runs, "
+                          "its reference runs among them")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,9 +38,8 @@ from .odes import mean_field_drift, solve_group, solve_paths
 from .rng import PURPOSE_PROBE, keyed_normals, step_normals
 
 __all__ = [
-    "TrainerConfig", "TrainHistory", "CoupledRunResult",
-    "langevin_step", "train", "coupled_runs", "coupled_pair_run",
-    "lipschitz_probe", "drift_norm",
+    "TrainerConfig", "TrainHistory", "langevin_step", "train",
+    "coupled_runs", "lipschitz_probe", "drift_norm",
 ]
 
 
@@ -312,42 +311,6 @@ def coupled_runs(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
           replace(cfgs[-1], record_every=0, snapshot_every=0), inits[-1],
           coupled=list(zip(cfgs[:-1], inits[:-1])), observe=keep)
     return finals
-
-
-@dataclass(frozen=True)
-class CoupledRunResult:
-    """Per-iterate synchronous-coupling distance between two runs."""
-
-    s: np.ndarray
-    distance: np.ndarray
-    cloud_a: ParticleCloud
-    cloud_b: ParticleCloud
-
-
-def coupled_pair_run(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
-                     cfg: TrainerConfig, init_a: ParticleCloud,
-                     init_b: ParticleCloud) -> CoupledRunResult:
-    """Evolve two initialisations under identical Brownian increments.
-
-    The two runs are the members of one :func:`coupled_runs`, so each step's
-    noise is drawn once for both.  The recorded series is the
-    paired-coupling distance sqrt(sum_l mean_i |theta_a - theta_b|^2 dt)
-    per iterate, an upper bound on the integrated W2 between the clouds.
-    """
-    dist = np.zeros(cfg.n_iters + 1)
-    latest = [init_a, init_b]
-
-    def observe(member, iterate, cloud):
-        latest[member] = cloud
-        if member == 1:
-            dist[iterate] = paired_distance(latest[0].particles,
-                                            cloud.particles, grid.dt)
-
-    a, b = coupled_runs(model, dataset, grid, [cfg, cfg], [init_a, init_b],
-                        observe)
-    dist[0] = paired_distance(init_a.particles, init_b.particles, grid.dt)
-    return CoupledRunResult(s=_step_times(cfg), distance=dist, cloud_a=a,
-                            cloud_b=b)
 
 
 def lipschitz_probe(model: ModelSpec, dataset: Dataset, grid: TimeGrid,

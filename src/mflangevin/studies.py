@@ -20,7 +20,7 @@ import numpy as np
 from .clouds import ParticleCloud, cloud_init
 from .datasets import Dataset, generate_dataset
 from .grids import TimeGrid
-from .langevin import (TrainerConfig, coupled_pair_run, coupled_runs,
+from .langevin import (TrainerConfig, _step_times, coupled_runs,
                        lipschitz_probe, paired_distance, train)
 from .models import ModelSpec
 from .objective import objective_J
@@ -228,10 +228,6 @@ def _tail_iters(n_iters: int, snapshot_every: int, tail_fraction: float):
         or [n_iters]
 
 
-def _snapshots_dict(history) -> dict:
-    return {it: cloud for it, cloud in history.snapshots}
-
-
 def check_study_values(kind: str, values: dict) -> None:
     """Raise ValueError unless the values of one study kind fit together:
     the runner's keywords of those names, as the messages below state."""
@@ -276,8 +272,9 @@ def run_chaos_study(setup: StudySetup, n2_list, n1_list, *, n_ref: int = 2048,
     particle and per sample, each studied run shares its initial particles,
     its Brownian increments, and its data prefix with the surrogate, so the
     mean squared paired distance estimates the chaos error directly.  The
-    fitted slope of log MSE against log(1/N1 + 1/N2) is checked against
-    ``slope_bounds``.
+    surrogates train beside the studied points: every run is one item of a
+    single map over ``threads``, the surrogates first.  The fitted slope of
+    log MSE against log(1/N1 + 1/N2) is checked against ``slope_bounds``.
     """
     t0 = time.perf_counter()
     check_study_values("chaos", dict(n2_list=n2_list, n1_list=n1_list,
@@ -286,33 +283,32 @@ def run_chaos_study(setup: StudySetup, n2_list, n1_list, *, n_ref: int = 2048,
     n1_list = sorted(n1_list)
     cfg = setup.trainer
     tail = _tail_iters(cfg.n_iters, snapshot_every, tail_fraction)
+    cfgs = [replace(cfg, seed=cfg.seed + rep, snapshot_every=snapshot_every,
+                    record_every=0) for rep in range(n_reps)]
+    masters = [setup.make_dataset(n1_ref, seed_shift=rep)
+               for rep in range(n_reps)]
+    keys = [(rep, i1, i2) for rep in range(n_reps)
+            for i1 in range(len(n1_list)) for i2 in range(len(n2_list))]
+    # (dataset, init, config) of each run: the surrogates, then the points.
+    runs = [(masters[rep], setup.make_cloud(n_ref, seed_shift=rep), cfgs[rep])
+            for rep in range(n_reps)]
+    runs += [(masters[rep].subset(n1_list[i1]),
+              setup.make_cloud(n2_list[i2], seed_shift=rep), cfgs[rep])
+             for rep, i1, i2 in keys]
+
+    def tail_snapshots(run):
+        dataset, init, cfg_rep = run
+        _, hist = train(setup.model, dataset, setup.grid, cfg_rep, init)
+        snaps = dict(hist.snapshots)
+        return [snaps[it].particles for it in tail]
+
+    snaps = _map_points(tail_snapshots, runs, threads)
+    refs = snaps[:n_reps]
     mse = np.zeros((len(n1_list), len(n2_list)))
-    dataset_hash = ""
-    for rep in range(n_reps):
-        cfg_rep = replace(cfg, seed=cfg.seed + rep,
-                          snapshot_every=snapshot_every, record_every=0)
-        master = setup.make_dataset(n1_ref, seed_shift=rep)
-        if rep == 0:
-            dataset_hash = master.content_hash()
-        ref_init = setup.make_cloud(n_ref, seed_shift=rep)
-        _, ref_hist = train(setup.model, master, setup.grid, cfg_rep, ref_init)
-        ref_snaps = _snapshots_dict(ref_hist)
-
-        def point(idx):
-            i1, i2 = idx
-            ds = master.subset(n1_list[i1])
-            init = setup.make_cloud(n2_list[i2], seed_shift=rep)
-            _, hist = train(setup.model, ds, setup.grid, cfg_rep, init)
-            snaps = _snapshots_dict(hist)
-            vals = [_squared_paired(snaps[it].particles,
-                                    ref_snaps[it].particles[:n2_list[i2]],
-                                    setup.grid.dt) for it in tail]
-            return float(np.mean(vals))
-
-        points = [(i1, i2) for i1 in range(len(n1_list))
-                  for i2 in range(len(n2_list))]
-        for idx, val in zip(points, _map_points(point, points, threads)):
-            mse[idx] += val / n_reps
+    for (rep, i1, i2), snap in zip(keys, snaps[n_reps:]):
+        vals = [_squared_paired(a, ref[:n2_list[i2]], setup.grid.dt)
+                for a, ref in zip(snap, refs[rep])]
+        mse[i1, i2] += float(np.mean(vals)) / n_reps
     inv = np.array([[1.0 / n1 + 1.0 / n2 for n2 in n2_list] for n1 in n1_list])
     slope, stderr = fit_loglog(inv.ravel(), mse.ravel())
     report = StudyReport(kind="chaos", config={**setup.echo(),
@@ -322,7 +318,8 @@ def run_chaos_study(setup: StudySetup, n2_list, n1_list, *, n_ref: int = 2048,
                                                "n_reps": n_reps,
                                                "tail_fraction": tail_fraction,
                                                "snapshot_every": snapshot_every},
-                         dataset_hash=dataset_hash, seed=cfg.seed)
+                         dataset_hash=masters[0].content_hash(),
+                         seed=cfg.seed)
     report.series["points"] = {
         "n1": [n1 for n1 in n1_list for _ in n2_list],
         "n2": list(n2_list) * len(n1_list),
@@ -388,19 +385,27 @@ def run_euler_study(setup: StudySetup, gamma_list, *, s_final: float = 1.0,
 # contraction under synchronous coupling
 # ---------------------------------------------------------------------------
 
+# The rate fit of a contraction pair skips this leading fraction of its
+# iterates, and every squared distance below CONTRACTION_FLOOR times the
+# initial one.
+CONTRACTION_FIT_SKIP = 0.1
+CONTRACTION_FLOOR = 1e-12
+
+
 def run_contraction_study(setup: StudySetup, init_pairs=None, *,
                           n_pairs: int = 20, shift: float = 2.0,
                           rate_factor: float = 3.0,
-                          probe_scale: float = 0.5, fit_skip: float = 0.1,
-                          floor: float = 1e-12, threads: int = 1) -> StudyReport:
+                          probe_scale: float = 0.5,
+                          threads: int = 1) -> StudyReport:
     """Exponential contraction of coupled runs in the regularised regime.
 
-    Each pair of initialisations evolves under identical noise; the slope
-    of log squared distance in training time gives the empirical rate.
-    Without ``init_pairs``, each of ``n_pairs`` pairs starts from N(0, 1)
-    and N(shift, 1) particles.  Checks: every fitted slope is negative,
-    and each rate is within ``rate_factor`` of sigma^2 kappa - 4 L where L
-    is the empirical Lipschitz probe of the drift.
+    Each pair of initialisations is one two-member :func:`coupled_runs`
+    group, so both evolve under identical noise; the slope of log squared
+    paired distance in training time gives the empirical rate.  Without
+    ``init_pairs``, each of ``n_pairs`` pairs starts from N(0, 1) and
+    N(shift, 1) particles.  Checks: every fitted slope is negative, and
+    each rate is within ``rate_factor`` of sigma^2 kappa - 4 L where L is
+    the empirical Lipschitz probe of the drift.
     """
     t0 = time.perf_counter()
     if init_pairs is None:
@@ -411,21 +416,33 @@ def run_contraction_study(setup: StudySetup, init_pairs=None, *,
     l_hat = lipschitz_probe(setup.model, dataset, setup.grid, base,
                             n_probes=8, scale=probe_scale, seed=setup.init_seed)
     predicted = cfg.sigma ** 2 * cfg.prior.kappa - 4.0 * l_hat
+    s = _step_times(cfg)
 
     def pair_rate(item):
         k, (ia, ib) = item
         cfg_k = replace(cfg, seed=cfg.seed + k, record_every=0,
                         snapshot_every=0)
-        ca = setup.make_cloud(setup.n_particles, seed_shift=2 * k, init=ia)
-        cb = setup.make_cloud(setup.n_particles, seed_shift=2 * k + 1, init=ib)
-        res = coupled_pair_run(setup.model, dataset, setup.grid, cfg_k, ca, cb)
-        d2 = res.distance ** 2
-        keep = d2 > floor * max(d2[0], 1e-300)
-        keep[:max(1, int(fit_skip * len(d2)))] = False
+        latest = [setup.make_cloud(setup.n_particles, seed_shift=2 * k, init=ia),
+                  setup.make_cloud(setup.n_particles, seed_shift=2 * k + 1,
+                                   init=ib)]
+        dist = np.zeros(cfg.n_iters + 1)
+
+        def observe(member, iterate, cloud):
+            latest[member] = cloud
+            if member == 1:
+                dist[iterate] = paired_distance(latest[0].particles,
+                                                cloud.particles, setup.grid.dt)
+
+        dist[0] = paired_distance(latest[0].particles, latest[1].particles,
+                                  setup.grid.dt)
+        coupled_runs(setup.model, dataset, setup.grid, [cfg_k, cfg_k],
+                     list(latest), observe)
+        d2 = dist ** 2
+        keep = d2 > CONTRACTION_FLOOR * max(d2[0], 1e-300)
+        keep[:max(1, int(CONTRACTION_FIT_SKIP * len(d2)))] = False
         if keep.sum() < 3:
-            return math.nan, res
-        slope, _ = fit_rate(res.s[keep], np.log(d2[keep]))
-        return slope, res
+            return math.nan, dist
+        return fit_rate(s[keep], np.log(d2[keep]))[0], dist
 
     results = _map_points(pair_rate, list(enumerate(init_pairs)), threads)
     slopes = np.array([r[0] for r in results])
@@ -447,9 +464,8 @@ def run_contraction_study(setup: StudySetup, init_pairs=None, *,
         "predicted_rate": [predicted] * len(init_pairs),
     }
     example = results[0][1]
-    report.series["distance_pair0"] = {"s": list(example.s),
-                                       "distance": list(example.distance)}
-    report.plots["log_distance_pair0"] = (example.s, example.distance)
+    report.series["distance_pair0"] = {"s": list(s), "distance": list(example)}
+    report.plots["log_distance_pair0"] = (s, example)
     report.checks.append(CheckResult("negative_slopes", float(n_negative),
                                      float(len(init_pairs)), comparator=">="))
     report.checks.append(CheckResult("rate_within_factor", worst_ratio,
@@ -618,8 +634,10 @@ def run_generalization_study(setup: StudySetup, n1_list, holdout_n: int, *,
     holdout.  All runs share initial particles and Brownian increments
     (common random numbers), so the per-seed gap fluctuation isolates the
     statistical term attributed to the sample size while the optimisation
-    errors stay small and largely cancel.  The fitted slope of log mean
-    squared gap against log(1/N1) is checked against ``slope_bounds``.
+    errors stay small and largely cancel.  The reference trains beside the
+    points: every run is one item of a single map over ``threads``, the
+    reference first.  The fitted slope of log mean squared gap against
+    log(1/N1) is checked against ``slope_bounds``.
     """
     t0 = time.perf_counter()
     check_study_values("generalization", dict(n1_list=n1_list,
@@ -627,23 +645,23 @@ def run_generalization_study(setup: StudySetup, n1_list, holdout_n: int, *,
     n1_list = sorted(n1_list)
     cfg = replace(setup.trainer, record_every=0, snapshot_every=0)
     holdout = setup.make_dataset(holdout_n, seed_shift=9000)
-    ref_ds = setup.make_dataset(ref_samples, seed_shift=8000)
-    ref_init = setup.make_cloud(ref_particles)
-    ref_cloud, _ = train(setup.model, ref_ds, setup.grid, cfg, ref_init)
-    j_ref = objective_J(setup.model, ref_cloud, holdout, setup.grid)
+    masters = [setup.make_dataset(max(n1_list), seed_shift=100 + rep)
+               for rep in range(n_seeds)]
     init = setup.make_cloud(setup.n_particles)
+    # (dataset, init, config) of each run: the reference, then the points.
+    runs = [(setup.make_dataset(ref_samples, seed_shift=8000),
+             setup.make_cloud(ref_particles), cfg)]
+    runs += [(masters[rep].subset(n1), init, cfg)
+             for n1 in n1_list for rep in range(n_seeds)]
 
-    def point(item):
-        rep, n1 = item
-        master = setup.make_dataset(max(n1_list), seed_shift=100 + rep)
-        cloud, _ = train(setup.model, master.subset(n1), setup.grid,
-                         cfg, init)
-        j = objective_J(setup.model, cloud, holdout, setup.grid)
-        return (j - j_ref) ** 2
+    def holdout_cost(run):
+        dataset, start, run_cfg = run
+        cloud, _ = train(setup.model, dataset, setup.grid, run_cfg, start)
+        return objective_J(setup.model, cloud, holdout, setup.grid)
 
-    points = [(rep, n1) for n1 in n1_list for rep in range(n_seeds)]
-    gaps = np.array(_map_points(point, points, threads)).reshape(len(n1_list),
-                                                                 n_seeds)
+    j_ref, *js = _map_points(holdout_cost, runs, threads)
+    gaps = np.array([(j - j_ref) ** 2 for j in js]).reshape(len(n1_list),
+                                                            n_seeds)
     mean_sq = gaps.mean(axis=1)
     slope, stderr = fit_loglog([1.0 / n1 for n1 in n1_list], mean_sq)
     report = StudyReport(kind="generalization",

@@ -12,8 +12,9 @@ from mflangevin.exceptions import (NonFiniteCostateError,
                                    NonFiniteParticleError,
                                    NonFiniteStateError)
 from mflangevin.grids import TimeGrid
-from mflangevin.langevin import (TrainerConfig, coupled_pair_run,
-                                 langevin_step, lipschitz_probe, train)
+from mflangevin.langevin import (TrainerConfig, langevin_step,
+                                 lipschitz_probe, train)
+from mflangevin.metrics import paired_distance
 from mflangevin.models import (gaussian_prior, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model)
 from mflangevin.objective import objective_J, objective_Jsigma
@@ -197,14 +198,32 @@ class TestTrain:
         np.testing.assert_allclose(a.particles, b.particles, atol=1e-12)
 
 
+def coupled_pair(model, ds, grid, cfg, init_a, init_b):
+    """Two runs under one Brownian path: the paired distance after every
+    iterate (iterate 0 first), and the two final clouds."""
+    latest = [init_a, init_b]
+    distance = np.zeros(cfg.n_iters + 1)
+    distance[0] = paired_distance(init_a.particles, init_b.particles, grid.dt)
+
+    def observe(member, iterate, cloud):
+        latest[member] = cloud
+        if member == 1:
+            distance[iterate] = paired_distance(latest[0].particles,
+                                                cloud.particles, grid.dt)
+
+    finals = langevin.coupled_runs(model, ds, grid, [cfg, cfg],
+                                   [init_a, init_b], observe)
+    return distance, finals
+
+
 class TestCoupledRuns:
     def test_identical_inits_stay_identical(self):
         grid = TimeGrid(1.0, 3)
         model, ds, init = quadratic_toy(grid, n_particles=16, seed=5)
         cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(2.0, 1),
                             gamma=0.005, n_iters=30, seed=6, record_every=0)
-        res = coupled_pair_run(model, ds, grid, cfg, init, init)
-        np.testing.assert_array_equal(res.distance, np.zeros(31))
+        distance, _ = coupled_pair(model, ds, grid, cfg, init, init)
+        np.testing.assert_array_equal(distance, np.zeros(31))
 
     def test_strong_regularisation_contracts(self):
         grid = TimeGrid(0.5, 4)
@@ -214,11 +233,12 @@ class TestCoupledRuns:
         b = cloud_init(16, grid, 1, ("gaussian", 2.0, 1.0), seed=2)
         cfg = TrainerConfig(sigma=2.0, prior=gaussian_prior(4.0, 1),
                             gamma=0.005, n_iters=120, seed=3, record_every=0)
-        res = coupled_pair_run(model, ds, grid, cfg, a, b)
-        logd = np.log(res.distance[res.distance > 0] ** 2)
-        slope = np.polyfit(res.s[:logd.size], logd, 1)[0]
+        distance, _ = coupled_pair(model, ds, grid, cfg, a, b)
+        s = cfg.gamma * np.arange(cfg.n_iters + 1)
+        logd = np.log(distance[distance > 0] ** 2)
+        slope = np.polyfit(s[:logd.size], logd, 1)[0]
         assert slope < 0
-        assert res.distance[-1] < 1e-2 * res.distance[0]
+        assert distance[-1] < 1e-2 * distance[0]
 
     def test_unregularised_case_only_stays_bounded(self):
         # sigma = 0 and negligible prior: no contraction claim, only
@@ -230,9 +250,9 @@ class TestCoupledRuns:
         b = cloud_init(8, grid, 1, ("gaussian", 1.0, 1.0), seed=2)
         cfg = TrainerConfig(sigma=0.0, prior=gaussian_prior(1e-12, 1),
                             gamma=0.005, n_iters=100, seed=3, record_every=0)
-        res = coupled_pair_run(model, ds, grid, cfg, a, b)
-        assert np.all(np.isfinite(res.distance))
-        assert res.distance.max() < 10.0 * res.distance[0]
+        distance, _ = coupled_pair(model, ds, grid, cfg, a, b)
+        assert np.all(np.isfinite(distance))
+        assert distance.max() < 10.0 * distance[0]
 
     def test_members_equal_solo_runs_bytewise(self):
         # The shared noise block is drawn once per step; each member must
@@ -246,11 +266,11 @@ class TestCoupledRuns:
         cfg = TrainerConfig(sigma=0.7, prior=gaussian_prior(1.5, model.dim_param),
                             gamma=0.01, n_iters=25, seed=8, record_every=0,
                             noise_dt=0.005)
-        res = coupled_pair_run(model, ds, grid, cfg, a, b)
+        _, (final_a, final_b) = coupled_pair(model, ds, grid, cfg, a, b)
         solo_a, _ = train(model, ds, grid, cfg, a)
         solo_b, _ = train(model, ds, grid, cfg, b)
-        assert res.cloud_a.particles.tobytes() == solo_a.particles.tobytes()
-        assert res.cloud_b.particles.tobytes() == solo_b.particles.tobytes()
+        assert final_a.particles.tobytes() == solo_a.particles.tobytes()
+        assert final_b.particles.tobytes() == solo_b.particles.tobytes()
 
     def test_shape_mismatch_rejected(self):
         grid = TimeGrid(1.0, 2)
@@ -260,7 +280,7 @@ class TestCoupledRuns:
         cfg = TrainerConfig(sigma=0.0, prior=gaussian_prior(1.0, 1),
                             gamma=0.01, n_iters=1, seed=0)
         with pytest.raises(ValueError):
-            coupled_pair_run(model, ds, grid, cfg, a, b)
+            coupled_pair(model, ds, grid, cfg, a, b)
 
 
 class TestSharedPath:

@@ -33,6 +33,26 @@ def small_setup(model=None, sigma=1.0, kappa=2.0, gamma=0.01, n_iters=80,
                       dataset_seed=33, init_seed=9)
 
 
+@pytest.fixture
+def mapped(monkeypatch):
+    """The items of every ``_map_points`` call a study makes."""
+    calls = []
+    original = studies._map_points
+
+    def spy(fn, points, threads):
+        calls.append(list(points))
+        return original(fn, points, threads)
+
+    monkeypatch.setattr(studies, "_map_points", spy)
+    return calls
+
+
+def run_shapes(items):
+    """(particles, samples, seed) of each (dataset, init, config) run."""
+    return [(init.particles.shape[0], ds.n_samples, cfg.seed)
+            for ds, init, cfg in items]
+
+
 class TestFitHelpers:
     def test_loglog_recovers_power_law(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
@@ -85,6 +105,17 @@ class TestChaosStudy:
         mse = report.series["points"]["mse"]
         ratio = mse[1] / mse[0]
         assert 0.35 <= ratio <= 0.7
+
+    def test_surrogates_train_in_the_points_map(self, mapped):
+        setup = small_setup(n_iters=10)
+        run_chaos_study(setup, [8, 16], [8], n_ref=32, n1_ref=16, n_reps=2,
+                        snapshot_every=5, slope_bounds=(-10, 10), threads=2)
+        [items] = mapped
+        shapes = run_shapes(items)
+        # The surrogates come first, one per rep, then every rep's points.
+        assert shapes[:2] == [(32, 16, 21), (32, 16, 22)]
+        assert sorted(shapes[2:]) == [(8, 8, 21), (8, 8, 22),
+                                      (16, 8, 21), (16, 8, 22)]
 
     def test_surrogate_must_dominate(self):
         setup = small_setup()
@@ -252,6 +283,32 @@ class TestGeneralizationStudy:
                                          slope_bounds=(-10, 10))
         assert big.series["points"]["mean_sq_gap"][0] \
             < small.series["points"]["mean_sq_gap"][0]
+
+    def test_reference_trains_in_the_points_map(self, mapped):
+        setup = small_setup(n_iters=10)
+        run_generalization_study(setup, [8, 16], holdout_n=32, n_seeds=2,
+                                 ref_particles=64, ref_samples=48,
+                                 slope_bounds=(-10, 10), threads=2)
+        [items] = mapped
+        shapes = run_shapes(items)
+        assert shapes[0] == (64, 48, 21)
+        assert sorted(shapes[1:]) == [(16, 8, 21)] * 2 + [(16, 16, 21)] * 2
+
+    def test_outputs_do_not_depend_on_threads(self, tmp_path):
+        setup = small_setup(n_iters=30)
+        for threads in (1, 2):
+            run_generalization_study(
+                setup, [8, 16], holdout_n=64, n_seeds=3, ref_particles=64,
+                ref_samples=32, slope_bounds=(-10, 10),
+                threads=threads).write(tmp_path / str(threads))
+        names = sorted(p.name for p in (tmp_path / "1").iterdir()
+                       if p.suffix in (".csv", ".dat"))
+        assert names == ["generalization_gap_vs_invn1.dat",
+                         "generalization_gaps.csv",
+                         "generalization_points.csv"]
+        for name in names:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
 
     def test_holdout_must_dominate(self):
         setup = small_setup()
