@@ -5,7 +5,8 @@ contraction-study, gibbs-check, generalization-study.  Every command
 accepts --config (JSON; a built-in desk-scale default is used when
 omitted), --seed (overrides the trainer seed), --out (output directory),
 and --threads (parallelism over a study's independent runs, its reference
-runs among them; outputs are byte-identical at any thread count).
+runs among them; at least 1; outputs are byte-identical at any thread
+count).
 """
 
 from __future__ import annotations
@@ -17,30 +18,18 @@ import os
 import numpy as np
 
 from .clouds import cloud_to_csv
-from .config import (GRAD_CHECK_SEEDS, GRAD_CHECK_TOL, build_setup,
-                     default_study_config, default_train_config,
+from .config import (GRAD_CHECK_SEEDS, GRAD_CHECK_TOL, STUDY_RUNNERS,
+                     build_setup, default_study_config, default_train_config,
                      grad_check_instance, load_config, parse_config,
                      study_arguments)
+from .exceptions import ConfigError
 from .langevin import train
 from .objective import discrete_gradient, finite_diff_gradient
-from .studies import (run_chaos_study, run_contraction_study,
-                      run_euler_study, run_generalization_study,
-                      run_gibbs_check)
 
-
-def _gibbs(setup, *, threads, **kwargs):
-    # One training run: the Gibbs check has no independent points to spread.
-    return run_gibbs_check(setup, **kwargs)
-
-
-# Study subcommand -> (study kind, runner).
-STUDY_COMMANDS = {
-    "chaos-study": ("chaos", run_chaos_study),
-    "euler-study": ("euler", run_euler_study),
-    "contraction-study": ("contraction", run_contraction_study),
-    "gibbs-check": ("gibbs", _gibbs),
-    "generalization-study": ("generalization", run_generalization_study),
-}
+# Study subcommand -> study kind, whose runner is in STUDY_RUNNERS.
+STUDY_COMMANDS = {"chaos-study": "chaos", "euler-study": "euler",
+                  "contraction-study": "contraction", "gibbs-check": "gibbs",
+                  "generalization-study": "generalization"}
 
 
 def _common_flags(sub):
@@ -124,11 +113,15 @@ def _run_grad_check(args) -> int:
     return 0 if passed else 1
 
 
-def _run_study(args, study_kind: str, runner) -> int:
+def _run_study(args, study_kind: str) -> int:
     config = _load(args, default_study_config(study_kind))
     kwargs = study_arguments(config, study_kind)
     setup = build_setup(config, seed_override=args.seed)
-    report = runner(setup, threads=args.threads, **kwargs)
+    # The Gibbs check is one training run: it has no independent runs to
+    # spread over threads.
+    if study_kind != "gibbs":
+        kwargs["threads"] = args.threads
+    report = STUDY_RUNNERS[study_kind](setup, **kwargs)
     report.write(args.out)
     for line in report.summary_lines():
         print(line)
@@ -139,11 +132,13 @@ def _run_study(args, study_kind: str, runner) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if args.command == "train":
         return _run_train(args)
     if args.command == "grad-check":
         return _run_grad_check(args)
-    return _run_study(args, *STUDY_COMMANDS[args.command])
+    return _run_study(args, STUDY_COMMANDS[args.command])
 
 
 if __name__ == "__main__":

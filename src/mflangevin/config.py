@@ -1,99 +1,128 @@
 """Strict JSON run configurations for the command-line interface.
 
 A configuration has sections ``model``, ``grid``, ``trainer`` and
-optionally ``dataset``, ``init``, ``study``.  Parsing is strict: unknown
-sections or keys raise :class:`ConfigError` rather than being ignored, so
-a typo cannot silently change an experiment.
+optionally ``dataset``, ``init``, ``study``.  One table, :data:`SCHEMA`,
+gives every key of the first five sections its type, its range or allowed
+values, and its default or that it is required; :data:`STUDY_TABLE` gives
+every study key its type and range, and the study's runner its default.
+Parsing is strict: unknown sections or keys, and values of the wrong type,
+range or set, raise :class:`ConfigError` rather than being ignored, so a
+typo cannot silently change an experiment.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import math
+import types
 import typing
 
 from .clouds import cloud_init
-from .datasets import generate_dataset
+from .datasets import TARGETS, generate_dataset
 from .exceptions import ConfigError
 from .grids import TimeGrid
 from .langevin import TrainerConfig
 from .models import (BUILTIN_KINDS, gaussian_prior, make_builtin_model,
                      make_linear_drift_model, make_zero_cost_model)
-from .studies import StudySetup, check_study_values
+from .studies import (StudySetup, check_study_values, run_chaos_study,
+                      run_contraction_study, run_euler_study,
+                      run_generalization_study, run_gibbs_check)
 
 __all__ = ["load_config", "parse_config", "build_setup", "study_arguments",
-           "default_study_config", "default_train_config", "STUDY_TABLE",
-           "grad_check_instance", "GRAD_CHECK_SEEDS", "GRAD_CHECK_TOL"]
+           "default_study_config", "default_train_config", "SCHEMA",
+           "STUDY_TABLE", "STUDY_RUNNERS", "grad_check_instance",
+           "GRAD_CHECK_SEEDS", "GRAD_CHECK_TOL"]
 
-# The keys of each study kind's ``study`` section, with their types and
-# defaults: the one home of every study default.  Each key sets the runner
-# keyword of the same name, except ``slope_lo`` and ``slope_hi``, which
-# together set ``slope_bounds``.  Integers are at least 1; a list type
-# takes a JSON list of such values.
-STUDY_TABLE = {
-    "chaos": {"n2_list": (list[int], (16, 32, 64, 128)),
-              "n1_list": (list[int], (8, 32, 128)),
-              "n_ref": (int, 2048), "n1_ref": (int, 512), "n_reps": (int, 3),
-              "tail_fraction": (float, 0.25), "snapshot_every": (int, 5),
-              "slope_lo": (float, 0.7), "slope_hi": (float, 1.3)},
-    "euler": {"gamma_list": (list[float], (4e-3, 2e-3, 1e-3, 5e-4)),
-              "s_final": (float, 1.0), "ref_divisor": (int, 8),
-              "slope_lo": (float, 1.6), "slope_hi": (float, 2.4)},
-    "contraction": {"n_pairs": (int, 20), "shift": (float, 2.0),
-                    "rate_factor": (float, 3.0), "probe_scale": (float, 0.5)},
-    # snapshot_every None: the runner snapshots every n_iters // 40 updates.
-    "gibbs": {"tv_threshold": (float, 0.1), "n_bins": (int, 64),
-              "burn_in_fraction": (float, 0.5), "snapshot_every": (int, None),
-              "sigma_sweep": (list[float], ())},
-    "generalization": {"n1_list": (list[int], (8, 16, 32, 64)),
-                       "holdout_n": (int, 4096), "n_seeds": (int, 6),
-                       "ref_particles": (int, 512), "ref_samples": (int, 512),
-                       "slope_lo": (float, 0.6), "slope_hi": (float, 1.4)},
-}
+# A range: what a value must be, and the test it must pass.
+_POSITIVE = ("positive", lambda v: v > 0)
+_NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
 
-# A key shared by several study kinds has the same type in each.
-_STUDY_TYPES = {key: kind for keys in STUDY_TABLE.values()
-                for key, (kind, _) in keys.items()}
-
-_SECTION_KEYS = {
-    "model": {"kind", "d", "p_hidden", "dim_data"},
-    "grid": {"horizon", "n_steps"},
-    "trainer": {"sigma", "kappa", "gamma", "n_iters", "seed",
-                "record_every", "snapshot_every", "noise_dt"},
-    "dataset": {"kind", "target", "n_samples", "seed"},
-    "init": {"kind", "mean", "std", "value", "seed", "n_particles"},
-    "study": set(_STUDY_TYPES),  # checked per study kind by study_arguments
-}
-
-_MODEL_KINDS = BUILTIN_KINDS + ("linear_drift", "zero_cost")
-
-# Integer-valued keys and their least allowed value, per section.
-_INT_KEYS = {
-    "model": {"d": 1, "p_hidden": 1, "dim_data": 0},
-    "grid": {"n_steps": 1},
-    "trainer": {"n_iters": 0, "seed": None, "record_every": 0,
-                "snapshot_every": 0},
-    "dataset": {"n_samples": 1, "seed": None},
-    "init": {"seed": None, "n_particles": 1},
-}
-
-# Float-valued keys and the values each admits, per section: positive,
-# nonnegative or (None) any finite number.  ``noise_dt`` may also be null.
-_FLOAT_KEYS = {
-    "grid": {"horizon": "positive"},
-    "trainer": {"sigma": "nonnegative", "kappa": "positive",
-                "gamma": "positive", "noise_dt": "positive"},
-    "init": {"mean": None, "std": "nonnegative", "value": None},
-}
-
-# The sign a study value, or every entry of a study list, must have.
-_STUDY_SIGNS = {"s_final": "positive", "gamma_list": "positive"}
+# The default of a key every configuration must set.
+_REQUIRED = object()
 
 # Length of one data slice per state dimension, for each dataset kind:
 # regression data is the target vector, timeseries data stacks the
 # observation and truth channels.
 _DATA_WIDTH = {"regression": 1, "timeseries": 2}
+
+# Section -> key -> (type, range or allowed values, default).  A range of
+# None admits any value of the type; a ``float | None`` key may also be null.
+# The trainer defaults are TrainerConfig's, except record_every (0: the
+# ``train`` command picks a cadence) and the sigma and kappa it lacks, and
+# the dataset and init defaults are StudySetup's.
+SCHEMA = {
+    "model": {
+        "kind": (str, BUILTIN_KINDS + ("linear_drift", "zero_cost"),
+                 "one_layer_residual"),
+        "d": (int, _AT_LEAST_1, 1),
+        "p_hidden": (int, _AT_LEAST_1, 1),
+        "dim_data": (int, _NONNEGATIVE, 0)},
+    "grid": {
+        "horizon": (float, _POSITIVE, _REQUIRED),
+        "n_steps": (int, _AT_LEAST_1, _REQUIRED)},
+    "trainer": {
+        "sigma": (float, _NONNEGATIVE, 0.0),
+        "kappa": (float, _POSITIVE, 1.0),
+        "gamma": (float, _POSITIVE, TrainerConfig.gamma),
+        "n_iters": (int, _NONNEGATIVE, TrainerConfig.n_iters),
+        "seed": (int, None, TrainerConfig.seed),
+        "record_every": (int, _NONNEGATIVE, 0),
+        "noise_dt": (float | None, _POSITIVE, TrainerConfig.noise_dt)},
+    "dataset": {
+        "kind": (str, tuple(_DATA_WIDTH), StudySetup.dataset_kind),
+        "target": (str, tuple(TARGETS), StudySetup.dataset_target),
+        "n_samples": (int, _AT_LEAST_1, StudySetup.n_samples),
+        "seed": (int, None, StudySetup.dataset_seed)},
+    "init": {
+        "kind": (str, ("gaussian", "constant"), StudySetup.init[0]),
+        "mean": (float, None, StudySetup.init[1]),
+        "std": (float, _NONNEGATIVE, StudySetup.init[2]),
+        "value": (float, None, 0.0),
+        "seed": (int, None, StudySetup.init_seed),
+        "n_particles": (int, _AT_LEAST_1, StudySetup.n_particles)},
+}
+
+# Study kind -> its runner, whose keyword defaults are the study defaults.
+STUDY_RUNNERS = {"chaos": run_chaos_study, "euler": run_euler_study,
+                 "contraction": run_contraction_study,
+                 "gibbs": run_gibbs_check,
+                 "generalization": run_generalization_study}
+
+# Study kind -> key of its ``study`` section -> (type, range).  Each key
+# sets the runner keyword of the same name, except ``slope_lo`` and
+# ``slope_hi``, which together set ``slope_bounds``.  A list type takes a
+# JSON list whose every entry has the range.  A key shared by several
+# study kinds has the same type and range in each.
+STUDY_TABLE = {
+    "chaos": {"n2_list": (list[int], _AT_LEAST_1),
+              "n1_list": (list[int], _AT_LEAST_1),
+              "n_ref": (int, _AT_LEAST_1), "n1_ref": (int, _AT_LEAST_1),
+              "n_reps": (int, _AT_LEAST_1),
+              "tail_fraction": (float, _FRACTION),
+              "snapshot_every": (int, _AT_LEAST_1),
+              "slope_lo": (float, None), "slope_hi": (float, None)},
+    "euler": {"gamma_list": (list[float], _POSITIVE),
+              "s_final": (float, _POSITIVE),
+              "ref_divisor": (int, _AT_LEAST_1),
+              "slope_lo": (float, None), "slope_hi": (float, None)},
+    "contraction": {"n_pairs": (int, _AT_LEAST_1), "shift": (float, None),
+                    "rate_factor": (float, None),
+                    "probe_scale": (float, None)},
+    "gibbs": {"tv_threshold": (float, None), "n_bins": (int, _AT_LEAST_1),
+              "burn_in_fraction": (float, _FRACTION),
+              "snapshot_every": (int, _AT_LEAST_1),
+              "sigma_sweep": (list[float], _POSITIVE)},
+    "generalization": {"n1_list": (list[int], _AT_LEAST_1),
+                       "holdout_n": (int, _AT_LEAST_1),
+                       "n_seeds": (int, _AT_LEAST_1),
+                       "ref_particles": (int, _AT_LEAST_1),
+                       "ref_samples": (int, _AT_LEAST_1),
+                       "slope_lo": (float, None), "slope_hi": (float, None)},
+}
 
 
 def load_config(path) -> dict:
@@ -103,91 +132,89 @@ def load_config(path) -> dict:
 
 
 def parse_config(raw: dict) -> dict:
+    """``raw`` checked against :data:`SCHEMA` and, for its ``study``
+    section, against every study kind's keys in :data:`STUDY_TABLE`: each
+    value converted to its key's type, and each key of the first five
+    sections that ``raw`` leaves out filled in with its default."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    unknown = set(raw) - set(_SECTION_KEYS)
+    unknown = set(raw) - set(SCHEMA) - {"study"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     for section in ("model", "grid", "trainer"):
         if section not in raw:
             raise ConfigError(f"missing required section {section!r}")
-    for section, keys in _SECTION_KEYS.items():
-        if section in raw:
-            if not isinstance(raw[section], dict):
-                raise ConfigError(f"section {section!r} must be a JSON object")
-            bad = set(raw[section]) - keys
-            if bad:
-                raise ConfigError(
-                    f"unknown keys in section {section!r}: {sorted(bad)}")
-    for section, keys in _INT_KEYS.items():
-        for key, least in keys.items():
-            if key in raw.get(section, {}):
-                _check_int(f"{section}.{key}", raw[section][key], least)
-    for section, keys in _FLOAT_KEYS.items():
-        for key, sign in keys.items():
-            if key not in raw.get(section, {}):
-                continue
-            value = raw[section][key]
-            # A null noise_dt leaves the Brownian resolution at gamma.
-            if not (key == "noise_dt" and value is None):
-                _check_float(f"{section}.{key}", value, sign)
-    for key, value in raw.get("study", {}).items():
-        _study_value(f"study.{key}", value, _STUDY_TYPES[key],
-                     _STUDY_SIGNS.get(key))
-    return copy.deepcopy(raw)
+    study_keys = {key: spec for table in STUDY_TABLE.values()
+                  for key, spec in table.items()}
+    for section, given in raw.items():
+        if not isinstance(given, dict):
+            raise ConfigError(f"section {section!r} must be a JSON object")
+        bad = set(given) - set(SCHEMA.get(section, study_keys))
+        if bad:
+            raise ConfigError(
+                f"unknown keys in section {section!r}: {sorted(bad)}")
+    config = {}
+    for section, keys in SCHEMA.items():
+        given = raw.get(section, {})
+        config[section] = {}
+        for key, (kind, allowed, default) in keys.items():
+            if key in given:
+                default = _checked(f"{section}.{key}", given[key], kind,
+                                   allowed)
+            elif default is _REQUIRED:
+                raise ConfigError(f"{section}.{key} is required")
+            config[section][key] = default
+    config["study"] = {key: _checked(f"study.{key}", value, *study_keys[key])
+                       for key, value in raw.get("study", {}).items()}
+    return config
 
 
-def _check_int(name: str, value, least) -> None:
-    """Reject booleans, non-numbers and non-integral numbers, and values
-    below ``least`` (None: no lower bound)."""
-    integral = (isinstance(value, int)
-                or (isinstance(value, float) and value.is_integer()))
-    if isinstance(value, bool) or not integral:
+def _checked(name: str, value, kind, allowed):
+    """``value`` checked against a key's type and its range or allowed
+    values, and converted to the type: integers reject booleans and
+    fractions, floats reject booleans and non-finite numbers."""
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list of numbers, "
+                              f"got {value!r}")
+        (item,) = typing.get_args(kind)
+        return tuple(_checked(f"{name}[{i}]", v, item, allowed)
+                     for i, v in enumerate(value))
+    if isinstance(kind, types.UnionType):  # float | None
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if kind is str:
+        if value not in allowed:
+            raise ConfigError(f"{name} must be one of {allowed}, "
+                              f"got {value!r}")
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and not (number and (isinstance(value, int)
+                                        or value.is_integer())):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"{name} must be at least {least}, got {value!r}")
-
-
-def _check_float(name: str, value, sign) -> None:
-    """Reject booleans, non-numbers and non-finite numbers, and values of
-    the wrong ``sign`` ("positive", "nonnegative" or None: any)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if kind is float and not (number and math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if (sign == "positive" and value <= 0) or (sign == "nonnegative"
-                                               and value < 0):
-        raise ConfigError(f"{name} must be {sign}, got {value!r}")
-
-
-def _study_value(name: str, value, kind, sign=None):
-    """``value`` checked against a study table type and converted to it."""
-    if kind is int:
-        _check_int(name, value, 1)
-        return int(value)
-    if kind is float:
-        _check_float(name, value, sign)
-        return float(value)
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-    (item,) = typing.get_args(kind)
-    return tuple(_study_value(f"{name}[{i}]", v, item, sign)
-                 for i, v in enumerate(value))
-
+    if allowed is not None and not allowed[1](value):
+        raise ConfigError(f"{name} must be {allowed[0]}, got {value!r}")
+    return kind(value)
 
 
 def study_arguments(config: dict, study_kind: str) -> dict:
-    """Runner keywords: the ``study`` section over :data:`STUDY_TABLE`,
-    with ConfigError for values that do not fit together."""
+    """Runner keywords of a parsed configuration: its ``study`` section
+    over the runner's defaults, with ConfigError for values that do not fit
+    together."""
     table = STUDY_TABLE[study_kind]
     section = config.get("study", {})
     bad = set(section) - set(table)
     if bad:
         raise ConfigError(f"unknown keys in study section for "
                           f"{study_kind!r}: {sorted(bad)}")
-    args = {key: default for key, (_, default) in table.items()}
-    args.update((key, _study_value(f"study.{key}", value, table[key][0],
-                                   _STUDY_SIGNS.get(key)))
-                for key, value in section.items())
+    params = inspect.signature(STUDY_RUNNERS[study_kind]).parameters
+    defaults = {key: param.default for key, param in params.items()}
+    if "slope_bounds" in defaults:
+        defaults["slope_lo"], defaults["slope_hi"] = defaults["slope_bounds"]
+    args = {key: section.get(key, defaults[key]) for key in table}
     try:
         check_study_values(study_kind, args)
     except ValueError as exc:
@@ -197,73 +224,46 @@ def study_arguments(config: dict, study_kind: str) -> dict:
     return args
 
 
-def _build_model(section: dict):
-    kind = section.get("kind", "one_layer_residual")
-    d = int(section.get("d", 1))
-    if kind in BUILTIN_KINDS:
-        return make_builtin_model(kind, d,
-                                  p_hidden=int(section.get("p_hidden", 1)),
-                                  dim_data=int(section.get("dim_data", 0)))
-    if kind == "linear_drift":
-        return make_linear_drift_model(d)
-    if kind == "zero_cost":
-        return make_zero_cost_model(d)
-    raise ConfigError(f"unknown model kind {kind!r}; "
-                      f"expected one of {_MODEL_KINDS}")
-
-
 def build_setup(config: dict, seed_override: int | None = None) -> StudySetup:
     """Materialise a :class:`StudySetup` from a parsed configuration."""
-    model = _build_model(config["model"])
-    gsec = config["grid"]
-    grid = TimeGrid(horizon=float(gsec["horizon"]),
-                    n_steps=int(gsec["n_steps"]))
-    tsec = config["trainer"]
-    seed = int(tsec.get("seed", 0)) if seed_override is None else seed_override
-    noise_dt = tsec.get("noise_dt")
+    msec, tsec = config["model"], config["trainer"]
+    dsec, isec = config["dataset"], config["init"]
+    try:
+        if msec["kind"] in BUILTIN_KINDS:
+            model = make_builtin_model(msec["kind"], msec["d"],
+                                       p_hidden=msec["p_hidden"],
+                                       dim_data=msec["dim_data"])
+        elif msec["kind"] == "linear_drift":
+            model = make_linear_drift_model(msec["d"])
+        else:
+            model = make_zero_cost_model(msec["d"])
+    except ValueError as exc:  # dim_data that does not fit the model
+        raise ConfigError(f"model: {exc}") from None
+    grid = TimeGrid(**config["grid"])
     try:
         trainer = TrainerConfig(
-            sigma=float(tsec.get("sigma", 0.0)),
-            prior=gaussian_prior(float(tsec.get("kappa", 1.0)),
-                                 model.dim_param),
-            gamma=float(tsec.get("gamma", 1e-2)),
-            n_iters=int(tsec.get("n_iters", 100)),
-            seed=seed,
-            record_every=int(tsec.get("record_every", 0)),
-            snapshot_every=int(tsec.get("snapshot_every", 0)),
-            noise_dt=None if noise_dt is None else float(noise_dt),
-        )
+            sigma=tsec["sigma"],
+            prior=gaussian_prior(tsec["kappa"], model.dim_param),
+            gamma=tsec["gamma"], n_iters=tsec["n_iters"],
+            seed=tsec["seed"] if seed_override is None else seed_override,
+            record_every=tsec["record_every"], noise_dt=tsec["noise_dt"])
     except ValueError as exc:  # gamma not a multiple of noise_dt
         raise ConfigError(f"trainer: {exc}") from None
-    # Keys a section leaves out take the StudySetup field defaults.
-    dsec = config.get("dataset", {})
-    dataset_kind = dsec.get("kind", StudySetup.dataset_kind)
-    if dataset_kind not in _DATA_WIDTH:
-        raise ConfigError(f"unknown dataset kind {dataset_kind!r}; "
-                          f"expected one of {tuple(_DATA_WIDTH)}")
-    width = _DATA_WIDTH[dataset_kind] * model.dim_state
+    width = _DATA_WIDTH[dsec["kind"]] * model.dim_state
     if model.dim_data and model.dim_data != width:
         raise ConfigError(
             f"model {model.kind!r} reads data slices of length "
-            f"{model.dim_data}, but {dataset_kind!r} data has length {width} "
+            f"{model.dim_data}, but {dsec['kind']!r} data has length {width} "
             f"at d = {model.dim_state}")
-    isec = config.get("init", {})
-    init_kind, mean, std = StudySetup.init
-    if isec.get("kind", init_kind) == "constant":
-        init = ("constant", float(isec.get("value", 0.0)))
+    if isec["kind"] == "constant":
+        init = ("constant", isec["value"])
     else:
-        init = ("gaussian", float(isec.get("mean", mean)),
-                float(isec.get("std", std)))
+        init = ("gaussian", isec["mean"], isec["std"])
     return StudySetup(
         model=model, grid=grid, trainer=trainer,
-        n_particles=int(isec.get("n_particles", StudySetup.n_particles)),
-        n_samples=int(dsec.get("n_samples", StudySetup.n_samples)),
-        dataset_kind=dataset_kind,
-        dataset_target=dsec.get("target", StudySetup.dataset_target),
-        dataset_seed=int(dsec.get("seed", StudySetup.dataset_seed)),
-        init=init,
-        init_seed=int(isec.get("seed", StudySetup.init_seed)),
-    )
+        n_particles=isec["n_particles"], n_samples=dsec["n_samples"],
+        dataset_kind=dsec["kind"], dataset_target=dsec["target"],
+        dataset_seed=dsec["seed"], init=init, init_seed=isec["seed"])
 
 
 def default_train_config() -> dict:
@@ -302,7 +302,7 @@ def grad_check_instance(seed: int) -> tuple:
 # Built-in desk-scale configuration of each study: the settings the
 # acceptance suite runs, chosen so each theoretical property dominates the
 # measured observable at the stated thresholds.  Study keys take their
-# defaults from STUDY_TABLE.
+# defaults from the runners' signatures.
 _STUDY_CONFIGS = {
     "chaos": {
         "model": {"kind": "one_layer_residual", "d": 1, "p_hidden": 1,

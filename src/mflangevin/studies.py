@@ -261,7 +261,8 @@ def check_study_values(kind: str, values: dict) -> None:
 # propagation of chaos
 # ---------------------------------------------------------------------------
 
-def run_chaos_study(setup: StudySetup, n2_list, n1_list, *, n_ref: int = 2048,
+def run_chaos_study(setup: StudySetup, n2_list=(16, 32, 64, 128),
+                    n1_list=(8, 32, 128), *, n_ref: int = 2048,
                     n1_ref: int = 512, n_reps: int = 3,
                     tail_fraction: float = 0.25, snapshot_every: int = 5,
                     slope_bounds=(0.7, 1.3), threads: int = 1) -> StudyReport:
@@ -336,9 +337,9 @@ def run_chaos_study(setup: StudySetup, n2_list, n1_list, *, n_ref: int = 2048,
 # training-time discretisation rate
 # ---------------------------------------------------------------------------
 
-def run_euler_study(setup: StudySetup, gamma_list, *, s_final: float = 1.0,
-                    ref_divisor: int = 8, slope_bounds=(1.6, 2.4),
-                    threads: int = 1) -> StudyReport:
+def run_euler_study(setup: StudySetup, gamma_list=(4e-3, 2e-3, 1e-3, 5e-4),
+                    *, s_final: float = 1.0, ref_divisor: int = 8,
+                    slope_bounds=(1.6, 2.4), threads: int = 1) -> StudyReport:
     """Strong rate in the training-time step against a pathwise-coupled reference.
 
     Brownian increments are generated at the reference resolution and
@@ -621,7 +622,8 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
 # generalisation scaling
 # ---------------------------------------------------------------------------
 
-def run_generalization_study(setup: StudySetup, n1_list, holdout_n: int, *,
+def run_generalization_study(setup: StudySetup, n1_list=(8, 16, 32, 64),
+                             holdout_n: int = 4096, *,
                              n_seeds: int = 6, ref_particles: int = 512,
                              ref_samples: int = 512,
                              slope_bounds=(0.6, 1.4),

@@ -3,22 +3,34 @@
 import dataclasses
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mflangevin import cli, studies
 from mflangevin.cli import main
-from mflangevin.config import (STUDY_TABLE, build_setup, default_study_config,
-                               default_train_config, load_config,
-                               parse_config, study_arguments)
+from mflangevin.config import (STUDY_RUNNERS, STUDY_TABLE, build_setup,
+                               default_study_config, default_train_config,
+                               load_config, parse_config, study_arguments)
 from mflangevin.exceptions import ConfigError
-from mflangevin.studies import (StudySetup, run_chaos_study,
-                                run_contraction_study, run_euler_study,
-                                run_generalization_study, run_gibbs_check)
+from mflangevin.studies import StudySetup, run_chaos_study
 
-RUNNERS = {"chaos": run_chaos_study, "euler": run_euler_study,
-           "contraction": run_contraction_study, "gibbs": run_gibbs_check,
-           "generalization": run_generalization_study}
+ROOT = Path(__file__).resolve().parents[1]
+
+# The runner keywords a config cannot set.
+NOT_CONFIG_KEYWORDS = {"setup", "threads", "init_pairs"}
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if any training run starts."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("training started")
+
+    for module, name in ((cli, "train"), (studies, "train"),
+                         (studies, "coupled_runs")):
+        monkeypatch.setattr(module, name, forbidden)
 
 
 class TestConfigParsing:
@@ -178,16 +190,61 @@ class TestConfigParsing:
         assert args["n_reps"] == 2 and isinstance(args["n_reps"], int)
         assert args["n2_list"] == (8, 16)
         assert args["slope_bounds"] == (0.7, 2.0)
-        assert args["n1_ref"] == STUDY_TABLE["chaos"]["n1_ref"][1]
+        n1_ref = inspect.signature(run_chaos_study).parameters["n1_ref"]
+        assert args["n1_ref"] == n1_ref.default
 
     @pytest.mark.parametrize("kind", list(STUDY_TABLE))
-    def test_runner_defaults_match_the_study_table(self, kind):
-        # The table is the one home of each study default: every runner
-        # keyword it sets either has no default or the table's.
-        params = inspect.signature(RUNNERS[kind]).parameters
-        for key, value in study_arguments({}, kind).items():
-            default = params[key].default
-            assert default is inspect.Parameter.empty or default == value, key
+    def test_study_table_and_runner_keywords_cover_each_other(self, kind):
+        # Every table key sets a runner keyword that has a default, and
+        # every runner keyword but the few no config sets has a table key.
+        params = inspect.signature(STUDY_RUNNERS[kind]).parameters
+        keys = {"slope_bounds" if key in ("slope_lo", "slope_hi") else key
+                for key in STUDY_TABLE[kind]}
+        assert keys == set(params) - NOT_CONFIG_KEYWORDS
+        for key in keys:
+            assert params[key].default is not inspect.Parameter.empty, key
+
+    def test_shared_study_keys_have_one_type_and_range(self):
+        specs = {}
+        for table in STUDY_TABLE.values():
+            for key, spec in table.items():
+                assert specs.setdefault(key, spec) == spec, key
+
+    # Each input once got past the config layer; now each fails with a
+    # ConfigError that names its key before any training starts.
+    @pytest.mark.parametrize("kind,section,key,value,name", [
+        ("train", "grid", "horizon", None, "grid.horizon"),
+        ("train", "model", "dim_data", 3, "dim_data"),
+        ("train", "init", "kind", "uniform", "init.kind"),
+        ("train", "dataset", "target", "nope", "dataset.target"),
+        ("gibbs", "study", "burn_in_fraction", 1.5, "study.burn_in_fraction"),
+        ("gibbs", "study", "sigma_sweep", [0.0], "study.sigma_sweep"),
+        ("gibbs", "study", "sigma_sweep", [-1.0], "study.sigma_sweep"),
+        ("chaos", "study", "tail_fraction", -1, "study.tail_fraction"),
+        ("train", "trainer", "snapshot_every", 5, "snapshot_every"),
+        ("chaos", "trainer", "snapshot_every", 0, "snapshot_every"),
+    ])
+    def test_bad_input_fails_before_training(self, kind, section, key, value,
+                                             name, tmp_path, no_training):
+        # value None removes the key.
+        if kind == "train":
+            config = default_train_config()
+        else:
+            config = default_study_config(kind)
+        config.setdefault(section, {})[key] = value
+        if value is None:
+            del config[section][key]
+        with pytest.raises(ConfigError, match=name):
+            parsed = parse_config(config)
+            if kind != "train":
+                study_arguments(parsed, kind)
+            build_setup(parsed)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        command = {"train": "train", "gibbs": "gibbs-check",
+                   "chaos": "chaos-study"}[kind]
+        with pytest.raises(ConfigError, match=name):
+            main([command, "--config", str(path), "--out", str(tmp_path)])
 
     @pytest.mark.parametrize("model,dataset", [
         ({"kind": "timeseries_interp", "d": 1, "dim_data": 2},
@@ -214,6 +271,23 @@ class TestConfigParsing:
         path.write_text(json.dumps(default_train_config()))
         config = load_config(path)
         assert config["model"]["kind"] == "one_layer_residual"
+
+
+class TestConfigsOutsideTests:
+    """The configs that the benchmark and the README run parse and build."""
+
+    def test_benchmark_workload_configs(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import workloads
+        for workload in workloads.WORKLOADS.values():
+            build_setup(parse_config(workload(1, str(tmp_path)).raw))
+
+    def test_readme_example_config(self):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        config = parse_config(json.loads(block))
+        build_setup(config)
+        study_arguments(config, "chaos")
 
 
 def _mini_contraction_config(tmp_path):
@@ -286,6 +360,13 @@ class TestCli:
                      "contraction_log_distance_pair0.dat"):
             blobs = [(o / name).read_bytes() for o in outs]
             assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    @pytest.mark.parametrize("command", ["contraction-study", "train"])
+    def test_threads_below_one_rejected(self, command, threads, tmp_path,
+                                        no_training):
+        with pytest.raises(ConfigError, match="--threads"):
+            main([command, "--out", str(tmp_path), "--threads", threads])
 
     def test_seed_flag_changes_outputs(self, tmp_path):
         cfg = _mini_contraction_config(tmp_path)
