@@ -34,7 +34,7 @@ from .grids import TimeGrid
 from .metrics import paired_distance
 from .models import ModelSpec, PriorSpec
 from .objective import objective_Jsigma
-from .odes import mean_field_drift, solve_group, solve_paths
+from .odes import mean_field_drift, solve_group
 from .rng import PURPOSE_PROBE, keyed_normals, step_normals
 
 __all__ = [
@@ -249,12 +249,12 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
     history = TrainHistory()
     s = _step_times(cfg)
 
-    def record(it, cloud, x, drift):
-        """Append a history row for ``cloud``, whose states and drift are
-        ``x`` and ``drift``."""
-        # J comes from the forward states the drift was computed from.
+    def record(it, cloud, x, cost, drift):
+        """Append a history row for ``cloud``, whose states, running cost
+        and drift are ``x``, ``cost`` and ``drift``."""
+        # J comes from the forward sweep the drift was computed from.
         val = objective_Jsigma(model, cloud, dataset, grid, cfg.sigma,
-                               cfg.prior, x=x)
+                               cfg.prior, sweep=(x, float(cost)))
         history.iters.append(it)
         history.s.append(float(s[it]))
         history.J.append(val.j)
@@ -263,12 +263,12 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
         history.second_moment.append(cloud.second_moment())
 
     for group in _path_blocks(cfgs, shape):
-        xs, _, drifts = solve_group(model, [clouds[j] for j, _, _ in group],
-                                    dataset, grid)
-        for (j, it, noise), x, drift in zip(group, xs, drifts):
+        xs, _, drifts, costs = solve_group(
+            model, [clouds[j] for j, _, _ in group], dataset, grid)
+        for (j, it, noise), x, drift, cost in zip(group, xs, drifts, costs):
             if j == own:
                 if cfg.record_every > 0 and it % cfg.record_every == 0:
-                    record(it, clouds[j], x, drift)
+                    record(it, clouds[j], x, cost, drift)
                 if cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0:
                     history.snapshots.append((it, clouds[j]))
             clouds[j] = _apply_step(model, clouds[j], dataset, grid, cfgs[j],
@@ -277,8 +277,8 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
                 observe(j, it + 1, clouds[j])
     cloud = clouds[own]
     if cfg.record_every > 0:
-        x, _, drift = solve_paths(model, cloud, dataset, grid)
-        record(cfg.n_iters, cloud, x, drift)
+        (x,), _, (drift,), (cost,) = solve_group(model, [cloud], dataset, grid)
+        record(cfg.n_iters, cloud, x, cost, drift)
     if cfg.snapshot_every > 0:
         history.snapshots.append((cfg.n_iters, cloud))
     return cloud, history

@@ -20,14 +20,17 @@ whole grid for r clouds at once, the members of one coupled group, on a
 leading member axis.  ``forward(grid, xi, theta, zeta)`` maps the initial
 states ``xi`` (N1, d), the particles ``theta`` (r, N2, n_nodes, p) and the
 data (N1, q), (N1, n_nodes, q) or None to the Euler states x
-(r, N1, n_nodes, d) and a cache; ``backward(cache, p_n)`` maps the
-terminal costates (r, N1, d) to the costates p (r, N1, n_nodes, d) and the
-drift (r, N2, n_nodes, p), whose entry at node l is mean_k [(d_a phi)^T
-p_{l+1} + d_a f] and whose terminal row is zero.  Each member's results
-are the bytes it gets alone (r = 1).  ``grad_x_g`` is called once per
-group, on the terminal states (r, N1, d) of every member.  The tanh
-builtins fuse their pair into matrix products over (N1, N2 * m) blocks;
-other models derive theirs from the point maps, one member at a time.
+(r, N1, n_nodes, d), each member's running cost sum_{l<n} dt * mean_{k,i}
+f_{t_l}(x_{k,l}, theta_{i,l}, zeta_{k,l}) (r,), and a cache;
+``backward(cache, p_n)`` maps the terminal costates (r, N1, d) to the
+costates p (r, N1, n_nodes, d) and the drift (r, N2, n_nodes, p), whose
+entry at node l is mean_k [(d_a phi)^T p_{l+1} + d_a f] and whose terminal
+row is zero.  So the objective J and its gradient come from one pair.
+Each member's results are the bytes it gets alone (r = 1).  ``grad_x_g``
+is called once per group, on the terminal states (r, N1, d) of every
+member.  The tanh builtins fuse their pair into matrix products over
+(N1, N2 * m) blocks; other models derive theirs from the point maps, one
+member at a time.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ class ModelSpec:
 
     ``forward`` and ``backward`` are an optional fused sweep pair (see the
     module docstring).  ``dataclasses.replace`` keeps them as given, so
-    replace them with the maps they fuse; a derived pair reads the current
-    maps.
+    replace them with the maps they fuse (phi, f and their derivatives); a
+    derived pair reads the current maps.
     """
 
     dim_state: int
@@ -100,9 +103,11 @@ class ModelSpec:
         def forward(grid, xi, theta, zeta):
             x = np.empty((len(theta), len(xi), grid.n_nodes, self.dim_state))
             x[:, :, 0, :] = xi
+            cost = np.empty(len(theta))
             nodes = []
-            for x_j, theta_j in zip(x, theta):
+            for j, (x_j, theta_j) in enumerate(zip(x, theta)):
                 nodes.append([])
+                running = 0.0
                 for l in range(grid.n_steps):
                     zeta_l = (None if zeta is None
                               else _node_data(zeta, l)[:, None, :])
@@ -110,8 +115,10 @@ class ModelSpec:
                             theta_j[None, :, l, :], zeta_l)
                     x_j[:, l + 1, :] = (x_j[:, l, :]
                                         + grid.dt * self.phi(*args).mean(axis=1))
+                    running += grid.dt * float(self.f(*args).mean())
                     nodes[-1].append(args)
-            return x, (grid, theta.shape, nodes)
+                cost[j] = running
+            return x, cost, (grid, theta.shape, nodes)
 
         def backward(cache, p_n):
             grid, shape, nodes = cache
@@ -420,69 +427,77 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
     # The fused sweep pair.  At node l, unit u of particle i is column
     # i * m + u of the (N1, N2 * m) blocks, so each sum over samples or
     # particles is one matrix product, and one reshape per sweep lays out
-    # every member's and node's parameter blocks.  one_layer_residual's
-    # units do not read the state, so its products are stacked over members
-    # and nodes; the state-driven kinds loop over members and nodes for the
-    # x- and p-recursions and keep their (N1, N2 * m) working arrays per
-    # node.
+    # every member's and node's parameter blocks.  The pre-activation z is
+    # one product left @ right of the node's [mean(x) | zeta1] (N1, k) and
+    # [w; A] (k, N2 * m), k = 1 + d, with the w or A half missing where the
+    # kind has none.  one_layer_residual's units do not read the state, so
+    # its products are stacked over members and nodes; the state-driven
+    # kinds loop over members and nodes for the x- and p-recursions.
     def forward(grid, xi, theta, zeta):
         r, n2, n = len(theta), theta.shape[1], grid.n_steps
-        # With r members: A1 columns (r, n, N2 * m, d), w (r, n, N2 * m)
-        # and A (r, n, d, N2 * m).
+        # With r members: A1 columns (r, n, N2 * m, d) and the right
+        # factors (r, n, k, N2 * m).
         a1, *rest = _split(theta[:, :, :n], blocks)
         cols = a1.transpose(0, 2, 1, 4, 3).reshape(r, n, n2 * m, d)
-        w = amat = None
+        right = []
         if state_driven:
-            w = rest.pop(0).transpose(0, 2, 1, 3).reshape(r, n, n2 * m)
+            w = rest.pop(0).transpose(0, 2, 1, 3)
+            right.append(w.reshape(r, n, 1, n2 * m))
         if data_driven:
-            amat = rest[0].transpose(0, 2, 4, 1, 3).reshape(r, n, d, n2 * m)
+            amat = rest[0].transpose(0, 2, 4, 1, 3)
+            right.append(amat.reshape(r, n, d, n2 * m))
+        right = right[0] if len(right) == 1 else np.concatenate(right, axis=2)
         x = np.empty((r, len(xi), grid.n_nodes, d))
         x[:, :, 0, :] = xi
-        xbars, h = [], []
-        if state_driven:
-            for j, x_j in enumerate(x):
-                xbars.append([])
-                h.append([])
-                for l in range(n):
-                    xbars[j].append(x_j[:, l, :].sum(axis=1) / d)  # mean(x)
-                    z = xbars[j][l][:, None] * w[j, l]
-                    if data_driven:
-                        z = z + _node_data(zeta, l)[:, :d] @ amat[j, l]
-                    h[j].append(np.tanh(z))
-                    x_j[:, l + 1, :] = (x_j[:, l, :]
-                                        + grid.dt * ((h[j][l] @ cols[j, l]) / n2))
-        else:
+        if data_driven:
             zeta1 = _nodes_data(zeta, n)[..., :d].transpose(1, 0, 2)
-            h = zeta1 @ amat
+        if state_driven:
+            left = np.empty((r, n, len(xi), right.shape[2]))
+            if data_driven:
+                left[..., 1:] = zeta1
+            h = np.empty((r, n, len(xi), n2 * m))
+            for j, x_j in enumerate(x):
+                for l in range(n):
+                    left[j, l, :, 0] = x_j[:, l, :].sum(axis=1) / d  # mean(x)
+                    h_l = np.tanh(left[j, l] @ right[j, l], out=h[j, l])
+                    x_j[:, l + 1, :] = (x_j[:, l, :]
+                                        + grid.dt * ((h_l @ cols[j, l]) / n2))
+        else:
+            left = zeta1
+            h = zeta1 @ right
             np.tanh(h, out=h)
             x[:, :, 1:, :] = (grid.dt * ((h @ cols) / n2)).transpose(0, 2, 1, 3)
             x.cumsum(axis=2, out=x)  # the Euler adds, in node order
-        return x, (grid, theta.shape, cols, w, zeta, x, xbars, h)
+        cost, resid = np.zeros(r), None
+        if kind == "timeseries_interp":
+            # f = |x - zeta2|^2 does not read a, so its mean over samples
+            # and particles is its mean over samples; summed in node order.
+            resid = x[:, :, :n, :] - _nodes_data(zeta, n)[..., d:]
+            means = np.sum(resid * resid, axis=3).mean(axis=1)
+            for l in range(n):
+                cost += grid.dt * means[:, l]
+        return x, cost, (grid, theta.shape, cols, right, left, h, resid)
 
     def backward(cache, p_n):
-        grid, shape, cols, w, zeta, x, xbars, h = cache
+        grid, shape, cols, right, left, h, resid = cache
         (r, n2), n, n1 = shape[:2], grid.n_steps, p_n.shape[1]
         p = np.empty((r, n1, grid.n_nodes, d))
         p[:, :, -1, :] = p_n
         # Per node, with v = (A1^T p) * tanh'(z): sum_k p_k h_k^T
-        # (d, N2 * m), sum_k xbar_k v_k and sum_k zeta1_k v_k^T (d, N2 * m).
+        # (d, N2 * m) and sum_k left_k^T v_k (k, N2 * m), the w and A sums.
         if state_driven:
-            sums = [np.empty((r, n, d, n2 * m)), np.empty((r, n, n2 * m))]
-            if data_driven:
-                sums.append(np.empty((r, n, d, n2 * m)))
-            if kind == "timeseries_interp":
-                running = 2.0 * (x[:, :, :n, :] - _nodes_data(zeta, n)[..., d:])
+            sums = np.empty((r, n, d, n2 * m)), np.empty(right.shape)
+            if resid is not None:
+                running = 2.0 * resid
             for j, p_j in enumerate(p):
                 for l in range(n - 1, -1, -1):
-                    p_next, h_l = p_j[:, l + 1, :], h[j][l]
+                    p_next, h_l = p_j[:, l + 1, :], h[j, l]
                     v = (p_next @ cols[j, l].T) * (1.0 - h_l * h_l)
                     sums[0][j, l] = p_next.T @ h_l
-                    sums[1][j, l] = xbars[j][l] @ v
-                    if data_driven:
-                        sums[2][j, l] = _node_data(zeta, l)[:, :d].T @ v
+                    sums[1][j, l] = left[j, l].T @ v
                     # phi reads x through mean(x) only, as in grad_x_phi.
-                    gx = ((v @ w[j, l]) / (n2 * d))[:, None]
-                    if kind == "timeseries_interp":
+                    gx = ((v @ right[j, l, 0]) / (n2 * d))[:, None]
+                    if resid is not None:
                         gx = gx + running[j, :, l, :]
                     p_j[:, l, :] = p_next + grid.dt * gx
         else:
@@ -494,16 +509,17 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
             v = p_next @ cols.transpose(0, 1, 3, 2)
             dh = h * h
             v *= np.subtract(1.0, dh, out=dh)
-            sums = [p_next.transpose(0, 1, 3, 2) @ h,
-                    _nodes_data(zeta, n)[..., :d].transpose(1, 2, 0) @ v]
+            sums = (p_next.transpose(0, 1, 3, 2) @ h,
+                    left.transpose(0, 2, 1) @ v)
         # Parameter order within a particle: A1 (d, m), w (m), A (m, d).
-        sums[0] = sums[0].reshape(r, n, d, n2, m).transpose(0, 3, 1, 2, 4)
+        wa = sums[1].reshape(r, n, -1, n2, m).transpose(0, 3, 1, 4, 2)
+        per_block = [sums[0].reshape(r, n, d, n2, m).transpose(0, 3, 1, 2, 4)]
         if state_driven:
-            sums[1] = sums[1].reshape(r, n, n2, m).transpose(0, 2, 1, 3)
+            per_block.append(wa[..., 0])
         if data_driven:
-            sums[-1] = sums[-1].reshape(r, n, d, n2, m).transpose(0, 3, 1, 4, 2)
+            per_block.append(wa[..., int(state_driven):])
         drift = np.zeros(shape)
-        for (sl, _), s in zip(blocks, sums):
+        for (sl, _), s in zip(blocks, per_block):
             drift[:, :, :n, sl] = s.reshape(r, n2, n, -1) / n1
         return p, drift
 

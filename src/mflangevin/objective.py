@@ -1,4 +1,9 @@
-"""Data-averaged cost, its regularised variant, and the exact discrete gradient."""
+"""Data-averaged cost, its regularised variant and the exact gradient.
+
+J and its gradient come from one sweep pair of the model: the forward
+sweep returns the states and the running cost, to which this module adds
+the terminal cost, and the backward sweep returns the drift.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from .datasets import Dataset
 from .grids import TimeGrid
 from .metrics import ENTROPY_MIN_PARTICLES, entropy_estimate
 from .models import ModelSpec, PriorSpec
-from .odes import forward_paths, mean_field_drift
+from .odes import forward_cost, mean_field_drift
 
 __all__ = ["ObjectiveValue", "objective_J", "objective_Jsigma",
            "discrete_gradient", "finite_diff_gradient"]
@@ -37,17 +42,10 @@ class ObjectiveValue:
         return self.ent_term is None or math.isfinite(self.ent_term)
 
 
-def _cost(model: ModelSpec, theta: np.ndarray, dataset: Dataset,
-          x: np.ndarray, grid: TimeGrid) -> float:
-    """Running plus terminal cost of particles ``theta`` along states ``x``."""
-    running = 0.0
-    for l in range(grid.n_steps):
-        zeta_l = dataset.zeta_node(l)[:, None, :] if model.dim_data else None
-        vals = model.f(grid.nodes[l], x[:, l, None, :],
-                       theta[None, :, l, :], zeta_l)
-        running += grid.dt * float(vals.mean())
-    terminal = float(np.mean(model.g(x[:, -1, :], dataset.zeta)))
-    return running + terminal
+def _with_terminal(model: ModelSpec, dataset: Dataset, x: np.ndarray,
+                   running: float) -> float:
+    """J from one cloud's states ``x`` (N1, n_nodes, d) and running cost."""
+    return running + float(np.mean(model.g(x[:, -1, :], dataset.zeta)))
 
 
 def objective_J(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
@@ -56,15 +54,17 @@ def objective_J(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
 
     Mean over samples of [ sum_{l<n} dt * mean_i f_{t_l}(X_l, theta_{i,l})
     + g(X_n, zeta) ] with X from the Euler forward pass; the running cost
-    uses the left-Riemann rule, matching the forward convention.
+    uses the left-Riemann rule, matching the forward convention.  The
+    model's sweep pair computes the running cost in its forward sweep
+    (:func:`~mflangevin.odes.forward_cost`), beside the states.
     """
-    x = forward_paths(model, cloud, dataset, grid)
-    return _cost(model, cloud.particles, dataset, x, grid)
+    return _with_terminal(model, dataset,
+                          *forward_cost(model, cloud, dataset, grid))
 
 
 def objective_Jsigma(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
                      grid: TimeGrid, sigma: float, prior: PriorSpec, *,
-                     x: np.ndarray | None = None) -> ObjectiveValue:
+                     sweep: tuple | None = None) -> ObjectiveValue:
     """Regularised cost J + (sigma^2/2) * sum_{l<n} Ent(nu_l) dt.
 
     The entropy term exists for reporting only; the Langevin noise realises
@@ -72,16 +72,17 @@ def objective_Jsigma(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     At sigma = 0 the term is omitted entirely; with fewer particles than
     the entropy estimator needs, or a duplicate pair at any node, it is
     +inf.  One :func:`entropy_estimate` call covers every node, at
-    O(N2^2 p) per node for its exact neighbour search.  ``x``, the forward
-    states of ``cloud`` when the caller already has them, saves the
-    forward sweep.
+    O(N2^2 p) per node for its exact neighbour search.  ``sweep``, the
+    states (N1, n_nodes, d) and running cost of ``cloud`` when the caller
+    already has them from its sweep (as
+    :func:`~mflangevin.odes.solve_group` returns them), saves the forward
+    sweep.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if x is None:
-        j = objective_J(model, cloud, dataset, grid)
-    else:
-        j = _cost(model, cloud.particles, dataset, x, grid)
+    if sweep is None:
+        sweep = forward_cost(model, cloud, dataset, grid)
+    j = _with_terminal(model, dataset, *sweep)
     if sigma == 0.0:
         return ObjectiveValue(j=j, ent_term=None, j_sigma=j)
     if cloud.n_particles < ENTROPY_MIN_PARTICLES:

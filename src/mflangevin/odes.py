@@ -17,12 +17,13 @@ zero and the corresponding particles feel only the prior and the noise.
 
 Both sweeps run inside the model's sweep pair
 (:meth:`~mflangevin.models.ModelSpec.sweep_pair`): its forward runs the
-Euler states over the whole grid and keeps a cache, and its backward turns
-the cache and the terminal costate into every costate and the drift
-together (:func:`solve_paths`).  The pair takes several clouds on a leading
-member axis, so the members of a coupled group that update together share
-one sweep (:func:`solve_group`).  This module checks the setup before a
-sweep and each member's states and costates after it.
+Euler states and the running cost over the whole grid and keeps a cache,
+and its backward turns the cache and the terminal costate into every
+costate and the drift together (:func:`solve_paths`).  The pair takes
+several clouds on a leading member axis, so the members of a coupled group
+that update together share one sweep (:func:`solve_group`).  This module
+checks the setup before a sweep and each member's states and costates
+after it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .exceptions import NonFiniteCostateError, NonFiniteStateError
 from .grids import TimeGrid
 from .models import ModelSpec
 
-__all__ = ["forward_paths", "solve_paths", "solve_group", "mean_field_drift"]
+__all__ = ["forward_paths", "forward_cost", "solve_paths", "solve_group",
+           "mean_field_drift"]
 
 
 def _check_setup(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
@@ -61,21 +63,21 @@ def _first_nonfinite(values: np.ndarray, nodes) -> tuple[int, int]:
             return l, int(np.argmax(bad[:, l]))
 
 
-def _forward(model: ModelSpec, clouds: list, dataset: Dataset,
-             grid: TimeGrid) -> tuple[np.ndarray, object, int | None]:
-    """The Euler states (r, N1, n_nodes, d) of r clouds on the sweep pair's
-    member axis, the sweep's cache, and the first member whose states are
-    not finite (None if all are)."""
+def _forward(model: ModelSpec, clouds: list, dataset: Dataset, grid: TimeGrid
+             ) -> tuple[np.ndarray, np.ndarray, object, int | None]:
+    """The Euler states (r, N1, n_nodes, d) and running costs (r,) of r
+    clouds on the sweep pair's member axis, the sweep's cache, and the
+    first member whose states are not finite (None if all are)."""
     for cloud in clouds:
         _check_setup(model, cloud, dataset, grid)
     forward, _ = model.sweep_pair()
-    x, cache = forward(grid, dataset.xi,
-                       np.array([cloud.particles for cloud in clouds]),
-                       dataset.zeta if model.dim_data else None)
+    x, cost, cache = forward(grid, dataset.xi,
+                             np.array([cloud.particles for cloud in clouds]),
+                             dataset.zeta if model.dim_data else None)
     bad = None
     if not np.isfinite(x).all():
         bad = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
-    return x, cache, bad
+    return x, cost, cache, bad
 
 
 def _state_error(x: np.ndarray, grid: TimeGrid) -> NonFiniteStateError:
@@ -85,29 +87,38 @@ def _state_error(x: np.ndarray, grid: TimeGrid) -> NonFiniteStateError:
                                f"{sample} (step too large or model blow-up)")
 
 
-def forward_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-                  grid: TimeGrid) -> np.ndarray:
-    """Euler states for every sample, shape (N1, n_nodes, d).
+def forward_cost(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
+                 grid: TimeGrid) -> tuple[np.ndarray, float]:
+    """Euler states for every sample, shape (N1, n_nodes, d), and the
+    running cost sum_{l<n} dt * mean_{k,i} f_{t_l}(x_{k,l}, theta_{i,l},
+    zeta_{k,l}), from one forward sweep.
 
     x_{l+1} = x_l + dt * mean_i phi_{t_l}(x_l, theta_{i,l}, zeta_l).
     """
-    x, _, bad = _forward(model, [cloud], dataset, grid)
+    x, cost, _, bad = _forward(model, [cloud], dataset, grid)
     if bad is not None:
         raise _state_error(x[0], grid)
-    return x[0]
+    return x[0], float(cost[0])
+
+
+def forward_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
+                  grid: TimeGrid) -> np.ndarray:
+    """The Euler states (N1, n_nodes, d) of :func:`forward_cost`."""
+    return forward_cost(model, cloud, dataset, grid)[0]
 
 
 def solve_group(model: ModelSpec, clouds: list, dataset: Dataset,
-                grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                grid: TimeGrid
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`solve_paths` of r clouds, stacked on a leading member axis,
-    from one call of each half of the sweep pair.
+    from one call of each half of the sweep pair, and each member's running
+    cost (r,), as :func:`forward_cost` gives it.
 
-    Member j's states, costates and drift are the bytes its own
-    :func:`solve_paths` returns.  The first member whose states or
-    costates are not finite raises the error its own :func:`solve_paths`
-    raises.
+    Member j's states, costates, drift and running cost are the bytes its
+    own sweep returns.  The first member whose states or costates are not
+    finite raises the error its own :func:`solve_paths` raises.
     """
-    x, cache, bad = _forward(model, clouds, dataset, grid)
+    x, cost, cache, bad = _forward(model, clouds, dataset, grid)
     if bad is not None:
         if bad:
             solve_group(model, clouds[:bad], dataset, grid)
@@ -121,7 +132,7 @@ def solve_group(model: ModelSpec, clouds: list, dataset: Dataset,
         node, sample = _first_nonfinite(p_j, range(grid.n_steps - 1, -1, -1))
         raise NonFiniteCostateError(
             f"non-finite costate at node {node}, sample {sample}")
-    return x, p, drift
+    return x, p, drift, cost
 
 
 def solve_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
@@ -135,7 +146,7 @@ def solve_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     + grad_a f_{t_l} ], all at (X_{k,l}, theta_{i,l}).  The terminal row of
     the drift is zero per the node convention above.
     """
-    x, p, drift = solve_group(model, [cloud], dataset, grid)
+    x, p, drift, _ = solve_group(model, [cloud], dataset, grid)
     return x[0], p[0], drift[0]
 
 

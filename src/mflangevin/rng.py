@@ -58,13 +58,16 @@ def _as_counter_word(idx) -> np.ndarray:
 
 
 def _philox_words(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
-    """Philox4x32 on 32-bit words held in uint64 arrays.
+    """Philox4x32 on 32-bit words held in uint64 arrays, in place.
 
     A 32 x 32-bit product fits in 64 bits, so the words never change dtype
     inside the rounds: the high half is a shift, the low half a mask.  The
     two multiplied words and the two passed-through words each share one
-    flat (2, n) array, so a round is five array operations; the row swaps
-    of the Philox permutation are reversed views, not copies.
+    flat (2, n) buffer, and a third buffer takes each round's products, so
+    a round is five array operations that allocate nothing; the row swaps
+    of the Philox permutation are reversed views, not copies.  Returns the
+    buffers holding the output words (x0, x2) and (x1, x3), the spare
+    buffer, and the broadcast shape of the counters.
     """
     words = [_as_counter_word(c) for c in (c0, c1, c2, c3)]
     shape = np.broadcast(*words).shape
@@ -72,20 +75,21 @@ def _philox_words(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
     thru = np.empty((2,) + shape, dtype=np.uint64)
     mul[0], thru[0], mul[1], thru[1] = words
     mul, thru = mul.reshape(2, -1), thru.reshape(2, -1)
+    spare = np.empty_like(mul)
     k0, k1 = key[0] & _M32, key[1] & _M32
     # Row r holds round r's key words in the order they meet hi = (hi0, hi1).
     keys = np.array([[(k1 + r * _WEYL_1) & _M32, (k0 + r * _WEYL_0) & _M32]
                      for r in range(rounds)], dtype=np.uint64).reshape(-1, 2, 1)
     for k in keys:
-        prod = mul * _PHILOX_M
-        hi = prod >> _SHIFT32
+        prod = np.multiply(mul, _PHILOX_M, out=spare)
+        hi = np.right_shift(prod, _SHIFT32, out=mul)
         hi ^= thru[::-1]
         hi ^= k
         prod &= _MASK32
-        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
-        mul, thru = hi[::-1], prod[::-1]
-    return (mul[0].reshape(shape), thru[0].reshape(shape),
-            mul[1].reshape(shape), thru[1].reshape(shape))
+        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0); the
+        # passed-through words are spent, so their buffer is the next spare.
+        mul, thru, spare = hi[::-1], prod[::-1], thru
+    return mul, thru, spare, shape
 
 
 def philox4x32(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
@@ -94,21 +98,35 @@ def philox4x32(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
     The four counter words broadcast against each other; the return value is
     a tuple of four uint32 arrays of the broadcast shape.
     """
-    return tuple(w.astype(np.uint32)
-                 for w in _philox_words(c0, c1, c2, c3, key, rounds))
+    mul, thru, _, shape = _philox_words(c0, c1, c2, c3, key, rounds)
+    return tuple(w.astype(np.uint32).reshape(shape)
+                 for w in (mul[0], thru[0], mul[1], thru[1]))
 
 
 def keyed_uniforms(seed: int, purpose: int, c0, c1, c2, c3) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1), one per counter tuple."""
-    w0, w1, _, _ = _philox_words(c0, c1, c2, c3, derive_key(seed, purpose))
-    bits = (w0 << _SHIFT32) | w1
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    """Uniform draws on the open interval (0, 1), one per counter tuple.
+
+    The 53 high bits of the words x0, x1 are mapped in place, into a row
+    of the generator's spare buffer.
+    """
+    mul, thru, spare, shape = _philox_words(c0, c1, c2, c3,
+                                            derive_key(seed, purpose))
+    bits = mul[0]
+    bits <<= _SHIFT32
+    bits |= thru[0]
+    bits >>= np.uint64(11)
+    out = spare[0].view(np.float64)
+    np.multiply(bits, 2.0**-53, out=out)
+    out += 2.0**-54
+    return out.reshape(shape)
 
 
 def keyed_normals(seed: int, purpose: int, c0, c1, c2, c3) -> np.ndarray:
-    """Standard normal draws via the inverse Gaussian CDF."""
+    """Standard normal draws via the inverse Gaussian CDF, written over the
+    uniforms."""
     from scipy.special import ndtri  # deferred: slow import
-    return ndtri(keyed_uniforms(seed, purpose, c0, c1, c2, c3))
+    u = keyed_uniforms(seed, purpose, c0, c1, c2, c3)
+    return ndtri(u, out=u)
 
 
 def _index_grid(n_rows: int, n_nodes: int, dim: int, row_offset: int = 0):

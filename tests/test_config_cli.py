@@ -220,6 +220,8 @@ class TestConfigParsing:
         ("gibbs", "study", "burn_in_fraction", 1.5, "study.burn_in_fraction"),
         ("gibbs", "study", "sigma_sweep", [0.0], "study.sigma_sweep"),
         ("gibbs", "study", "sigma_sweep", [-1.0], "study.sigma_sweep"),
+        ("gibbs", "trainer", "sigma", 0.0, "trainer.sigma"),
+        ("gibbs", "model", "d", 2, "dim_param == 1"),
         ("chaos", "study", "tail_fraction", -1, "study.tail_fraction"),
         ("train", "trainer", "snapshot_every", 5, "snapshot_every"),
         ("chaos", "trainer", "snapshot_every", 0, "snapshot_every"),

@@ -12,7 +12,9 @@ from mflangevin.grids import TimeGrid
 from mflangevin.models import (BUILTIN_KINDS, gaussian_prior,
                                make_builtin_model, make_linear_drift_model,
                                make_zero_cost_model, model_grad_selfcheck)
-from mflangevin.odes import mean_field_drift, solve_paths
+from mflangevin.objective import objective_J
+from mflangevin.odes import (forward_paths, mean_field_drift, solve_group,
+                             solve_paths)
 from mflangevin.rng import PURPOSE_PROBE, keyed_normals
 
 
@@ -130,8 +132,8 @@ def _grad_a_h(model, x, p, a, z):
     sweeps use: one sample, one particle and one step from t = 0, so the
     drift at node 0 pairs the state x with the terminal costate p."""
     forward, backward = model.sweep_pair()
-    _, cache = forward(TimeGrid(1.0, 1), x[None], np.stack([a, a])[None, None],
-                       z[None])
+    _, _, cache = forward(TimeGrid(1.0, 1), x[None],
+                          np.stack([a, a])[None, None], z[None])
     return backward(cache, p[None, None])[1][0, 0, 0]
 
 
@@ -301,9 +303,10 @@ def test_phi_matches_einsum_reference(kind, d, m):
 def test_fused_pair_matches_point_map_pair(kind, d, m):
     # The builtins' fused sweep pair against the pair derived from their
     # point maps, on a random cloud: the sums run in another order, so the
-    # states, costates and drifts agree to a few ulps of their largest
-    # entry.  The derived pair reads the maps when used, so a model made
-    # by replacing one drives with the new map (a stored pair would not).
+    # states, costates, drifts, running costs and J agree to a few ulps of
+    # their largest entry.  The derived pair reads the maps when used, so
+    # a model made by replacing one drives with the new map (a stored pair
+    # would not).
     timeseries = kind == "timeseries_interp"
     fused = make_builtin_model(kind, d=d, p_hidden=m,
                                dim_data=2 * d if timeseries else d)
@@ -313,18 +316,57 @@ def test_fused_pair_matches_point_map_pair(kind, d, m):
                           10 * d + m, grid, target="scaled")
     cloud = cloud_init(7, grid, fused.dim_param, ("gaussian", 0.0, 1.0),
                        seed=d + 10 * m)
-    for got, want in zip(solve_paths(fused, cloud, ds, grid),
-                         solve_paths(derived, cloud, ds, grid)):
+    for got, want in zip(solve_group(fused, [cloud], ds, grid),
+                         solve_group(derived, [cloud], ds, grid)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    j_fused, j_derived = (objective_J(model, cloud, ds, grid)
+                          for model in (fused, derived))
+    assert abs(j_fused - j_derived) <= 1e-13 * abs(j_derived)
     doubled = dataclasses.replace(
         derived, grad_a_phi=lambda *args: 2.0 * derived.grad_a_phi(*args))
     np.testing.assert_array_equal(mean_field_drift(doubled, cloud, ds, grid),
                                   2.0 * mean_field_drift(derived, cloud, ds, grid))
 
 
+def _reference_J(model, cloud, ds, grid):
+    """J in the order the objective summed it before the sweep pair
+    returned the running cost: f on the (N1, N2) batch of every node, its
+    mean times dt added node by node, then the terminal cost's mean."""
+    x = forward_paths(model, cloud, ds, grid)
+    running = 0.0
+    for l in range(grid.n_steps):
+        vals = model.f(grid.nodes[l], x[:, l, None, :],
+                       cloud.particles[None, :, l, :],
+                       ds.zeta_node(l)[:, None, :])
+        running += grid.dt * float(vals.mean())
+    return running + float(np.mean(model.g(x[:, -1, :], ds.zeta)))
+
+
+@pytest.mark.parametrize("name", ["linear_drift", "zero_cost", "replaced_f"])
+def test_derived_pair_J_equals_reference_loop(name):
+    # A derived pair sums the running cost in the reference's order, so J
+    # is the same bytes; replaced_f has a running cost that reads x and a.
+    model = {"linear_drift": make_linear_drift_model(2),
+             "zero_cost": make_zero_cost_model(2),
+             "replaced_f": dataclasses.replace(
+                 make_linear_drift_model(2),
+                 f=lambda t, x, a, z: np.sum(np.tanh(x * a + t), axis=-1)),
+             }[name]
+    # On this grid, factoring dt out of the node sum changes replaced_f's J.
+    grid = TimeGrid(0.9, 7)
+    ds = generate_dataset("regression", 11, 2, 3, grid, target="scaled")
+    cloud = cloud_init(13, grid, model.dim_param, ("gaussian", 0.0, 1.0),
+                       seed=5)
+    assert objective_J(model, cloud, ds, grid) == _reference_J(model, cloud,
+                                                               ds, grid)
+
+
 def _node_loop(kind, d, m, grid, xi, theta, zeta, p_n):
     """The tanh builtins' sweeps one node at a time: states, costates and
-    drift from the same per-node products as the fused sweep pair."""
+    drift from the same per-node products as the fused sweep pair, and the
+    running cost.  The pre-activation is one product [mean(x) | zeta1] @
+    [w; A], and the w and A sample sums one product with the same left
+    factor."""
     state, data = kind != "one_layer_residual", kind != "neural_ode_tanh"
     n1, n2, dt = len(xi), len(theta), grid.dt
     x = np.empty((n1, grid.n_nodes, d))
@@ -332,35 +374,42 @@ def _node_loop(kind, d, m, grid, xi, theta, zeta, p_n):
     p = np.empty_like(x)
     p[:, -1] = p_n
     drift = np.zeros(theta.shape)
+    cost = 0.0
     units = []
     for l in range(grid.n_steps):
         a, zeta_l = theta[:, l], zeta[:, l] if zeta.ndim == 3 else zeta
+        if kind == "timeseries_interp":
+            res = x[:, l] - zeta_l[:, d:]
+            cost += dt * np.mean(np.sum(res * res, axis=1))
         cols = a[:, :d * m].reshape(n2, d, m).transpose(0, 2, 1).reshape(-1, d)
-        w = a[:, d * m:d * m + m].reshape(-1) if state else None
-        xbar = np.mean(x[:, l], axis=1)
-        z = xbar[:, None] * w if state else None
+        left, right = [], []
+        if state:
+            left.append(np.mean(x[:, l], axis=1)[:, None])
+            right.append(a[:, d * m:d * m + m].reshape(1, -1))
         if data:
-            amat = a[:, -m * d:].reshape(n2, m, d).transpose(2, 0, 1).reshape(d, -1)
-            az = zeta_l[:, :d] @ amat
-            z = az if z is None else z + az
-        h = np.tanh(z)
+            left.append(zeta_l[:, :d])
+            right.append(a[:, -m * d:].reshape(n2, m, d).transpose(2, 0, 1)
+                         .reshape(d, -1))
+        left, right = np.hstack(left), np.vstack(right)
+        h = np.tanh(left @ right)
         x[:, l + 1] = x[:, l] + dt * ((h @ cols) / n2)
-        units.append((zeta_l, cols, w, xbar, h))
+        units.append((zeta_l, cols, left, right, h))
     for l in range(grid.n_steps - 1, -1, -1):
-        zeta_l, cols, w, xbar, h = units[l]
+        zeta_l, cols, left, right, h = units[l]
         v = (p[:, l + 1] @ cols.T) * (1.0 - h * h)
+        wa = (left.T @ v).reshape(-1, n2, m).transpose(1, 2, 0)
         sums = [(p[:, l + 1].T @ h).reshape(d, n2, m).transpose(1, 0, 2)]
         gx = np.zeros((n1, d))
         if state:
-            sums.append(xbar @ v)
-            gx = np.broadcast_to(((v @ w) / (n2 * d))[:, None], (n1, d))
+            sums.append(wa[..., 0])
+            gx = np.broadcast_to(((v @ right[0]) / (n2 * d))[:, None], (n1, d))
         if data:
-            sums.append((zeta_l[:, :d].T @ v).reshape(d, n2, m).transpose(1, 2, 0))
+            sums.append(wa[..., int(state):])
         if kind == "timeseries_interp":
             gx = gx + 2.0 * (x[:, l] - zeta_l[:, d:])
         drift[:, l] = np.concatenate([s.reshape(n2, -1) for s in sums], axis=1) / n1
         p[:, l] = p[:, l + 1] + dt * gx
-    return x, p, drift
+    return x, p, drift, cost
 
 
 @pytest.mark.parametrize("n1,n2", [(1, 1), (5, 6)])
@@ -388,9 +437,9 @@ def test_fused_sweep_matches_derived_sweep(kind, m, path, n_steps, n1, n2):
     runs = []
     for model in (fused, derived):
         forward, backward = model.sweep_pair()
-        x, cache = forward(grid, xi, theta[None], zeta)
-        runs.append([out[0] for out in (x, *backward(cache, p_n[None]))])
-    x, p, drift = runs[0]
+        x, cost, cache = forward(grid, xi, theta[None], zeta)
+        runs.append([out[0] for out in (x, *backward(cache, p_n[None]), cost)])
+    x, p, drift, _ = runs[0]
     assert x.shape == p.shape == (n1, grid.n_nodes, d)
     np.testing.assert_array_equal(x[:, 0], xi)
     np.testing.assert_array_equal(p[:, -1], p_n)
@@ -419,7 +468,8 @@ def _stacking_models():
 @pytest.mark.parametrize("name", list(_stacking_models()))
 def test_stacked_sweep_equals_solo_sweeps(name, members):
     # Clouds on the sweep pair's member axis: every member's states,
-    # costates and drift are the bytes of its own one-member sweep.
+    # running cost, costates and drift are the bytes of its own one-member
+    # sweep.
     model = _stacking_models()[name]
     grid = TimeGrid(1.0, 3)
     rng = np.random.default_rng(members)
@@ -430,11 +480,12 @@ def test_stacked_sweep_equals_solo_sweeps(name, members):
                       else (5, model.dim_data))
     p_n = rng.normal(size=(members, 5, model.dim_state))
     forward, backward = model.sweep_pair()
-    x, cache = forward(grid, xi, theta, zeta)
-    stacked = (x, *backward(cache, p_n))
+    x, cost, cache = forward(grid, xi, theta, zeta)
+    stacked = (x, cost, *backward(cache, p_n))
     for j in range(members):
-        x, cache = forward(grid, xi, theta[j:j + 1], zeta)
-        for got, want in zip(stacked, (x, *backward(cache, p_n[j:j + 1]))):
+        x, cost, cache = forward(grid, xi, theta[j:j + 1], zeta)
+        for got, want in zip(stacked, (x, cost,
+                                       *backward(cache, p_n[j:j + 1]))):
             assert got[j].tobytes() == want[0].tobytes()
 
 

@@ -123,7 +123,7 @@ class TestObjectiveSigma:
         assert val.j == objective_J(model, cloud, ds, grid)
 
     def test_given_forward_states_give_the_same_value(self):
-        from mflangevin.odes import forward_paths
+        from mflangevin.odes import forward_cost
         grid = TimeGrid(1.0, 4)
         model = make_builtin_model("timeseries_interp", d=2, p_hidden=2,
                                    dim_data=4)
@@ -131,8 +131,9 @@ class TestObjectiveSigma:
         cloud = cloud_init(12, grid, model.dim_param, ("gaussian", 0.0, 1.0),
                            seed=2)
         prior = gaussian_prior(1.0, model.dim_param)
-        x = forward_paths(model, cloud, ds, grid)
-        assert (objective_Jsigma(model, cloud, ds, grid, 0.5, prior, x=x)
+        sweep = forward_cost(model, cloud, ds, grid)
+        assert (objective_Jsigma(model, cloud, ds, grid, 0.5, prior,
+                                 sweep=sweep)
                 == objective_Jsigma(model, cloud, ds, grid, 0.5, prior))
 
     def test_negative_sigma_rejected(self):

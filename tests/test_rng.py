@@ -1,10 +1,37 @@
 """Counter-based generator: reference vectors, keying, and coupling contracts."""
 
 import numpy as np
+import pytest
+from scipy.special import ndtri
 
 from mflangevin.rng import (PURPOSE_INIT, PURPOSE_STEP, derive_key,
                             init_normals, keyed_normals, keyed_uniforms,
                             philox4x32, step_normals)
+
+
+def _reference_step_normals(seed, fine_iters, n_particles, n_nodes, dim):
+    """step_normals with Philox rounds that allocate fresh arrays every
+    round, and a uniform map and ndtri that allocate their outputs."""
+    fine = np.asarray(fine_iters, dtype=np.int64)
+    counters = [np.arange(dim).reshape(1, 1, -1),
+                np.arange(n_particles).reshape(-1, 1, 1),
+                fine.reshape(-1, 1, 1, 1),
+                np.arange(n_nodes).reshape(1, -1, 1)]
+    words = [c.astype(np.uint64) & np.uint64(0xFFFFFFFF) for c in counters]
+    shape = np.broadcast(*words).shape
+    x = [np.broadcast_to(w, shape).astype(np.uint64) for w in words]
+    k0, k1 = derive_key(seed, PURPOSE_STEP)
+    for r in range(10):
+        rk0 = np.uint64((k0 + r * 0x9E3779B9) & 0xFFFFFFFF)
+        rk1 = np.uint64((k1 + r * 0xBB67AE85) & 0xFFFFFFFF)
+        p0 = x[0] * np.uint64(0xD2511F53)
+        p1 = x[2] * np.uint64(0xCD9E8D57)
+        x = [(p1 >> np.uint64(32)) ^ x[1] ^ rk0, p1 & np.uint64(0xFFFFFFFF),
+             (p0 >> np.uint64(32)) ^ x[3] ^ rk1, p0 & np.uint64(0xFFFFFFFF)]
+    bits = (x[0] << np.uint64(32)) | x[1]
+    draws = ndtri((bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+                  + 2.0**-54)
+    return draws.reshape(fine.shape + draws.shape[1:]).sum(axis=fine.ndim - 1)
 
 
 class TestPhiloxKnownAnswers:
@@ -32,6 +59,30 @@ class TestPhiloxKnownAnswers:
         for i in range(6):
             single = philox4x32(i, 1, 2, 3, key=(7, 9))
             assert all(int(b[i]) == int(s) for b, s in zip(block, single))
+
+
+class TestInPlaceRounds:
+    """The rounds and the uniform map reuse three buffers per call."""
+
+    @pytest.mark.parametrize("fine,shape", [
+        (np.arange(51)[:, None], (32, 5, 2)),  # a stretch of 51 slots
+        (np.arange(7, 8), (128, 9, 10)),  # one update of 11,520 normals
+    ], ids=["stretch", "update"])
+    def test_step_normals_match_allocating_reference(self, fine, shape):
+        got = step_normals(23, fine, *shape)
+        want = _reference_step_normals(23, fine, *shape)
+        assert got.tobytes() == want.tobytes()
+
+    def test_successive_draws_share_no_memory(self):
+        a = keyed_normals(42, PURPOSE_STEP, 0, np.arange(10), 3, 1)
+        b = keyed_normals(42, PURPOSE_STEP, 0, np.arange(10), 3, 1)
+        assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(a, b)
+
+    def test_scalar_counters_give_a_scalar_draw(self):
+        u = keyed_uniforms(0, PURPOSE_INIT, 0, 0, 4, 0)
+        assert u.shape == () and 0.0 < u.item() < 1.0
+        assert keyed_normals(0, PURPOSE_INIT, 0, 0, 4, 0).item() == ndtri(u)
 
 
 class TestKeying:
