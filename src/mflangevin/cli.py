@@ -115,8 +115,8 @@ def _run_grad_check(args) -> int:
 
 def _run_study(args, study_kind: str) -> int:
     config = _load(args, default_study_config(study_kind))
-    kwargs = study_arguments(config, study_kind)
     setup = build_setup(config, seed_override=args.seed)
+    kwargs = study_arguments(config, study_kind, setup)
     # The Gibbs check is one training run: it has no independent runs to
     # spread over threads.
     if study_kind != "gibbs":

@@ -24,11 +24,10 @@ from .datasets import TARGETS, generate_dataset
 from .exceptions import ConfigError
 from .grids import TimeGrid
 from .langevin import TrainerConfig
-from .models import (BUILTIN_KINDS, ModelSpec, gaussian_prior,
-                     make_builtin_model, make_linear_drift_model,
-                     make_zero_cost_model)
-from .studies import (StudySetup, check_study_values, run_chaos_study,
-                      run_contraction_study, run_euler_study,
+from .models import (BUILTIN_KINDS, gaussian_prior, make_builtin_model,
+                     make_linear_drift_model, make_zero_cost_model)
+from .studies import (StudySetup, check_study_setup, check_study_values,
+                      run_chaos_study, run_contraction_study, run_euler_study,
                       run_generalization_study, run_gibbs_check)
 
 __all__ = ["load_config", "parse_config", "build_setup", "study_arguments",
@@ -201,10 +200,12 @@ def _checked(name: str, value, kind, allowed):
     return kind(value)
 
 
-def study_arguments(config: dict, study_kind: str) -> dict:
-    """Runner keywords of a parsed configuration: its ``study`` section
-    over the runner's defaults, with ConfigError for values that do not fit
-    together."""
+def study_arguments(config: dict, study_kind: str,
+                    setup: StudySetup) -> dict:
+    """Runner keywords of a parsed configuration, whose runs ``setup``
+    describes (see :func:`build_setup`): its ``study`` section over the
+    runner's defaults, with ConfigError for values that do not fit together
+    or do not suit the setup."""
     table = STUDY_TABLE[study_kind]
     section = config.get("study", {})
     bad = set(section) - set(table)
@@ -220,39 +221,30 @@ def study_arguments(config: dict, study_kind: str) -> dict:
         check_study_values(study_kind, args)
     except ValueError as exc:
         raise ConfigError(f"study: {exc}") from None
-    if study_kind == "gibbs":
-        # The check compares one-dimensional densities of a noisy run.
-        if config["trainer"]["sigma"] <= 0:
-            raise ConfigError("trainer.sigma must be positive for the Gibbs "
-                              "check")
-        dim_param = _model(config["model"]).dim_param
-        if dim_param != 1:
-            raise ConfigError(f"model: the Gibbs check needs dim_param == 1, "
-                              f"got {dim_param}")
+    try:
+        check_study_setup(study_kind, setup)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if "slope_lo" in args:
         args["slope_bounds"] = (args.pop("slope_lo"), args.pop("slope_hi"))
     return args
-
-
-def _model(msec: dict) -> ModelSpec:
-    """The model of a parsed ``model`` section."""
-    try:
-        if msec["kind"] in BUILTIN_KINDS:
-            return make_builtin_model(msec["kind"], msec["d"],
-                                      p_hidden=msec["p_hidden"],
-                                      dim_data=msec["dim_data"])
-        if msec["kind"] == "linear_drift":
-            return make_linear_drift_model(msec["d"])
-        return make_zero_cost_model(msec["d"])
-    except ValueError as exc:  # dim_data that does not fit the model
-        raise ConfigError(f"model: {exc}") from None
 
 
 def build_setup(config: dict, seed_override: int | None = None) -> StudySetup:
     """Materialise a :class:`StudySetup` from a parsed configuration."""
     msec, tsec = config["model"], config["trainer"]
     dsec, isec = config["dataset"], config["init"]
-    model = _model(msec)
+    try:
+        if msec["kind"] in BUILTIN_KINDS:
+            model = make_builtin_model(msec["kind"], msec["d"],
+                                       p_hidden=msec["p_hidden"],
+                                       dim_data=msec["dim_data"])
+        elif msec["kind"] == "linear_drift":
+            model = make_linear_drift_model(msec["d"])
+        else:
+            model = make_zero_cost_model(msec["d"])
+    except ValueError as exc:  # dim_data that does not fit the model
+        raise ConfigError(f"model: {exc}") from None
     grid = TimeGrid(**config["grid"])
     try:
         trainer = TrainerConfig(

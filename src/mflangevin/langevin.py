@@ -262,13 +262,18 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
         history.grad_norm.append(drift_norm(drift, grid))
         history.second_moment.append(cloud.second_moment())
 
+    def recorded(j, it):
+        return j == own and cfg.record_every > 0 and it % cfg.record_every == 0
+
     for group in _path_blocks(cfgs, shape):
+        # Only a recorded row reads the running cost.
+        with_cost = any(recorded(j, it) for j, it, _ in group)
         xs, _, drifts, costs = solve_group(
-            model, [clouds[j] for j, _, _ in group], dataset, grid)
-        for (j, it, noise), x, drift, cost in zip(group, xs, drifts, costs):
+            model, [clouds[j] for j, _, _ in group], dataset, grid, with_cost)
+        for m, ((j, it, noise), x, drift) in enumerate(zip(group, xs, drifts)):
+            if recorded(j, it):
+                record(it, clouds[j], x, costs[m], drift)
             if j == own:
-                if cfg.record_every > 0 and it % cfg.record_every == 0:
-                    record(it, clouds[j], x, cost, drift)
                 if cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0:
                     history.snapshots.append((it, clouds[j]))
             clouds[j] = _apply_step(model, clouds[j], dataset, grid, cfgs[j],
@@ -277,7 +282,8 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
                 observe(j, it + 1, clouds[j])
     cloud = clouds[own]
     if cfg.record_every > 0:
-        (x,), _, (drift,), (cost,) = solve_group(model, [cloud], dataset, grid)
+        (x,), _, (drift,), (cost,) = solve_group(model, [cloud], dataset,
+                                                 grid, True)
         record(cfg.n_iters, cloud, x, cost, drift)
     if cfg.snapshot_every > 0:
         history.snapshots.append((cfg.n_iters, cloud))

@@ -17,11 +17,12 @@ the first term of the Hamiltonian h = phi . p + f.
 
 The sweeps call a sweep pair (:meth:`ModelSpec.sweep_pair`) that runs the
 whole grid for r clouds at once, the members of one coupled group, on a
-leading member axis.  ``forward(grid, xi, theta, zeta)`` maps the initial
-states ``xi`` (N1, d), the particles ``theta`` (r, N2, n_nodes, p) and the
-data (N1, q), (N1, n_nodes, q) or None to the Euler states x
-(r, N1, n_nodes, d), each member's running cost sum_{l<n} dt * mean_{k,i}
-f_{t_l}(x_{k,l}, theta_{i,l}, zeta_{k,l}) (r,), and a cache;
+leading member axis.  ``forward(grid, xi, theta, zeta, with_cost=False)``
+maps the initial states ``xi`` (N1, d), the particles ``theta``
+(r, N2, n_nodes, p) and the data (N1, q), (N1, n_nodes, q) or None to the
+Euler states x (r, N1, n_nodes, d), each member's running cost
+sum_{l<n} dt * mean_{k,i} f_{t_l}(x_{k,l}, theta_{i,l}, zeta_{k,l}) (r,)
+if ``with_cost`` (else None, and f is not evaluated), and a cache;
 ``backward(cache, p_n)`` maps the terminal costates (r, N1, d) to the
 costates p (r, N1, n_nodes, d) and the drift (r, N2, n_nodes, p), whose
 entry at node l is mean_k [(d_a phi)^T p_{l+1} + d_a f] and whose terminal
@@ -100,14 +101,13 @@ class ModelSpec:
         if self.forward is not None:
             return self.forward, self.backward
 
-        def forward(grid, xi, theta, zeta):
+        def forward(grid, xi, theta, zeta, with_cost=False):
             x = np.empty((len(theta), len(xi), grid.n_nodes, self.dim_state))
             x[:, :, 0, :] = xi
-            cost = np.empty(len(theta))
+            cost = np.zeros(len(theta)) if with_cost else None
             nodes = []
             for j, (x_j, theta_j) in enumerate(zip(x, theta)):
                 nodes.append([])
-                running = 0.0
                 for l in range(grid.n_steps):
                     zeta_l = (None if zeta is None
                               else _node_data(zeta, l)[:, None, :])
@@ -115,9 +115,9 @@ class ModelSpec:
                             theta_j[None, :, l, :], zeta_l)
                     x_j[:, l + 1, :] = (x_j[:, l, :]
                                         + grid.dt * self.phi(*args).mean(axis=1))
-                    running += grid.dt * float(self.f(*args).mean())
+                    if with_cost:
+                        cost[j] += grid.dt * float(self.f(*args).mean())
                     nodes[-1].append(args)
-                cost[j] = running
             return x, cost, (grid, theta.shape, nodes)
 
         def backward(cache, p_n):
@@ -433,7 +433,7 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
     # kind has none.  one_layer_residual's units do not read the state, so
     # its products are stacked over members and nodes; the state-driven
     # kinds loop over members and nodes for the x- and p-recursions.
-    def forward(grid, xi, theta, zeta):
+    def forward(grid, xi, theta, zeta, with_cost=False):
         r, n2, n = len(theta), theta.shape[1], grid.n_steps
         # With r members: A1 columns (r, n, N2 * m, d) and the right
         # factors (r, n, k, N2 * m).
@@ -468,14 +468,17 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
             np.tanh(h, out=h)
             x[:, :, 1:, :] = (grid.dt * ((h @ cols) / n2)).transpose(0, 2, 1, 3)
             x.cumsum(axis=2, out=x)  # the Euler adds, in node order
-        cost, resid = np.zeros(r), None
+        cost = np.zeros(r) if with_cost else None
+        resid = None
         if kind == "timeseries_interp":
-            # f = |x - zeta2|^2 does not read a, so its mean over samples
-            # and particles is its mean over samples; summed in node order.
+            # The backward reads x - zeta2.  f = |x - zeta2|^2 does not read
+            # a, so its mean over samples and particles is its mean over
+            # samples; summed in node order.
             resid = x[:, :, :n, :] - _nodes_data(zeta, n)[..., d:]
-            means = np.sum(resid * resid, axis=3).mean(axis=1)
-            for l in range(n):
-                cost += grid.dt * means[:, l]
+            if with_cost:
+                means = np.sum(resid * resid, axis=3).mean(axis=1)
+                for l in range(n):
+                    cost += grid.dt * means[:, l]
         return x, cost, (grid, theta.shape, cols, right, left, h, resid)
 
     def backward(cache, p_n):

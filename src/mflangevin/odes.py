@@ -63,17 +63,20 @@ def _first_nonfinite(values: np.ndarray, nodes) -> tuple[int, int]:
             return l, int(np.argmax(bad[:, l]))
 
 
-def _forward(model: ModelSpec, clouds: list, dataset: Dataset, grid: TimeGrid
-             ) -> tuple[np.ndarray, np.ndarray, object, int | None]:
-    """The Euler states (r, N1, n_nodes, d) and running costs (r,) of r
-    clouds on the sweep pair's member axis, the sweep's cache, and the
-    first member whose states are not finite (None if all are)."""
+def _forward(model: ModelSpec, clouds: list, dataset: Dataset,
+             grid: TimeGrid, with_cost: bool
+             ) -> tuple[np.ndarray, np.ndarray | None, object, int | None]:
+    """The Euler states (r, N1, n_nodes, d) and, if ``with_cost``, the
+    running costs (r,) of r clouds on the sweep pair's member axis, the
+    sweep's cache, and the first member whose states are not finite (None
+    if all are)."""
     for cloud in clouds:
         _check_setup(model, cloud, dataset, grid)
     forward, _ = model.sweep_pair()
     x, cost, cache = forward(grid, dataset.xi,
                              np.array([cloud.particles for cloud in clouds]),
-                             dataset.zeta if model.dim_data else None)
+                             dataset.zeta if model.dim_data else None,
+                             with_cost=with_cost)
     bad = None
     if not np.isfinite(x).all():
         bad = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
@@ -95,7 +98,7 @@ def forward_cost(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
 
     x_{l+1} = x_l + dt * mean_i phi_{t_l}(x_l, theta_{i,l}, zeta_l).
     """
-    x, cost, _, bad = _forward(model, [cloud], dataset, grid)
+    x, cost, _, bad = _forward(model, [cloud], dataset, grid, True)
     if bad is not None:
         raise _state_error(x[0], grid)
     return x[0], float(cost[0])
@@ -108,17 +111,19 @@ def forward_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
 
 
 def solve_group(model: ModelSpec, clouds: list, dataset: Dataset,
-                grid: TimeGrid
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                grid: TimeGrid, with_cost: bool = False
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                           np.ndarray | None]:
     """:func:`solve_paths` of r clouds, stacked on a leading member axis,
-    from one call of each half of the sweep pair, and each member's running
-    cost (r,), as :func:`forward_cost` gives it.
+    from one call of each half of the sweep pair, and, if ``with_cost``,
+    each member's running cost (r,), as :func:`forward_cost` gives it
+    (None otherwise: the sweep then skips the running cost).
 
     Member j's states, costates, drift and running cost are the bytes its
     own sweep returns.  The first member whose states or costates are not
     finite raises the error its own :func:`solve_paths` raises.
     """
-    x, cost, cache, bad = _forward(model, clouds, dataset, grid)
+    x, cost, cache, bad = _forward(model, clouds, dataset, grid, with_cost)
     if bad is not None:
         if bad:
             solve_group(model, clouds[:bad], dataset, grid)

@@ -31,7 +31,7 @@ __all__ = [
     "run_chaos_study", "run_euler_study", "run_contraction_study",
     "run_gibbs_check", "run_generalization_study",
     "fit_loglog", "fit_rate", "histogram_tv", "gibbs_log_density",
-    "check_study_values",
+    "check_study_values", "check_study_setup",
 ]
 
 
@@ -255,6 +255,17 @@ def check_study_values(kind: str, values: dict) -> None:
             raise ValueError("n1_list must be nonempty")
         if v["holdout_n"] < max(v["n1_list"]):
             raise ValueError("holdout must dominate the studied sizes")
+
+
+def check_study_setup(kind: str, setup: StudySetup) -> None:
+    """Raise ValueError unless ``setup`` suits the runner of study ``kind``:
+    the Gibbs check compares one-dimensional densities of a noisy run."""
+    if kind == "gibbs":
+        if setup.trainer.sigma <= 0:
+            raise ValueError("the Gibbs check needs trainer.sigma > 0")
+        if setup.model.dim_param != 1:
+            raise ValueError(f"the Gibbs check needs dim_param == 1, got "
+                             f"{setup.model.dim_param}")
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +565,8 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
     sigma grows.
     """
     t0 = time.perf_counter()
-    if setup.model.dim_param != 1:
-        raise ValueError("the density comparison requires dim_param == 1")
+    check_study_setup("gibbs", setup)
     cfg = setup.trainer
-    if cfg.sigma <= 0:
-        raise ValueError("stationarity check needs sigma > 0")
     if snapshot_every is None:
         snapshot_every = max(1, cfg.n_iters // 40)
     dataset = setup.make_dataset(setup.n_samples)

@@ -37,8 +37,8 @@ class TestConfigParsing:
     def test_defaults_parse_cleanly(self):
         for kind in STUDY_TABLE:
             config = parse_config(default_study_config(kind))
-            study_arguments(config, kind)
             setup = build_setup(config)
+            study_arguments(config, kind, setup)
             assert setup.grid.n_steps >= 1
         parse_config(default_train_config())
 
@@ -72,7 +72,7 @@ class TestConfigParsing:
         config["study"] = {"n_pairs": 3}
         parsed = parse_config(config)
         with pytest.raises(ConfigError, match="n_pairs"):
-            study_arguments(parsed, "euler")
+            study_arguments(parsed, "euler", build_setup(parsed))
 
     @pytest.mark.parametrize("section,value", [("model", []),
                                                ("study", ["n_reps"])])
@@ -161,7 +161,8 @@ class TestConfigParsing:
         config = default_study_config(kind)
         config["study"] = study
         with pytest.raises(ConfigError, match=message):
-            study_arguments(parse_config(config), kind)
+            parsed = parse_config(config)
+            study_arguments(parsed, kind, build_setup(parsed))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         command = {"euler": "euler-study", "chaos": "chaos-study",
@@ -186,7 +187,8 @@ class TestConfigParsing:
     def test_study_section_overrides_the_table(self):
         config = default_study_config("chaos")
         config["study"] = {"n_reps": 2.0, "n2_list": [8, 16], "slope_hi": 2}
-        args = study_arguments(parse_config(config), "chaos")
+        parsed = parse_config(config)
+        args = study_arguments(parsed, "chaos", build_setup(parsed))
         assert args["n_reps"] == 2 and isinstance(args["n_reps"], int)
         assert args["n2_list"] == (8, 16)
         assert args["slope_bounds"] == (0.7, 2.0)
@@ -238,9 +240,9 @@ class TestConfigParsing:
             del config[section][key]
         with pytest.raises(ConfigError, match=name):
             parsed = parse_config(config)
+            setup = build_setup(parsed)
             if kind != "train":
-                study_arguments(parsed, kind)
-            build_setup(parsed)
+                study_arguments(parsed, kind, setup)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         command = {"train": "train", "gibbs": "gibbs-check",
@@ -288,8 +290,7 @@ class TestConfigsOutsideTests:
         text = (ROOT / "README.md").read_text()
         block = text.split("```json\n", 1)[1].split("```", 1)[0]
         config = parse_config(json.loads(block))
-        build_setup(config)
-        study_arguments(config, "chaos")
+        study_arguments(config, "chaos", build_setup(config))
 
 
 def _mini_contraction_config(tmp_path):

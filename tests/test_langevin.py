@@ -127,6 +127,24 @@ class TestTrain:
         assert np.all(np.isfinite(tail))
         assert tail.max() < 10.0
 
+    @pytest.mark.parametrize("record_every", [0, 5])
+    def test_only_recorded_rows_evaluate_f(self, record_every):
+        # The sweep computes the running cost for recorded rows only: one
+        # f call per node for each of the rows at 0, 5, 10, 15 and 20.
+        grid = TimeGrid(1.0, 2)
+        model, ds, init = quadratic_toy(grid, n_particles=4, seed=2)
+        calls = []
+
+        def f(t, x, a, zeta_t):
+            calls.append(t)
+            return model.f(t, x, a, zeta_t)
+
+        cfg = TrainerConfig(sigma=0.5, prior=gaussian_prior(1.0, 1),
+                            gamma=0.01, n_iters=20, seed=2,
+                            record_every=record_every)
+        train(dataclasses.replace(model, f=f), ds, grid, cfg, init)
+        assert len(calls) == (5 * grid.n_steps if record_every else 0)
+
     def test_history_records_expected_columns(self, tmp_path):
         grid = TimeGrid(1.0, 2)
         model, ds, init = quadratic_toy(grid, n_particles=16, seed=2)

@@ -316,8 +316,8 @@ def test_fused_pair_matches_point_map_pair(kind, d, m):
                           10 * d + m, grid, target="scaled")
     cloud = cloud_init(7, grid, fused.dim_param, ("gaussian", 0.0, 1.0),
                        seed=d + 10 * m)
-    for got, want in zip(solve_group(fused, [cloud], ds, grid),
-                         solve_group(derived, [cloud], ds, grid)):
+    for got, want in zip(solve_group(fused, [cloud], ds, grid, True),
+                         solve_group(derived, [cloud], ds, grid, True)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     j_fused, j_derived = (objective_J(model, cloud, ds, grid)
                           for model in (fused, derived))
@@ -437,7 +437,7 @@ def test_fused_sweep_matches_derived_sweep(kind, m, path, n_steps, n1, n2):
     runs = []
     for model in (fused, derived):
         forward, backward = model.sweep_pair()
-        x, cost, cache = forward(grid, xi, theta[None], zeta)
+        x, cost, cache = forward(grid, xi, theta[None], zeta, with_cost=True)
         runs.append([out[0] for out in (x, *backward(cache, p_n[None]), cost)])
     x, p, drift, _ = runs[0]
     assert x.shape == p.shape == (n1, grid.n_nodes, d)
@@ -480,13 +480,58 @@ def test_stacked_sweep_equals_solo_sweeps(name, members):
                       else (5, model.dim_data))
     p_n = rng.normal(size=(members, 5, model.dim_state))
     forward, backward = model.sweep_pair()
-    x, cost, cache = forward(grid, xi, theta, zeta)
+    x, cost, cache = forward(grid, xi, theta, zeta, with_cost=True)
     stacked = (x, cost, *backward(cache, p_n))
     for j in range(members):
-        x, cost, cache = forward(grid, xi, theta[j:j + 1], zeta)
+        x, cost, cache = forward(grid, xi, theta[j:j + 1], zeta,
+                                 with_cost=True)
         for got, want in zip(stacked, (x, cost,
                                        *backward(cache, p_n[j:j + 1]))):
             assert got[j].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("name", ["derived", "fused"])
+def test_forward_skips_the_running_cost_unless_asked(name):
+    # Without with_cost the cost is None and f is never evaluated; the
+    # states are the same bytes either way.
+    calls = []
+
+    def f(t, x, a, z):
+        calls.append(t)
+        return np.sum(x * a, axis=-1)
+
+    model = make_builtin_model("timeseries_interp", d=1, dim_data=2)
+    if name == "derived":
+        model = dataclasses.replace(model, f=f, forward=None, backward=None)
+    grid = TimeGrid(1.0, 3)
+    rng = np.random.default_rng(4)
+    xi, theta = rng.normal(size=(4, 1)), rng.normal(size=(2, 5, 4, 3))
+    zeta = rng.normal(size=(4, 4, 2))
+    forward, _ = model.sweep_pair()
+    x, cost, _ = forward(grid, xi, theta, zeta)
+    assert cost is None and not calls
+    x_cost, cost, _ = forward(grid, xi, theta, zeta, with_cost=True)
+    assert x.tobytes() == x_cost.tobytes() and cost.shape == (2,)
+    assert len(calls) == (2 * grid.n_steps if name == "derived" else 0)
+
+
+def test_replaced_f_on_a_builtin_keeps_the_fused_cost():
+    # timeseries_interp's fused pair computes the running cost from its own
+    # copy of f = |x - zeta2|^2, so replacing f alone leaves J as it was;
+    # replacing the pair too makes J read the new f.  A stale fused pair is
+    # not detected yet.
+    model = make_builtin_model("timeseries_interp", d=1, dim_data=2)
+    doubled = dataclasses.replace(
+        model, f=lambda *args: 2.0 * model.f(*args))
+    grid = TimeGrid(1.0, 3)
+    ds = generate_dataset("timeseries", 5, 1, 2, grid, target="scaled")
+    cloud = cloud_init(6, grid, model.dim_param, ("gaussian", 0.0, 1.0),
+                       seed=3)
+    j = objective_J(model, cloud, ds, grid)
+    assert objective_J(doubled, cloud, ds, grid) == j
+    derived = dataclasses.replace(doubled, forward=None, backward=None)
+    assert objective_J(derived, cloud, ds, grid) == pytest.approx(2.0 * j,
+                                                                  rel=1e-13)
 
 
 def test_sweep_pair_needs_both_maps():

@@ -284,7 +284,7 @@ ds = generate_dataset("timeseries" if series else "regression", 64, 2, 5,
 clouds = [cloud_init(256, grid, model.dim_param, ("gaussian", 0.0, 1.0),
                      seed=seed) for seed in (6, 7, 8)]
 paths = solve_paths(model, clouds[0], ds, grid)
-stacked = solve_group(model, clouds, ds, grid)
+stacked = solve_group(model, clouds, ds, grid, True)
 print(hashlib.sha256(b"".join(a.tobytes() for a in paths + stacked)).hexdigest())
 """
 
