@@ -7,11 +7,12 @@ Clouds are immutable value objects: every update builds a new one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import TimeGrid
+from .grids import TimeGrid, _left_rule_mean_sq
 from .rng import init_normals
 
 __all__ = ["ParticleCloud", "cloud_init", "cloud_to_csv", "cloud_from_csv"]
@@ -28,7 +29,6 @@ class ParticleCloud:
 
     particles: np.ndarray
     grid: TimeGrid
-    seed: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.particles, dtype=float)
@@ -52,8 +52,7 @@ class ParticleCloud:
 
     def second_moment(self) -> float:
         """Time-integrated mean squared parameter norm (left rule)."""
-        sq = np.sum(self.particles[:, :-1, :] ** 2, axis=2).mean(axis=0)
-        return float(np.sum(sq) * self.grid.dt)
+        return _left_rule_mean_sq(self.particles, self.grid.dt)
 
     def with_particles(self, particles: np.ndarray) -> "ParticleCloud":
         return replace(self, particles=particles)
@@ -92,7 +91,7 @@ def cloud_init(n_particles: int, grid: TimeGrid, dim_param: int,
         arr = np.asarray(mean, dtype=float) + std * noise
     else:
         raise ValueError(f"unknown init kind {kind!r}")
-    return ParticleCloud(particles=arr, grid=grid, seed=seed)
+    return ParticleCloud(particles=arr, grid=grid)
 
 
 def cloud_to_csv(cloud: ParticleCloud, path) -> None:
@@ -105,14 +104,23 @@ def cloud_to_csv(cloud: ParticleCloud, path) -> None:
                       for i, l, c, v in zip(*columns, arr.ravel().tolist()))
 
 
-def cloud_from_csv(path, grid: TimeGrid, seed: int = 0) -> ParticleCloud:
-    """Read a cloud written by :func:`cloud_to_csv`."""
+def cloud_from_csv(path, grid: TimeGrid) -> ParticleCloud:
+    """Read a cloud written by :func:`cloud_to_csv`: each (particle, node,
+    coord) a nonnegative integer triple, given once, and none left out."""
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if raw.shape[1] != 4:
         raise ValueError("expected columns particle,node,coord,value")
-    n_i = int(raw[:, 0].max()) + 1
-    n_l = int(raw[:, 1].max()) + 1
-    n_c = int(raw[:, 2].max()) + 1
-    arr = np.full((n_i, n_l, n_c), np.nan)
-    arr[raw[:, 0].astype(int), raw[:, 1].astype(int), raw[:, 2].astype(int)] = raw[:, 3]
-    return ParticleCloud(particles=arr, grid=grid, seed=seed)
+    idx = raw[:, :3]
+    if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
+        raise ValueError("particle, node and coord must be nonnegative "
+                         "integers")
+    idx = idx.astype(np.int64)
+    if len(np.unique(idx, axis=0)) < len(idx):
+        raise ValueError("a (particle, node, coord) is given twice")
+    shape = tuple(int(n) + 1 for n in idx.max(axis=0))
+    # Counted before allocating: a stray huge index must not size the array.
+    if math.prod(shape) != len(idx):
+        raise ValueError("a (particle, node, coord) is missing")
+    arr = np.empty(shape)
+    arr[tuple(idx.T)] = raw[:, 3]
+    return ParticleCloud(particles=arr, grid=grid)

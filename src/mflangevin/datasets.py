@@ -24,8 +24,6 @@ class Dataset:
 
     xi: np.ndarray
     zeta: np.ndarray
-    kind: str = "custom"
-    seed: int = 0
 
     def __post_init__(self):
         xi = np.atleast_2d(np.asarray(self.xi, dtype=float))
@@ -35,6 +33,8 @@ class Dataset:
                              "matching xi's sample count")
         if xi.shape[0] < 1:
             raise ValueError("dataset must contain at least one sample")
+        if not (np.isfinite(xi).all() and np.isfinite(zeta).all()):
+            raise ValueError("xi and zeta must be finite")
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "zeta", zeta)
 
@@ -119,7 +119,7 @@ def generate_dataset(kind: str, n_samples: int, d: int, seed: int,
         xi = np.asarray(fn(zeta, grid.horizon), dtype=float)
         if xi.shape != zeta.shape:
             raise ValueError("target must map (N1, d) to (N1, d)")
-        return Dataset(xi=xi, zeta=zeta, kind="regression", seed=seed)
+        return Dataset(xi=xi, zeta=zeta)
     if kind == "timeseries":
         nodes = grid.nodes
         if obs_nodes is None:
@@ -140,6 +140,5 @@ def generate_dataset(kind: str, n_samples: int, d: int, seed: int,
                 prev = l
             obs[:, l, :] = truth[:, prev, :]
         zeta = np.concatenate([obs, truth], axis=2)
-        return Dataset(xi=truth[:, 0, :].copy(), zeta=zeta,
-                       kind="timeseries", seed=seed)
+        return Dataset(xi=truth[:, 0, :].copy(), zeta=zeta)
     raise ValueError(f"unknown dataset kind {kind!r}")

@@ -36,3 +36,10 @@ class TimeGrid:
     @property
     def n_nodes(self) -> int:
         return self.n_steps + 1
+
+
+def _left_rule_mean_sq(paths: np.ndarray, dt: float) -> float:
+    """sum_{l<n} dt * mean_i |paths_{i,l}|^2 of paths (N, n_nodes, p): the
+    left-rule time integral of the mean squared norm."""
+    sq = np.sum(paths[:, :-1, :] ** 2, axis=2).mean(axis=0)
+    return float(np.sum(sq) * dt)

@@ -30,7 +30,7 @@ import numpy as np
 from .clouds import ParticleCloud
 from .datasets import Dataset
 from .exceptions import NonFiniteParticleError
-from .grids import TimeGrid
+from .grids import TimeGrid, _left_rule_mean_sq
 from .metrics import paired_distance
 from .models import ModelSpec, PriorSpec
 from .objective import objective_Jsigma
@@ -60,7 +60,6 @@ class TrainerConfig:
     n_iters: int = 100
     seed: int = 0
     record_every: int = 10
-    snapshot_every: int = 0
     noise_dt: float | None = None
 
     def __post_init__(self):
@@ -71,9 +70,8 @@ class TrainerConfig:
             raise ValueError("n_iters must be nonnegative")
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be finite and positive")
-        if self.record_every < 0 or self.snapshot_every < 0:
-            raise ValueError("record_every and snapshot_every must be "
-                             "nonnegative")
+        if self.record_every < 0:
+            raise ValueError("record_every must be nonnegative")
         if self.noise_dt is not None:
             if not 0.0 < self.noise_dt < math.inf:
                 raise ValueError("noise_dt must be finite and positive")
@@ -93,7 +91,7 @@ class TrainerConfig:
 
 @dataclass
 class TrainHistory:
-    """Scalar series recorded during training plus optional cloud snapshots."""
+    """Scalar series recorded during training."""
 
     iters: list = field(default_factory=list)
     s: list = field(default_factory=list)
@@ -101,7 +99,6 @@ class TrainHistory:
     Jsigma: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -115,8 +112,7 @@ class TrainHistory:
 
 def drift_norm(drift: np.ndarray, grid: TimeGrid) -> float:
     """Time-integrated mean-field gradient norm (left rule)."""
-    sq = np.sum(drift[:, :-1, :] ** 2, axis=2).mean(axis=0)
-    return math.sqrt(float(np.sum(sq) * grid.dt))
+    return math.sqrt(_left_rule_mean_sq(drift, grid.dt))
 
 
 # The most standard normals one draw of a Brownian path holds, unless a
@@ -163,8 +159,9 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
     for c0 in range(0, n_slots, stretch):
         c1 = min(c0 + stretch, n_slots)
         if noisy:
-            fresh = step_normals(seed, np.arange(c0, c1)[:, None], *shape)
-            path = np.concatenate([path, fresh]) if len(path) else fresh
+            # A draw is a view of a buffer twice its size; the copy frees it.
+            path = np.concatenate(
+                [path, step_normals(seed, np.arange(c0, c1), *shape)])
         updates = []
         for j, (cfg, m) in enumerate(zip(cfgs, slots)):
             first, n = done[j], min(cfg.n_iters, c1 // m) - done[j]
@@ -186,13 +183,10 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
         path, start = path[keep - start:], keep
 
 
-def _apply_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-                grid: TimeGrid, cfg: TrainerConfig, iter_index: int,
-                noise: np.ndarray | None,
-                drift: np.ndarray | None = None) -> ParticleCloud:
-    """One update; ``noise`` is its scaled Brownian block (None: sigma 0)."""
-    if drift is None:
-        drift = mean_field_drift(model, cloud, dataset, grid)
+def _apply_step(cloud: ParticleCloud, cfg: TrainerConfig, iter_index: int,
+                noise: np.ndarray | None, drift: np.ndarray) -> ParticleCloud:
+    """One update along ``drift``; ``noise`` is its scaled Brownian block
+    (None: sigma 0)."""
     theta = cloud.particles
     move = drift + 0.5 * cfg.sigma ** 2 * cfg.prior.grad_U(theta)
     new = theta - cfg.gamma * move
@@ -208,14 +202,16 @@ def _apply_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
 def langevin_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
                   grid: TimeGrid, cfg: TrainerConfig,
                   iter_index: int) -> ParticleCloud:
-    """One Euler-Maruyama update of the whole cloud."""
+    """One Euler-Maruyama update of the whole cloud: update ``iter_index``
+    of a :func:`train` run, its noise summed from the same fine slots."""
     noise = None
     if cfg.sigma > 0.0:
         slots, dt = _fine_slots(cfg)
         noise = math.sqrt(dt) * step_normals(
             cfg.seed, slots * iter_index + np.arange(slots),
-            *cloud.particles.shape)
-    return _apply_step(model, cloud, dataset, grid, cfg, iter_index, noise)
+            *cloud.particles.shape).sum(axis=0)
+    drift = mean_field_drift(model, cloud, dataset, grid)
+    return _apply_step(cloud, cfg, iter_index, noise, drift)
 
 
 def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
@@ -224,8 +220,7 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
     """Run ``cfg.n_iters`` updates from ``init``; deterministic given the seed.
 
     Returns (final cloud, history).  Scalar rows are recorded every
-    ``record_every`` iterations (0 disables) plus at the final state; cloud
-    snapshots every ``snapshot_every`` iterations feed the studies.
+    ``record_every`` iterations (0 disables) plus at the final state.
 
     ``coupled`` lists further runs, as (config, init) pairs, that advance
     with this one on its Brownian path, drawing each fine slot once; they
@@ -236,7 +231,8 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
     member's clouds are exactly those it has alone.  ``observe(member,
     iterate, cloud)``, if given, is called after every update, in the
     order the updates end on the path (in member order where they end
-    together).
+    together); it is how the studies watch the clouds a run passes
+    through.
     """
     cfgs = [c for c, _ in coupled] + [cfg]
     clouds = [cloud for _, cloud in coupled] + [init]
@@ -273,11 +269,7 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
         for m, ((j, it, noise), x, drift) in enumerate(zip(group, xs, drifts)):
             if recorded(j, it):
                 record(it, clouds[j], x, costs[m], drift)
-            if j == own:
-                if cfg.snapshot_every > 0 and it % cfg.snapshot_every == 0:
-                    history.snapshots.append((it, clouds[j]))
-            clouds[j] = _apply_step(model, clouds[j], dataset, grid, cfgs[j],
-                                    it, noise, drift)
+            clouds[j] = _apply_step(clouds[j], cfgs[j], it, noise, drift)
             if observe is not None:
                 observe(j, it + 1, clouds[j])
     cloud = clouds[own]
@@ -285,8 +277,6 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
         (x,), _, (drift,), (cost,) = solve_group(model, [cloud], dataset,
                                                  grid, True)
         record(cfg.n_iters, cloud, x, cost, drift)
-    if cfg.snapshot_every > 0:
-        history.snapshots.append((cfg.n_iters, cloud))
     return cloud, history
 
 
@@ -314,7 +304,7 @@ def coupled_runs(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
             observe(member, iterate, cloud)
 
     train(model, dataset, grid,
-          replace(cfgs[-1], record_every=0, snapshot_every=0), inits[-1],
+          replace(cfgs[-1], record_every=0), inits[-1],
           coupled=list(zip(cfgs[:-1], inits[:-1])), observe=keep)
     return finals
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .clouds import ParticleCloud
+from .grids import _left_rule_mean_sq
 from .models import PriorSpec
 
 __all__ = ["entropy_estimate", "paired_distance", "ENTROPY_MIN_PARTICLES"]
@@ -33,8 +34,7 @@ def paired_distance(xa: np.ndarray, xb: np.ndarray, dt: float) -> float:
     """
     if xa.shape != xb.shape:
         raise ValueError("coupled clouds must have the same shape")
-    diff = xa[:, :-1, :] - xb[:, :-1, :]
-    return math.sqrt(float(np.sum(diff * diff, axis=2).mean(axis=0).sum() * dt))
+    return math.sqrt(_left_rule_mean_sq(xa - xb, dt))
 
 
 def _nearest_sq_distances(x: np.ndarray) -> np.ndarray:

@@ -19,11 +19,10 @@ Both sweeps run inside the model's sweep pair
 (:meth:`~mflangevin.models.ModelSpec.sweep_pair`): its forward runs the
 Euler states and the running cost over the whole grid and keeps a cache,
 and its backward turns the cache and the terminal costate into every
-costate and the drift together (:func:`solve_paths`).  The pair takes
-several clouds on a leading member axis, so the members of a coupled group
-that update together share one sweep (:func:`solve_group`).  This module
-checks the setup before a sweep and each member's states and costates
-after it.
+costate and the drift together.  The pair takes several clouds on a
+leading member axis, so the members of a coupled group that update together
+share one sweep (:func:`solve_group`).  This module checks the setup
+before a sweep and each member's states and costates after it.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from .exceptions import NonFiniteCostateError, NonFiniteStateError
 from .grids import TimeGrid
 from .models import ModelSpec
 
-__all__ = ["forward_paths", "forward_cost", "solve_paths", "solve_group",
-           "mean_field_drift"]
+__all__ = ["forward_cost", "solve_group", "mean_field_drift"]
 
 
 def _check_setup(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
@@ -84,7 +82,7 @@ def _forward(model: ModelSpec, clouds: list, dataset: Dataset,
 
 
 def _state_error(x: np.ndarray, grid: TimeGrid) -> NonFiniteStateError:
-    # A non-finite xi makes node 1 non-finite too, so the scan skips node 0.
+    # The dataset holds only finite xi, so node 0 is finite.
     node, sample = _first_nonfinite(x, range(1, grid.n_nodes))
     return NonFiniteStateError(f"non-finite state at node {node}, sample "
                                f"{sample} (step too large or model blow-up)")
@@ -104,24 +102,26 @@ def forward_cost(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     return x[0], float(cost[0])
 
 
-def forward_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-                  grid: TimeGrid) -> np.ndarray:
-    """The Euler states (N1, n_nodes, d) of :func:`forward_cost`."""
-    return forward_cost(model, cloud, dataset, grid)[0]
-
-
 def solve_group(model: ModelSpec, clouds: list, dataset: Dataset,
                 grid: TimeGrid, with_cost: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                            np.ndarray | None]:
-    """:func:`solve_paths` of r clouds, stacked on a leading member axis,
-    from one call of each half of the sweep pair, and, if ``with_cost``,
-    each member's running cost (r,), as :func:`forward_cost` gives it
-    (None otherwise: the sweep then skips the running cost).
+    """States and costates (r, N1, n_nodes, d) and drifts (r, N2, n_nodes,
+    p) of r clouds, stacked on a leading member axis, from one call of each
+    half of the sweep pair, and, if ``with_cost``, each member's running
+    cost (r,), as :func:`forward_cost` gives it (None otherwise: the sweep
+    then skips the running cost).
+
+    One forward sweep keeps its cache; one backward sweep then gives, from
+    p_n = grad_x g(x_n, zeta),
+    p_l = p_{l+1} + dt * mean_i [ (grad_x phi_{t_l})^T p_{l+1} + grad_x f_{t_l} ]
+    and the drift entry [i, l] = mean_k [ (grad_a phi_{t_l})^T p_{l+1}
+    + grad_a f_{t_l} ], all at (X_{k,l}, theta_{i,l}).  The terminal row of
+    the drift is zero per the node convention above.
 
     Member j's states, costates, drift and running cost are the bytes its
     own sweep returns.  The first member whose states or costates are not
-    finite raises the error its own :func:`solve_paths` raises.
+    finite raises the error its own sweep raises.
     """
     x, cost, cache, bad = _forward(model, clouds, dataset, grid, with_cost)
     if bad is not None:
@@ -140,21 +140,6 @@ def solve_group(model: ModelSpec, clouds: list, dataset: Dataset,
     return x, p, drift, cost
 
 
-def solve_paths(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-                grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """States and costates (N1, n_nodes, d) and the drift (N2, n_nodes, p).
-
-    One forward sweep keeps its cache; one backward sweep then gives, from
-    p_n = grad_x g(x_n, zeta),
-    p_l = p_{l+1} + dt * mean_i [ (grad_x phi_{t_l})^T p_{l+1} + grad_x f_{t_l} ]
-    and the drift entry [i, l] = mean_k [ (grad_a phi_{t_l})^T p_{l+1}
-    + grad_a f_{t_l} ], all at (X_{k,l}, theta_{i,l}).  The terminal row of
-    the drift is zero per the node convention above.
-    """
-    x, p, drift, _ = solve_group(model, [cloud], dataset, grid)
-    return x[0], p[0], drift[0]
-
-
 def mean_field_drift(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
                      grid: TimeGrid) -> np.ndarray:
     """Drift array (N2, n_nodes, p) driving the Langevin dynamics.
@@ -162,4 +147,4 @@ def mean_field_drift(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     Scaled by dt/N2 this is the exact gradient of the discrete objective
     with respect to every particle coordinate.
     """
-    return solve_paths(model, cloud, dataset, grid)[2]
+    return solve_group(model, [cloud], dataset, grid)[2][0]

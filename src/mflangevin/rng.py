@@ -149,20 +149,17 @@ def init_normals(seed: int, n_particles: int, n_nodes: int, dim_param: int,
 
 def step_normals(seed: int, fine_iters, n_particles: int, n_nodes: int,
                  dim_param: int) -> np.ndarray:
-    """Summed standard normals for one Langevin update, or for several.
+    """Standard normals of a range of fine Brownian slots, one block a slot.
 
-    A 1-D ``fine_iters`` is the range of finest-resolution Brownian slots
-    one update consumes; draws are keyed by (seed, fine iteration,
-    particle, node) and summed over the slots in order, so runs with
-    different step sizes that share a seed discretise the same Brownian
-    path.  A 2-D ``fine_iters`` of shape (k, m) holds the slots of k
-    updates, m each, and returns their k blocks stacked, each summed over
-    its own row of slots: bit-identical to k calls of the 1-D form.
+    ``fine_iters`` is a 1-D range of finest-resolution slots; the draws are
+    keyed by (seed, fine iteration, particle, node) and returned per slot,
+    shape (k, n_particles, n_nodes, dim_param).  An update sums its own
+    slots in order, so runs with different step sizes that share a seed
+    discretise the same Brownian path.
     """
     fine = np.asarray(fine_iters, dtype=np.int64)
-    if fine.ndim not in (1, 2):
-        raise ValueError("fine_iters must be 1-D or 2-D")
+    if fine.ndim != 1:
+        raise ValueError("fine_iters must be 1-D")
     comps, parts, nodes = _index_grid(n_particles, n_nodes, dim_param)
-    draws = keyed_normals(seed, PURPOSE_STEP, comps, parts,
-                          fine.reshape(-1, 1, 1, 1), nodes)
-    return draws.reshape(fine.shape + draws.shape[1:]).sum(axis=fine.ndim - 1)
+    return keyed_normals(seed, PURPOSE_STEP, comps, parts,
+                         fine.reshape(-1, 1, 1, 1), nodes)

@@ -24,7 +24,7 @@ from .langevin import (TrainerConfig, _step_times, coupled_runs,
                        lipschitz_probe, paired_distance, train)
 from .models import ModelSpec
 from .objective import objective_J
-from .odes import solve_paths
+from .odes import solve_group
 
 __all__ = [
     "StudySetup", "StudyReport", "FitResult", "CheckResult",
@@ -228,6 +228,21 @@ def _tail_iters(n_iters: int, snapshot_every: int, tail_fraction: float):
         or [n_iters]
 
 
+def _train_keeping(setup: StudySetup, dataset: Dataset, init: ParticleCloud,
+                   cfg: TrainerConfig, iterates) -> tuple:
+    """Train one run, watching it through ``observe``: its final cloud and
+    its particles at each of ``iterates`` (0 to ``cfg.n_iters``), in order."""
+    wanted = set(iterates)
+    kept = {0: init.particles}
+
+    def keep(member, iterate, cloud):
+        if iterate in wanted:
+            kept[iterate] = cloud.particles
+
+    final, _ = train(setup.model, dataset, setup.grid, cfg, init, observe=keep)
+    return final, [kept[it] for it in iterates]
+
+
 def check_study_values(kind: str, values: dict) -> None:
     """Raise ValueError unless the values of one study kind fit together:
     the runner's keywords of those names, as the messages below state."""
@@ -295,8 +310,8 @@ def run_chaos_study(setup: StudySetup, n2_list=(16, 32, 64, 128),
     n1_list = sorted(n1_list)
     cfg = setup.trainer
     tail = _tail_iters(cfg.n_iters, snapshot_every, tail_fraction)
-    cfgs = [replace(cfg, seed=cfg.seed + rep, snapshot_every=snapshot_every,
-                    record_every=0) for rep in range(n_reps)]
+    cfgs = [replace(cfg, seed=cfg.seed + rep, record_every=0)
+            for rep in range(n_reps)]
     masters = [setup.make_dataset(n1_ref, seed_shift=rep)
                for rep in range(n_reps)]
     keys = [(rep, i1, i2) for rep in range(n_reps)
@@ -308,13 +323,8 @@ def run_chaos_study(setup: StudySetup, n2_list=(16, 32, 64, 128),
               setup.make_cloud(n2_list[i2], seed_shift=rep), cfgs[rep])
              for rep, i1, i2 in keys]
 
-    def tail_snapshots(run):
-        dataset, init, cfg_rep = run
-        _, hist = train(setup.model, dataset, setup.grid, cfg_rep, init)
-        snaps = dict(hist.snapshots)
-        return [snaps[it].particles for it in tail]
-
-    snaps = _map_points(tail_snapshots, runs, threads)
+    snaps = _map_points(lambda run: _train_keeping(setup, *run, tail)[1],
+                        runs, threads)
     refs = snaps[:n_reps]
     mse = np.zeros((len(n1_list), len(n2_list)))
     for (rep, i1, i2), snap in zip(keys, snaps[n_reps:]):
@@ -372,7 +382,7 @@ def run_euler_study(setup: StudySetup, gamma_list=(4e-3, 2e-3, 1e-3, 5e-4),
     def config_at(gamma: float) -> TrainerConfig:
         return replace(setup.trainer, gamma=gamma,
                        n_iters=int(round(s_final / gamma)),
-                       noise_dt=gamma_ref, record_every=0, snapshot_every=0)
+                       noise_dt=gamma_ref, record_every=0)
 
     cfgs = [config_at(g) for g in gamma_list + [gamma_ref]]
     *finals, ref = coupled_runs(setup.model, dataset, setup.grid, cfgs,
@@ -432,8 +442,7 @@ def run_contraction_study(setup: StudySetup, init_pairs=None, *,
 
     def pair_rate(item):
         k, (ia, ib) = item
-        cfg_k = replace(cfg, seed=cfg.seed + k, record_every=0,
-                        snapshot_every=0)
+        cfg_k = replace(cfg, seed=cfg.seed + k, record_every=0)
         latest = [setup.make_cloud(setup.n_particles, seed_shift=2 * k, init=ia),
                   setup.make_cloud(setup.n_particles, seed_shift=2 * k + 1,
                                    init=ib)]
@@ -506,7 +515,9 @@ def gibbs_log_density(model: ModelSpec, cloud: ParticleCloud,
     base = prior.log_density(a)
     if node >= grid.n_steps:
         return base
-    x, p = solve_paths(model, cloud, dataset, grid)[:2] if paths is None else paths
+    if paths is None:
+        paths = [a[0] for a in solve_group(model, [cloud], dataset, grid)[:2]]
+    x, p = paths
     zeta_l = dataset.zeta_node(node)[None, :, :] if model.dim_data else None
     a_b = a[:, None, :]
     x_b = x[None, :, node, :]
@@ -559,7 +570,8 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
     """Stationary law against the self-consistent Gibbs density (p = 1 only).
 
     Trains long, discards the first ``burn_in_fraction`` of iterations,
-    pools the remaining snapshots per node, and compares the histogram to
+    pools per node the clouds at every ``snapshot_every``-th iterate after
+    it and at the last, and compares the histogram to
     exp(-U - (2/sigma^2) h_l) computed from the final cloud.  The optional
     ``sigma_sweep`` reports how the Gibbs density approaches the prior as
     sigma grows.
@@ -571,18 +583,15 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
         snapshot_every = max(1, cfg.n_iters // 40)
     dataset = setup.make_dataset(setup.n_samples)
     init = setup.make_cloud(setup.n_particles)
-    cfg_run = replace(cfg, record_every=0, snapshot_every=snapshot_every)
-    final, hist = train(setup.model, dataset, setup.grid, cfg_run, init)
+    cfg_run = replace(cfg, record_every=0)
     cutoff = burn_in_fraction * cfg.n_iters
-    pooled = {}
-    for it, cloud in hist.snapshots:
-        if it >= cutoff:
-            for l in range(setup.grid.n_nodes):
-                pooled.setdefault(l, []).append(cloud.particles[:, l, 0])
-    x, p, _ = solve_paths(setup.model, final, dataset, setup.grid)
+    pooled = [it for it in [*range(0, cfg.n_iters, snapshot_every), cfg.n_iters]
+              if it >= cutoff]
+    final, kept = _train_keeping(setup, dataset, init, cfg_run, pooled)
+    (x,), (p,), _, _ = solve_group(setup.model, [final], dataset, setup.grid)
     tvs = []
     for l in range(setup.grid.n_nodes):
-        samples = np.concatenate(pooled[l])
+        samples = np.concatenate([theta[:, l, 0] for theta in kept])
 
         def log_density(a, node=l):
             return gibbs_log_density(setup.model, final, dataset, setup.grid,
@@ -607,7 +616,8 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
         for s_val in sigma_sweep:
             cfg_s = replace(cfg_run, sigma=float(s_val))
             final_s, _ = train(setup.model, dataset, setup.grid, cfg_s, init)
-            xs, ps, _ = solve_paths(setup.model, final_s, dataset, setup.grid)
+            (xs,), (ps,), _, _ = solve_group(setup.model, [final_s], dataset,
+                                             setup.grid)
             worst = 0.0
             for l in range(setup.grid.n_steps):
                 worst = max(worst, _density_tv(
@@ -653,7 +663,7 @@ def run_generalization_study(setup: StudySetup, n1_list=(8, 16, 32, 64),
     check_study_values("generalization", dict(n1_list=n1_list,
                                               holdout_n=holdout_n))
     n1_list = sorted(n1_list)
-    cfg = replace(setup.trainer, record_every=0, snapshot_every=0)
+    cfg = replace(setup.trainer, record_every=0)
     holdout = setup.make_dataset(holdout_n, seed_shift=9000)
     masters = [setup.make_dataset(max(n1_list), seed_shift=100 + rep)
                for rep in range(n_seeds)]

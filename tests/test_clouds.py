@@ -72,7 +72,7 @@ def test_csv_roundtrip_is_lossless(tmp_path, grid):
     cloud = cloud_init(7, grid, 3, ("gaussian", 0.3, 1.7), seed=13)
     path = tmp_path / "cloud.csv"
     cloud_to_csv(cloud, path)
-    back = cloud_from_csv(path, grid, seed=13)
+    back = cloud_from_csv(path, grid)
     np.testing.assert_array_equal(back.particles, cloud.particles)
     header = path.read_text().splitlines()[0]
     assert header == "particle,node,coord,value"
@@ -100,6 +100,26 @@ def test_csv_bytes_match_per_entry_format(tmp_path, grid):
         f"{i},{l},{c},{arr[i, l, c]:.17g}\n"
         for i in range(3) for l in range(grid.n_nodes) for c in range(2))
     assert path.read_bytes() == expected.encode()
+
+
+# Each row once overwrote another particle's entry without a word (-1
+# indexed the last particle, and 0.7 was cut to 0) or, past the last
+# particle, allocated every particle up to its index.
+@pytest.mark.parametrize("row,message", [
+    ("-1,1,0,99", "nonnegative integers"),
+    ("0.7,0,0,55", "nonnegative integers"),
+    ("nan,0,0,55", "nonnegative integers"),
+    ("1,0,0,55", "given twice"),
+    ("1000000000,0,0,55", "missing"),
+])
+def test_csv_rejects_bad_or_repeated_indices(tmp_path, grid, row, message):
+    cloud = cloud_init(2, grid, 1, ("gaussian", 0.0, 1.0), seed=3)
+    path = tmp_path / "cloud.csv"
+    cloud_to_csv(cloud, path)
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(ValueError, match=message):
+        cloud_from_csv(path, grid)
 
 
 def test_grid_validation():

@@ -84,6 +84,18 @@ def test_validation():
         Dataset(xi=np.zeros((3, 1)), zeta=np.zeros((2, 1)))
 
 
+# Accepted, a NaN xi failed at the first sweep as a "step too large or
+# model blow-up" state error, and an infinite zeta as a costate error.
+@pytest.mark.parametrize("field,value", [
+    ("xi", np.nan), ("xi", -np.inf), ("zeta", np.inf), ("zeta", np.nan),
+])
+def test_non_finite_data_rejected(field, value):
+    data = {"xi": np.zeros((3, 1)), "zeta": np.ones((3, 1))}
+    data[field][1, 0] = value
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(**data)
+
+
 def test_vector_dataset_sample_view():
     # Vector data: every grid node sees the whole data vector.
     ds = Dataset(xi=np.array([[1.0, 2.0]]), zeta=np.array([[3.0, 4.0]]))

@@ -186,7 +186,7 @@ class TestTrain:
         ("sigma", float("nan")), ("sigma", float("inf")),
         ("gamma", float("nan")), ("gamma", float("inf")),
         ("noise_dt", float("nan")), ("noise_dt", float("inf")),
-        ("record_every", -1), ("snapshot_every", -1),
+        ("record_every", -1),
     ])
     def test_non_finite_or_negative_field_rejected(self, field, value):
         # Accepted, a NaN or infinite value fails only at the first update
@@ -486,9 +486,12 @@ class TestStepSchedule:
         model, ds, init = quadratic_toy(grid, n_particles=300, seed=3)
         cfg = TrainerConfig(sigma=0.8, prior=gaussian_prior(1.0, 1),
                             gamma=0.01, n_iters=25, seed=4, record_every=0,
-                            snapshot_every=1, noise_dt=noise_dt)
-        _, hist = train(model, ds, grid, cfg, init)
-        for (k, cloud), (_, after) in zip(hist.snapshots, hist.snapshots[1:]):
+                            noise_dt=noise_dt)
+        seen = [init]
+        train(model, ds, grid, cfg, init,
+              observe=lambda member, it, cloud: seen.append(cloud))
+        assert len(seen) == cfg.n_iters + 1
+        for k, (cloud, after) in enumerate(zip(seen, seen[1:])):
             stepped = langevin_step(model, cloud, ds, grid, cfg, k)
             assert stepped.particles.tobytes() == after.particles.tobytes()
 

@@ -13,8 +13,7 @@ from mflangevin.models import (BUILTIN_KINDS, gaussian_prior,
                                make_builtin_model, make_linear_drift_model,
                                make_zero_cost_model, model_grad_selfcheck)
 from mflangevin.objective import objective_J
-from mflangevin.odes import (forward_paths, mean_field_drift, solve_group,
-                             solve_paths)
+from mflangevin.odes import forward_cost, mean_field_drift, solve_group
 from mflangevin.rng import PURPOSE_PROBE, keyed_normals
 
 
@@ -332,7 +331,7 @@ def _reference_J(model, cloud, ds, grid):
     """J in the order the objective summed it before the sweep pair
     returned the running cost: f on the (N1, N2) batch of every node, its
     mean times dt added node by node, then the terminal cost's mean."""
-    x = forward_paths(model, cloud, ds, grid)
+    x, _ = forward_cost(model, cloud, ds, grid)
     running = 0.0
     for l in range(grid.n_steps):
         vals = model.f(grid.nodes[l], x[:, l, None, :],

@@ -16,7 +16,7 @@ from mflangevin.exceptions import NonFiniteCostateError, NonFiniteStateError
 from mflangevin.grids import TimeGrid
 from mflangevin.models import (ModelSpec, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model)
-from mflangevin.odes import forward_paths, mean_field_drift, solve_paths
+from mflangevin.odes import forward_cost, mean_field_drift, solve_group
 from mflangevin.objective import discrete_gradient, finite_diff_gradient, objective_J
 
 
@@ -26,7 +26,7 @@ def _scalar_dataset(xi=1.0, zeta=0.0):
 
 def _one_sample_paths(model, cloud, ds, grid):
     """State and costate paths of a one-sample dataset, each (n_nodes, d)."""
-    x, p, _ = solve_paths(model, cloud, ds, grid)
+    (x,), (p,), _, _ = solve_group(model, [cloud], ds, grid)
     return x[0], p[0]
 
 
@@ -58,7 +58,7 @@ class TestForward:
         grid = TimeGrid(1.0, 6)
         model = make_zero_cost_model(1)
         cloud = cloud_init(3, grid, 1, ("constant", 0.0))
-        x = forward_paths(model, cloud, _scalar_dataset(xi=0.7), grid)
+        x, _ = forward_cost(model, cloud, _scalar_dataset(xi=0.7), grid)
         np.testing.assert_array_equal(x, 0.7 * np.ones((1, 7, 1)))
 
     def test_state_independent_drift_is_exact(self):
@@ -67,7 +67,7 @@ class TestForward:
         grid = TimeGrid(1.0, 5)
         model = make_linear_drift_model(1)
         cloud = cloud_init(1, grid, 1, ("constant", 2.0))
-        x = forward_paths(model, cloud, _scalar_dataset(xi=1.0), grid)[0]
+        x = forward_cost(model, cloud, _scalar_dataset(xi=1.0), grid)[0][0]
         assert x[-1, 0] == pytest.approx(3.0, abs=1e-14)
 
     def test_exponential_flow_first_order_convergence(self):
@@ -79,7 +79,7 @@ class TestForward:
         for k in range(4, 9):
             grid = TimeGrid(1.0, 2 ** k)
             cloud = cloud_init(1, grid, 1, ("constant", 1.0))
-            x = forward_paths(model, cloud, ds, grid)[0]
+            x = forward_cost(model, cloud, ds, grid)[0][0]
             errs.append(abs(x[-1, 0] - math.e))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 0.9) and np.all(orders < 1.1)
@@ -90,7 +90,7 @@ class TestForward:
         cloud = cloud_init(1, grid, 1, ("constant", 1e308))
         with pytest.raises(NonFiniteStateError):
             with np.errstate(over="ignore", invalid="ignore"):
-                forward_paths(model, cloud, _scalar_dataset(xi=1.0), grid)
+                forward_cost(model, cloud, _scalar_dataset(xi=1.0), grid)
 
     def test_builtin_blowup_names_node_and_sample(self):
         # one_layer_residual's forward stacks every node's units at once.
@@ -106,7 +106,7 @@ class TestForward:
         with pytest.raises(NonFiniteStateError,
                            match="non-finite state at node 3, sample 1 "):
             with np.errstate(over="ignore", invalid="ignore"):
-                forward_paths(model, cloud, ds, grid)
+                forward_cost(model, cloud, ds, grid)
 
 
 class TestAdjoint:
@@ -274,7 +274,7 @@ _DRIFT_DIGEST = """
 import hashlib, sys
 from mflangevin import cloud_init, generate_dataset, make_builtin_model
 from mflangevin.grids import TimeGrid
-from mflangevin.odes import solve_group, solve_paths
+from mflangevin.odes import solve_group
 kind = sys.argv[1]
 series = kind == "timeseries_interp"
 model = make_builtin_model(kind, d=2, p_hidden=8, dim_data=4 if series else 2)
@@ -283,9 +283,9 @@ ds = generate_dataset("timeseries" if series else "regression", 64, 2, 5,
                       grid, target="scaled")
 clouds = [cloud_init(256, grid, model.dim_param, ("gaussian", 0.0, 1.0),
                      seed=seed) for seed in (6, 7, 8)]
-paths = solve_paths(model, clouds[0], ds, grid)
+solo = solve_group(model, clouds[:1], ds, grid, True)
 stacked = solve_group(model, clouds, ds, grid, True)
-print(hashlib.sha256(b"".join(a.tobytes() for a in paths + stacked)).hexdigest())
+print(hashlib.sha256(b"".join(a.tobytes() for a in solo + stacked)).hexdigest())
 """
 
 

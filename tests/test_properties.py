@@ -125,11 +125,11 @@ class TestCloudCsvProperty:
                                  elements=st.floats(allow_nan=False,
                                                     allow_infinity=False)))
         grid = TimeGrid(1.0, n_steps)
-        cloud = ParticleCloud(particles=theta, grid=grid, seed=3)
+        cloud = ParticleCloud(particles=theta, grid=grid)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cloud.csv")
             cloud_to_csv(cloud, path)
-            back = cloud_from_csv(path, grid, seed=3)
+            back = cloud_from_csv(path, grid)
         assert back.particles.shape == theta.shape
         assert back.particles.tobytes() == theta.tobytes()
 

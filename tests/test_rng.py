@@ -11,7 +11,8 @@ from mflangevin.rng import (PURPOSE_INIT, PURPOSE_STEP, derive_key,
 
 def _reference_step_normals(seed, fine_iters, n_particles, n_nodes, dim):
     """step_normals with Philox rounds that allocate fresh arrays every
-    round, and a uniform map and ndtri that allocate their outputs."""
+    round, and a uniform map and ndtri that allocate their outputs: the
+    raw draws of every slot, shape (k, n_particles, n_nodes, dim)."""
     fine = np.asarray(fine_iters, dtype=np.int64)
     counters = [np.arange(dim).reshape(1, 1, -1),
                 np.arange(n_particles).reshape(-1, 1, 1),
@@ -31,7 +32,7 @@ def _reference_step_normals(seed, fine_iters, n_particles, n_nodes, dim):
     bits = (x[0] << np.uint64(32)) | x[1]
     draws = ndtri((bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
                   + 2.0**-54)
-    return draws.reshape(fine.shape + draws.shape[1:]).sum(axis=fine.ndim - 1)
+    return draws
 
 
 class TestPhiloxKnownAnswers:
@@ -65,7 +66,7 @@ class TestInPlaceRounds:
     """The rounds and the uniform map reuse three buffers per call."""
 
     @pytest.mark.parametrize("fine,shape", [
-        (np.arange(51)[:, None], (32, 5, 2)),  # a stretch of 51 slots
+        (np.arange(51), (32, 5, 2)),  # a stretch of 51 slots
         (np.arange(7, 8), (128, 9, 10)),  # one update of 11,520 normals
     ], ids=["stretch", "update"])
     def test_step_normals_match_allocating_reference(self, fine, shape):
@@ -136,10 +137,16 @@ class TestBlockContracts:
         np.testing.assert_array_equal(small, large[:8])
 
     def test_step_noise_shared_across_resolutions(self):
-        # One coarse draw over 4 fine slots equals the sum of fine draws.
-        coarse = step_normals(11, range(0, 4), 6, 3, 2)
-        fine = sum(step_normals(11, [j], 6, 3, 2) for j in range(4))
-        np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-12)
+        # A range of 4 fine slots draws what the 4 slots draw one by one.
+        block = step_normals(11, range(0, 4), 6, 3, 2)
+        assert block.shape == (4, 6, 3, 2)
+        for j in range(4):
+            assert (block[j].tobytes()
+                    == step_normals(11, [j], 6, 3, 2)[0].tobytes())
+
+    def test_slots_come_as_a_one_dimensional_range(self):
+        with pytest.raises(ValueError, match="1-D"):
+            step_normals(11, np.arange(4)[:, None], 6, 3, 2)
 
     def test_distinct_iterations_differ(self):
         a = step_normals(11, [0], 6, 3, 2)

@@ -53,6 +53,14 @@ def run_shapes(items):
             for ds, init, cfg in items]
 
 
+def every_iterate(setup, dataset, init):
+    """Particles of a solo run at iterates 0, 1, ..., n_iters."""
+    seen = [init.particles]
+    train(setup.model, dataset, setup.grid, setup.trainer, init,
+          observe=lambda member, it, cloud: seen.append(cloud.particles))
+    return seen
+
+
 class TestFitHelpers:
     def test_loglog_recovers_power_law(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
@@ -116,6 +124,30 @@ class TestChaosStudy:
         assert shapes[:2] == [(32, 16, 21), (32, 16, 22)]
         assert sorted(shapes[2:]) == [(8, 8, 21), (8, 8, 22),
                                       (16, 8, 21), (16, 8, 22)]
+
+    # The MSE pools the squared distances at the tail iterates, chosen
+    # among 0, snapshot_every, 2 snapshot_every, ... up to n_iters; with
+    # none in the tail, n_iters alone.
+    @pytest.mark.parametrize("n_iters,tail_fraction,tail", [
+        (7, 0.25, [7]),  # n_iters not a multiple of 5, nothing in the tail
+        (13, 0.5, [10]),  # n_iters not a multiple, one iterate in the tail
+        (12, 1.0, [0, 5, 10]),  # the whole run
+        (10, 1.0, [0, 5, 10]),
+        (0, 0.25, [0]),
+    ])
+    def test_reads_the_tail_iterates(self, n_iters, tail_fraction, tail):
+        setup = small_setup(n_iters=n_iters)
+        report = run_chaos_study(setup, [8], [4], n_ref=16, n1_ref=8,
+                                 n_reps=1, snapshot_every=5,
+                                 tail_fraction=tail_fraction,
+                                 slope_bounds=(-10, 10))
+        master = setup.make_dataset(8)
+        ref = every_iterate(setup, master, setup.make_cloud(16))
+        point = every_iterate(setup, master.subset(4), setup.make_cloud(8))
+        want = float(np.mean([paired_distance(point[it], ref[it][:8],
+                                              setup.grid.dt) ** 2
+                              for it in tail]))
+        assert report.series["points"]["mse"] == [want]
 
     def test_surrogate_must_dominate(self):
         setup = small_setup()
@@ -244,6 +276,37 @@ class TestGibbsCheck:
                                  sigma_sweep=(1.0, 2.0, 4.0))
         sweep = report.series["sigma_sweep"]["max_tv_vs_prior"]
         assert sweep[0] > sweep[1] > sweep[2]
+
+    # Each node's histogram pools the clouds at 0, snapshot_every,
+    # 2 snapshot_every, ... below n_iters, and at n_iters, from the
+    # burn-in cutoff on; each of them once.
+    @pytest.mark.parametrize("n_iters,burn_in_fraction,pooled", [
+        (7, 0.5, [6, 7]),  # n_iters not a multiple of 3
+        (7, 0.0, [0, 3, 6, 7]),
+        (7, 1.0, [7]),
+        (6, 0.0, [0, 3, 6]),
+        (0, 0.0, [0]),
+        (0, 1.0, [0]),
+    ])
+    def test_pools_the_iterates_after_burn_in(self, n_iters, burn_in_fraction,
+                                              pooled):
+        setup = small_setup(model=make_linear_drift_model(1), sigma=1.0,
+                            n_iters=n_iters, n_particles=16)
+        report = run_gibbs_check(setup, burn_in_fraction=burn_in_fraction,
+                                 snapshot_every=3)
+        dataset = setup.make_dataset(setup.n_samples)
+        seen = every_iterate(setup, dataset, setup.make_cloud(16))
+        final = setup.make_cloud(16).with_particles(seen[-1])
+        cfg = setup.trainer
+        want = []
+        for l in range(setup.grid.n_nodes):
+            def log_density(a, node=l):
+                return studies.gibbs_log_density(
+                    setup.model, final, dataset, setup.grid, node, cfg.sigma,
+                    cfg.prior, a)
+            samples = np.concatenate([seen[it][:, l, 0] for it in pooled])
+            want.append(histogram_tv(samples, log_density))
+        assert report.series["per_node_tv"]["tv"] == want
 
     def test_multidimensional_parameters_rejected(self):
         setup = small_setup(model=make_builtin_model("one_layer_residual",
