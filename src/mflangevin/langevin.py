@@ -133,6 +133,13 @@ def _step_times(cfg: TrainerConfig) -> np.ndarray:
                                                     float(cfg.gamma)))])
 
 
+def _update_noise(draws: np.ndarray, m: int, dt: float) -> np.ndarray:
+    """Scaled Brownian blocks of consecutive updates of m fine slots each,
+    from the raw draws (n * m, ...) of their slots: each update's m slots
+    summed in slot order, times sqrt(dt), shape (n, ...)."""
+    return math.sqrt(dt) * draws.reshape((-1, m) + draws.shape[1:]).sum(axis=1)
+
+
 def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
     """Read one Brownian path for runs that advance together.
 
@@ -148,7 +155,6 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
     list.
     """
     slots, dts = zip(*(_fine_slots(cfg) for cfg in cfgs))
-    seed, sqrt_dt = cfgs[0].seed, math.sqrt(dts[0])
     ends = [m * cfg.n_iters for m, cfg in zip(slots, cfgs)]
     n_slots = max(ends)
     noisy = any(cfg.sigma > 0.0 for cfg in cfgs)
@@ -159,9 +165,9 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
     for c0 in range(0, n_slots, stretch):
         c1 = min(c0 + stretch, n_slots)
         if noisy:
-            # A draw is a view of a buffer twice its size; the copy frees it.
-            path = np.concatenate(
-                [path, step_normals(seed, np.arange(c0, c1), *shape)])
+            # A draw owns its bytes, so it is the path unless slots carry over.
+            draw = step_normals(cfgs[0].seed, np.arange(c0, c1), *shape)
+            path = np.concatenate([path, draw]) if len(path) else draw
         updates = []
         for j, (cfg, m) in enumerate(zip(cfgs, slots)):
             first, n = done[j], min(cfg.n_iters, c1 // m) - done[j]
@@ -169,8 +175,8 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
                 continue
             blocks = [None] * n
             if noisy:
-                rows = path[m * first - start:m * (first + n) - start]
-                blocks = sqrt_dt * rows.reshape((n, m) + shape).sum(axis=1)
+                blocks = _update_noise(
+                    path[m * first - start:m * (first + n) - start], m, dts[0])
             updates += [(m * (it + 1), j, it, block)
                         for it, block in zip(range(first, first + n), blocks)]
             done[j] += n
@@ -206,10 +212,10 @@ def langevin_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
     of a :func:`train` run, its noise summed from the same fine slots."""
     noise = None
     if cfg.sigma > 0.0:
-        slots, dt = _fine_slots(cfg)
-        noise = math.sqrt(dt) * step_normals(
-            cfg.seed, slots * iter_index + np.arange(slots),
-            *cloud.particles.shape).sum(axis=0)
+        m, dt = _fine_slots(cfg)
+        noise = _update_noise(step_normals(
+            cfg.seed, m * iter_index + np.arange(m), *cloud.particles.shape),
+            m, dt)[0]
     drift = mean_field_drift(model, cloud, dataset, grid)
     return _apply_step(cloud, cfg, iter_index, noise, drift)
 

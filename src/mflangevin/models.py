@@ -31,7 +31,10 @@ Each member's results are the bytes it gets alone (r = 1).  ``grad_x_g``
 is called once per group, on the terminal states (r, N1, d) of every
 member.  The tanh builtins fuse their pair into matrix products over
 (N1, N2 * m) blocks; other models derive theirs from the point maps, one
-member at a time.
+member at a time.  A builtin's point maps are the plain statement of its
+model, einsum expressions of phi = A1 tanh(z) and its costate products:
+the finite-difference self-check reads them, and the fused pair is tested
+against the pair derived from them.
 """
 
 from __future__ import annotations
@@ -200,18 +203,6 @@ def _nodes_data(zeta: np.ndarray, n: int) -> np.ndarray:
     return zeta[:, :n, :] if zeta.ndim == 3 else zeta[:, None, :]
 
 
-def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Batched mat (..., i, j) times vec (..., j), summed over j in index order.
-
-    Whole-batch products per column avoid einsum's per-element overhead on
-    these short axes; sums of up to two terms match einsum bit for bit.
-    """
-    out = mat[..., 0] * vec[..., None, 0]
-    for j in range(1, mat.shape[-1]):
-        out = out + mat[..., j] * vec[..., None, j]
-    return out
-
-
 def _param_blocks(*shapes) -> tuple:
     """Slice of the parameter axis and shape of each block, in order."""
     blocks, start = [], 0
@@ -227,22 +218,6 @@ def _split(a, blocks) -> list:
     a = np.asarray(a, dtype=float)
     lead = a.shape[:-1]
     return [a[..., sl].reshape(lead + shape) for sl, shape in blocks]
-
-
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Batched outer product u (..., i) v (..., j), flattened to (..., i * j)."""
-    out = u[..., :, None] * v[..., None, :]
-    return out.reshape(out.shape[:-2] + (-1,))
-
-
-def _columns(bshape: tuple, *blocks) -> np.ndarray:
-    """Blocks (..., width) side by side, each broadcast over ``bshape``."""
-    out = np.empty(bshape + (sum(b.shape[-1] for b in blocks),))
-    start = 0
-    for b in blocks:
-        out[..., start:start + b.shape[-1]] = b
-        start += b.shape[-1]
-    return out
 
 
 def _zero_cost_maps(d: int, p: int):
@@ -336,6 +311,10 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
         data slice carries two channel blocks (zeta1 observations, zeta2
         truth).  Running cost f = |x - zeta2_t|^2, terminal cost g = 0.
         Requires dim_data == 2 d.  Parameters: p = p_hidden * (2 d + 1).
+
+    The point maps ``phi``, ``grad_x_phi`` and ``grad_a_phi`` state each
+    model plainly, as einsum and broadcast expressions; the sweeps run the
+    fused pair, which is tested against the pair derived from these maps.
     """
     if kind not in BUILTIN_KINDS:
         raise ValueError(f"unknown builtin kind {kind!r}")
@@ -394,13 +373,14 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
             z = w * xbar[..., None]
         if data_driven:
             zeta1 = np.asarray(zeta_t, dtype=float)[..., :d]
-            az = _matvec(rest[0], zeta1)
+            az = np.einsum("...uc,...c->...u", rest[0], zeta1)
             z = az if z is None else z + az
         return a1, w, np.tanh(z), xbar, zeta1
 
     def phi(t, x, a, zeta_t):
         a1, _, h, _, _ = _units(x, a, zeta_t)
-        return _spread(_matvec(a1, h), _batch_shape(x, a, zeta_t), 1)
+        return _spread(np.einsum("...du,...u->...d", a1, h),
+                       _batch_shape(x, a, zeta_t), 1)
 
     def grad_x_phi(t, x, a, zeta_t, p):
         bshape = _batch_shape(x, a, zeta_t, p)
@@ -409,20 +389,23 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
         # phi depends on x only through mean(x), so every entry of
         # (d_x phi)^T p is p . A1 (w tanh'(z)) / d.
         a1, w, h, _, _ = _units(x, a, zeta_t)
-        s = _matvec(a1, w * (1.0 - h * h)) / d
-        ps = _matvec(np.asarray(p, dtype=float)[..., None, :], s)
-        return np.broadcast_to(ps, bshape + (d,)).copy()
+        ps = np.einsum("...d,...du,...u->...", np.asarray(p, dtype=float),
+                       a1, w * (1.0 - h * h)) / d
+        return np.broadcast_to(ps[..., None], bshape + (d,)).copy()
 
     def grad_a_phi(t, x, a, zeta_t, p):
         a1, _, h, xbar, zeta1 = _units(x, a, zeta_t)
         p = np.asarray(p, dtype=float)
-        v = _matvec(np.swapaxes(a1, -1, -2), p) * (1.0 - h * h)
-        cols = [_outer(p, h)]
+        v = np.einsum("...du,...d->...u", a1, p) * (1.0 - h * h)
+        # Each block is written through its view of the output.
+        out = np.empty(_batch_shape(x, a, zeta_t, p) + (dim_param,))
+        out_a1, *rest = _split(out, blocks)
+        out_a1[...] = np.einsum("...d,...u->...du", p, h)
         if state_driven:
-            cols.append(v * xbar[..., None])
+            rest.pop(0)[...] = v * xbar[..., None]
         if data_driven:
-            cols.append(_outer(v, zeta1))
-        return _columns(_batch_shape(x, a, zeta_t, p), *cols)
+            rest[0][...] = np.einsum("...u,...c->...uc", v, zeta1)
+        return out
 
     # The fused sweep pair.  At node l, unit u of particle i is column
     # i * m + u of the (N1, N2 * m) blocks, so each sum over samples or

@@ -66,8 +66,7 @@ def _philox_words(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
     flat (2, n) buffer, and a third buffer takes each round's products, so
     a round is five array operations that allocate nothing; the row swaps
     of the Philox permutation are reversed views, not copies.  Returns the
-    output words (x0, x1, x2, x3) and a free uint64 buffer, each of the
-    counters' broadcast shape.
+    output words (x0, x1, x2, x3), each of the counters' broadcast shape.
     """
     words = [_as_counter_word(c) for c in (c0, c1, c2, c3)]
     shape = np.broadcast(*words).shape
@@ -89,8 +88,7 @@ def _philox_words(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
         # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0); the
         # passed-through words are spent, so their buffer is the next spare.
         mul, thru, spare = hi[::-1], prod[::-1], thru
-    words = (mul[0], thru[0], mul[1], thru[1])
-    return tuple(w.reshape(shape) for w in words), spare[0].reshape(shape)
+    return tuple(w.reshape(shape) for w in (mul[0], thru[0], mul[1], thru[1]))
 
 
 def philox4x32(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
@@ -99,7 +97,7 @@ def philox4x32(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
     The four counter words broadcast against each other; the return value is
     a tuple of four uint32 arrays of the broadcast shape.
     """
-    words, _ = _philox_words(c0, c1, c2, c3, key, rounds)
+    words = _philox_words(c0, c1, c2, c3, key, rounds)
     return tuple(w.astype(np.uint32) for w in words)
 
 
@@ -107,15 +105,14 @@ def keyed_uniforms(seed: int, purpose: int, c0, c1, c2, c3) -> np.ndarray:
     """Uniform draws on the open interval (0, 1), one per counter tuple.
 
     The 53 high bits of the words x0, x1 are gathered in x0's buffer and
-    mapped into the generator's free buffer.
+    mapped into a fresh array, so a draw owns exactly its bytes and 0-d
+    counters give a 0-d draw.
     """
-    (bits, w1, _, _), free = _philox_words(c0, c1, c2, c3,
-                                           derive_key(seed, purpose))
+    bits, w1, _, _ = _philox_words(c0, c1, c2, c3, derive_key(seed, purpose))
     bits <<= _SHIFT32
     bits |= w1
     bits >>= np.uint64(11)
-    out = free.view(np.float64)
-    np.multiply(bits, 2.0**-53, out=out)
+    out = np.multiply(bits, 2.0**-53, out=np.empty(bits.shape))
     out += 2.0**-54
     return out
 

@@ -271,8 +271,9 @@ def test_maps_return_the_broadcast_batch_shape(name, build, layout):
     ("timeseries_interp", 3, 4),
 ])
 def test_phi_matches_einsum_reference(kind, d, m):
-    # The maps sum their small contractions term by term; the einsum forms
-    # of the documented formulas are the reference, to a few ulps.
+    # The documented formulas, written here from the parameter layout, are
+    # the reference; the maps state the same formulas as einsum
+    # expressions, so they agree to a few ulps.
     q = 2 * d if kind == "timeseries_interp" else d
     model = make_builtin_model(kind, d=d, p_hidden=m, dim_data=q)
     rows = np.arange(6).reshape(-1, 1)

@@ -63,7 +63,8 @@ class TestPhiloxKnownAnswers:
 
 
 class TestInPlaceRounds:
-    """The rounds and the uniform map reuse three buffers per call."""
+    """The rounds reuse three buffers per call, and each draw is a fresh
+    array of its own."""
 
     @pytest.mark.parametrize("fine,shape", [
         (np.arange(51), (32, 5, 2)),  # a stretch of 51 slots
@@ -79,6 +80,18 @@ class TestInPlaceRounds:
         b = keyed_normals(42, PURPOSE_STEP, 0, np.arange(10), 3, 1)
         assert not np.shares_memory(a, b)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("draw", [
+        lambda: keyed_uniforms(5, PURPOSE_STEP, np.arange(3), 1, 2, 0),
+        lambda: keyed_normals(5, PURPOSE_STEP, np.arange(3), 1, 2, 0),
+        lambda: keyed_normals(5, PURPOSE_INIT, 0, 0, 4, 0),
+        lambda: step_normals(5, np.arange(4, 7), 6, 3, 2),
+        lambda: init_normals(5, 6, 3, 2, particle_offset=4),
+    ], ids=["uniforms", "normals", "scalar", "step", "init"])
+    def test_draws_own_exactly_their_bytes(self, draw):
+        # A kept draw keeps nothing of the generator's buffers alive.
+        out = draw()
+        assert out.base is None or out.base.nbytes == out.nbytes
 
     def test_scalar_counters_give_a_scalar_draw(self):
         u = keyed_uniforms(0, PURPOSE_INIT, 0, 0, 4, 0)
