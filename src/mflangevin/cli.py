@@ -2,8 +2,9 @@
 
 Subcommands: train, grad-check, chaos-study, euler-study,
 contraction-study, gibbs-check, generalization-study.  Every command
-accepts --config (JSON; a built-in desk-scale default is used when
-omitted), --seed (overrides the trainer seed), --out (output directory),
+starts from a configuration: the JSON file given by --config, or else its
+built-in desk-scale one (``config.default_config``).  Every command also
+accepts --seed (overrides the trainer seed), --out (output directory),
 and --threads (parallelism over a study's independent runs, its reference
 runs among them; at least 1; outputs are byte-identical at any thread
 count).
@@ -19,8 +20,7 @@ import numpy as np
 
 from .clouds import cloud_to_csv
 from .config import (GRAD_CHECK_SEEDS, GRAD_CHECK_TOL, STUDY_RUNNERS,
-                     build_setup, default_study_config, default_train_config,
-                     grad_check_instance, load_config, parse_config,
+                     build_setup, default_config, load_config, parse_config,
                      study_arguments)
 from .exceptions import ConfigError
 from .langevin import train
@@ -32,36 +32,36 @@ STUDY_COMMANDS = {"chaos-study": "chaos", "euler-study": "euler",
                   "generalization-study": "generalization"}
 
 
-def _common_flags(sub):
-    sub.add_argument("--config", default=None, help="JSON configuration file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the trainer seed")
-    sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for a study's independent runs, "
-                          "its reference runs among them")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mflangevin",
         description="Mean-field Langevin training and its verification studies")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ["train", "grad-check", *STUDY_COMMANDS]:
-        _common_flags(subs.add_parser(name))
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", default=None,
+                         help="JSON configuration file")
+        sub.add_argument("--seed", type=int, default=None,
+                         help="override the trainer seed")
+        sub.add_argument("--out", default="out", help="output directory")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="worker threads for a study's independent "
+                              "runs, its reference runs among them")
     return parser
 
 
-def _load(args, default: dict) -> dict:
-    """The parsed ``--config`` file, or ``default`` without one."""
+def _setup(args, name: str):
+    """The parsed ``--config`` file, or without one the built-in
+    configuration ``name``, and its :class:`StudySetup` under ``--seed``."""
     if args.config is not None:
-        return load_config(args.config)
-    return parse_config(default)
+        config = load_config(args.config)
+    else:
+        config = parse_config(default_config(name))
+    return config, build_setup(config, seed_override=args.seed)
 
 
 def _run_train(args) -> int:
-    config = _load(args, default_train_config())
-    setup = build_setup(config, seed_override=args.seed)
+    _, setup = _setup(args, "train")
     cfg = setup.trainer
     if cfg.record_every == 0:
         from dataclasses import replace
@@ -86,19 +86,14 @@ def _run_train(args) -> int:
 
 def _run_grad_check(args) -> int:
     """Exact-gradient verification on seeded random instances."""
-    config = load_config(args.config) if args.config else None
+    _, setup = _setup(args, "grad-check")
     n_seeds, tol = GRAD_CHECK_SEEDS, GRAD_CHECK_TOL
     worst = 0.0
     for seed in range(n_seeds):
-        if config is None:
-            model, cloud, dataset, grid = grad_check_instance(seed)
-        else:
-            setup = build_setup(config, seed_override=args.seed)
-            grid, model = setup.grid, setup.model
-            dataset = setup.make_dataset(setup.n_samples, seed_shift=seed)
-            cloud = setup.make_cloud(setup.n_particles, seed_shift=seed)
-        dg = discrete_gradient(model, cloud, dataset, grid)
-        fd = finite_diff_gradient(model, cloud, dataset, grid)
+        dataset = setup.make_dataset(setup.n_samples, seed_shift=seed)
+        cloud = setup.make_cloud(setup.n_particles, seed_shift=seed)
+        dg = discrete_gradient(setup.model, cloud, dataset, setup.grid)
+        fd = finite_diff_gradient(setup.model, cloud, dataset, setup.grid)
         worst = max(worst, float(np.max(np.abs(dg - fd) / (1.0 + np.abs(fd)))))
     passed = worst <= tol
     os.makedirs(args.out, exist_ok=True)
@@ -114,8 +109,7 @@ def _run_grad_check(args) -> int:
 
 
 def _run_study(args, study_kind: str) -> int:
-    config = _load(args, default_study_config(study_kind))
-    setup = build_setup(config, seed_override=args.seed)
+    config, setup = _setup(args, study_kind)
     kwargs = study_arguments(config, study_kind, setup)
     # The Gibbs check is one training run: it has no independent runs to
     # spread over threads.

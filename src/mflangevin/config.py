@@ -1,6 +1,8 @@
 """Strict JSON run configurations for the command-line interface.
 
-A configuration has sections ``model``, ``grid``, ``trainer`` and
+Every command starts from a configuration: its ``--config`` file, or
+without one its built-in configuration, :func:`default_config`.  A
+configuration has sections ``model``, ``grid``, ``trainer`` and
 optionally ``dataset``, ``init``, ``study``.  One table, :data:`SCHEMA`,
 gives every key of the first five sections its type, its range or allowed
 values, and its default or that it is required; :data:`STUDY_TABLE` gives
@@ -19,20 +21,18 @@ import math
 import types
 import typing
 
-from .clouds import cloud_init
-from .datasets import TARGETS, generate_dataset
+from .datasets import TARGETS
 from .exceptions import ConfigError
 from .grids import TimeGrid
 from .langevin import TrainerConfig
 from .models import (BUILTIN_KINDS, gaussian_prior, make_builtin_model,
                      make_linear_drift_model, make_zero_cost_model)
-from .studies import (StudySetup, check_study_setup, check_study_values,
-                      run_chaos_study, run_contraction_study, run_euler_study,
+from .studies import (StudySetup, check_study, run_chaos_study,
+                      run_contraction_study, run_euler_study,
                       run_generalization_study, run_gibbs_check)
 
 __all__ = ["load_config", "parse_config", "build_setup", "study_arguments",
-           "default_study_config", "default_train_config", "SCHEMA",
-           "STUDY_TABLE", "STUDY_RUNNERS", "grad_check_instance",
+           "default_config", "SCHEMA", "STUDY_TABLE", "STUDY_RUNNERS",
            "GRAD_CHECK_SEEDS", "GRAD_CHECK_TOL"]
 
 # A range: what a value must be, and the test it must pass.
@@ -218,13 +218,9 @@ def study_arguments(config: dict, study_kind: str,
         defaults["slope_lo"], defaults["slope_hi"] = defaults["slope_bounds"]
     args = {key: section.get(key, defaults[key]) for key in table}
     try:
-        check_study_values(study_kind, args)
+        check_study(study_kind, setup, args)
     except ValueError as exc:
-        raise ConfigError(f"study: {exc}") from None
-    try:
-        check_study_setup(study_kind, setup)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{study_kind} study: {exc}") from None
     if "slope_lo" in args:
         args["slope_bounds"] = (args.pop("slope_lo"), args.pop("slope_hi"))
     return args
@@ -272,9 +268,20 @@ def build_setup(config: dict, seed_override: int | None = None) -> StudySetup:
         dataset_seed=dsec["seed"], init=init, init_seed=isec["seed"])
 
 
-def default_train_config() -> dict:
-    """A modest regression training run used when no config is given."""
-    return {
+# Criterion 1, ``mflangevin grad-check``: the exact gradient against central
+# differences on this many instances of a configuration, the i-th with its
+# seeds shifted by i, to this largest relative deviation
+# |exact - fd| / (1 + |fd|).
+GRAD_CHECK_SEEDS = 20
+GRAD_CHECK_TOL = 1e-6
+
+# Built-in desk-scale configuration of each command, ``grad-check`` and the
+# study kinds by name: what it runs without ``--config``.  The study
+# entries are the settings the acceptance suite runs, chosen so each
+# theoretical property dominates the measured observable at the stated
+# thresholds; study keys take their defaults from the runners' signatures.
+_DEFAULT_CONFIGS = {
+    "train": {
         "model": {"kind": "one_layer_residual", "d": 1, "p_hidden": 1,
                   "dim_data": 1},
         "grid": {"horizon": 0.25, "n_steps": 4},
@@ -284,32 +291,17 @@ def default_train_config() -> dict:
                     "n_samples": 32, "seed": 1},
         "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 2,
                  "n_particles": 128},
-    }
-
-
-# Criterion 1, the default of ``mflangevin grad-check``: the exact gradient
-# against central differences on this many seeded instances, to this
-# largest relative deviation |exact - fd| / (1 + |fd|).
-GRAD_CHECK_SEEDS = 20
-GRAD_CHECK_TOL = 1e-6
-
-
-def grad_check_instance(seed: int) -> tuple:
-    """Model, cloud, dataset and grid of criterion 1's instance at ``seed``."""
-    grid = TimeGrid(1.0, 4)
-    model = make_builtin_model("neural_ode_tanh", d=2, p_hidden=1, dim_data=2)
-    dataset = generate_dataset("regression", 2, 2, 100 + seed, grid,
-                               target="scaled")
-    cloud = cloud_init(3, grid, model.dim_param, ("gaussian", 0.0, 1.0),
-                       seed=seed)
-    return model, cloud, dataset, grid
-
-
-# Built-in desk-scale configuration of each study: the settings the
-# acceptance suite runs, chosen so each theoretical property dominates the
-# measured observable at the stated thresholds.  Study keys take their
-# defaults from the runners' signatures.
-_STUDY_CONFIGS = {
+    },
+    "grad-check": {
+        "model": {"kind": "neural_ode_tanh", "d": 2, "p_hidden": 1,
+                  "dim_data": 2},
+        "grid": {"horizon": 1.0, "n_steps": 4},
+        "trainer": {},
+        "dataset": {"kind": "regression", "target": "scaled",
+                    "n_samples": 2, "seed": 100},
+        "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0, "seed": 0,
+                 "n_particles": 3},
+    },
     "chaos": {
         "model": {"kind": "one_layer_residual", "d": 1, "p_hidden": 1,
                   "dim_data": 1},
@@ -363,8 +355,9 @@ _STUDY_CONFIGS = {
 }
 
 
-def default_study_config(study_kind: str) -> dict:
-    """A fresh copy of the built-in configuration of one study kind."""
-    if study_kind not in _STUDY_CONFIGS:
-        raise ConfigError(f"unknown study kind {study_kind!r}")
-    return copy.deepcopy(_STUDY_CONFIGS[study_kind])
+def default_config(name: str) -> dict:
+    """A fresh copy of the built-in configuration of ``train``,
+    ``grad-check`` or one study kind."""
+    if name not in _DEFAULT_CONFIGS:
+        raise ConfigError(f"no built-in configuration named {name!r}")
+    return copy.deepcopy(_DEFAULT_CONFIGS[name])

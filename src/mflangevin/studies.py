@@ -9,8 +9,11 @@ reruns are byte-identical regardless of thread count.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -31,7 +34,7 @@ __all__ = [
     "run_chaos_study", "run_euler_study", "run_contraction_study",
     "run_gibbs_check", "run_generalization_study",
     "fit_loglog", "fit_rate", "histogram_tv", "gibbs_log_density",
-    "check_study_values", "check_study_setup",
+    "check_study",
 ]
 
 
@@ -141,7 +144,6 @@ class StudyReport:
         return lines
 
     def write(self, outdir) -> None:
-        import os
         os.makedirs(outdir, exist_ok=True)
         for name, table in self.series.items():
             path = os.path.join(outdir, f"{self.kind}_{name}.csv")
@@ -179,16 +181,42 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+def _openblas():
+    """The get and set functions of the thread count of numpy's bundled
+    OpenBLAS, or None where numpy does not bundle it."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas64_*.so")
+    try:
+        lib = ctypes.CDLL(glob.glob(libs)[0])
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
 def _map_points(fn, points, threads: int):
     """Evaluate fn over points, optionally in a thread pool; order preserved.
 
     Every point is an independent deterministic computation, so the result
-    does not depend on the executor or the thread count.
+    does not depend on the executor or the thread count.  While the pool
+    runs, numpy's bundled OpenBLAS gets each thread's share of the cores,
+    at least one, so that the two do not oversubscribe them.
     """
-    if threads and threads > 1:
+    if threads <= 1:
+        return [fn(pt) for pt in points]
+    blas = _openblas()
+    if blas:
+        before = blas[0]()
+        blas[1](max(1, len(os.sched_getaffinity(0)) // threads))
+    try:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, points))
-    return [fn(pt) for pt in points]
+    finally:
+        if blas:
+            blas[1](before)
 
 
 def fit_loglog(x, y):
@@ -218,16 +246,6 @@ def fit_rate(x, logy):
     return float(coef[0]), stderr
 
 
-def _squared_paired(a: np.ndarray, b: np.ndarray, dt: float) -> float:
-    return paired_distance(a, b, dt) ** 2
-
-
-def _tail_iters(n_iters: int, snapshot_every: int, tail_fraction: float):
-    cutoff = (1.0 - tail_fraction) * n_iters
-    return [it for it in range(0, n_iters + 1, snapshot_every) if it >= cutoff] \
-        or [n_iters]
-
-
 def _train_keeping(setup: StudySetup, dataset: Dataset, init: ParticleCloud,
                    cfg: TrainerConfig, iterates) -> tuple:
     """Train one run, watching it through ``observe``: its final cloud and
@@ -243,9 +261,10 @@ def _train_keeping(setup: StudySetup, dataset: Dataset, init: ParticleCloud,
     return final, [kept[it] for it in iterates]
 
 
-def check_study_values(kind: str, values: dict) -> None:
-    """Raise ValueError unless the values of one study kind fit together:
-    the runner's keywords of those names, as the messages below state."""
+def check_study(kind: str, setup: StudySetup, values: dict) -> None:
+    """Raise ValueError unless ``setup`` and ``values``, the runner's
+    keywords of those names, suit the runner of study ``kind``: the Gibbs
+    check needs a noisy run with one-dimensional parameters."""
     v = values
     if kind == "euler":
         steps, s_final = list(v["gamma_list"]), v["s_final"]
@@ -270,12 +289,7 @@ def check_study_values(kind: str, values: dict) -> None:
             raise ValueError("n1_list must be nonempty")
         if v["holdout_n"] < max(v["n1_list"]):
             raise ValueError("holdout must dominate the studied sizes")
-
-
-def check_study_setup(kind: str, setup: StudySetup) -> None:
-    """Raise ValueError unless ``setup`` suits the runner of study ``kind``:
-    the Gibbs check compares one-dimensional densities of a noisy run."""
-    if kind == "gibbs":
+    elif kind == "gibbs":
         if setup.trainer.sigma <= 0:
             raise ValueError("the Gibbs check needs trainer.sigma > 0")
         if setup.model.dim_param != 1:
@@ -304,12 +318,14 @@ def run_chaos_study(setup: StudySetup, n2_list=(16, 32, 64, 128),
     log MSE against log(1/N1 + 1/N2) is checked against ``slope_bounds``.
     """
     t0 = time.perf_counter()
-    check_study_values("chaos", dict(n2_list=n2_list, n1_list=n1_list,
+    check_study("chaos", setup, dict(n2_list=n2_list, n1_list=n1_list,
                                      n_ref=n_ref, n1_ref=n1_ref))
     n2_list = sorted(n2_list)
     n1_list = sorted(n1_list)
     cfg = setup.trainer
-    tail = _tail_iters(cfg.n_iters, snapshot_every, tail_fraction)
+    cutoff = (1.0 - tail_fraction) * cfg.n_iters
+    tail = [it for it in range(0, cfg.n_iters + 1, snapshot_every)
+            if it >= cutoff] or [cfg.n_iters]
     cfgs = [replace(cfg, seed=cfg.seed + rep, record_every=0)
             for rep in range(n_reps)]
     masters = [setup.make_dataset(n1_ref, seed_shift=rep)
@@ -328,7 +344,7 @@ def run_chaos_study(setup: StudySetup, n2_list=(16, 32, 64, 128),
     refs = snaps[:n_reps]
     mse = np.zeros((len(n1_list), len(n2_list)))
     for (rep, i1, i2), snap in zip(keys, snaps[n_reps:]):
-        vals = [_squared_paired(a, ref[:n2_list[i2]], setup.grid.dt)
+        vals = [paired_distance(a, ref[:n2_list[i2]], setup.grid.dt) ** 2
                 for a, ref in zip(snap, refs[rep])]
         mse[i1, i2] += float(np.mean(vals)) / n_reps
     inv = np.array([[1.0 / n1 + 1.0 / n2 for n2 in n2_list] for n1 in n1_list])
@@ -372,23 +388,19 @@ def run_euler_study(setup: StudySetup, gamma_list=(4e-3, 2e-3, 1e-3, 5e-4),
     is checked against ``slope_bounds``.
     """
     t0 = time.perf_counter()
-    check_study_values("euler", dict(gamma_list=gamma_list, s_final=s_final,
+    check_study("euler", setup, dict(gamma_list=gamma_list, s_final=s_final,
                                      ref_divisor=ref_divisor))
     gamma_list = sorted(gamma_list, reverse=True)
     gamma_ref = min(gamma_list) / ref_divisor
     dataset = setup.make_dataset(setup.n_samples)
     init = setup.make_cloud(setup.n_particles)
-
-    def config_at(gamma: float) -> TrainerConfig:
-        return replace(setup.trainer, gamma=gamma,
-                       n_iters=int(round(s_final / gamma)),
-                       noise_dt=gamma_ref, record_every=0)
-
-    cfgs = [config_at(g) for g in gamma_list + [gamma_ref]]
+    cfgs = [replace(setup.trainer, gamma=g, n_iters=int(round(s_final / g)),
+                    noise_dt=gamma_ref, record_every=0)
+            for g in gamma_list + [gamma_ref]]
     *finals, ref = coupled_runs(setup.model, dataset, setup.grid, cfgs,
                                 [init] * len(cfgs))
-    mse = np.array([_squared_paired(f.particles, ref.particles, setup.grid.dt)
-                    for f in finals])
+    mse = np.array([paired_distance(f.particles, ref.particles,
+                                    setup.grid.dt) ** 2 for f in finals])
     slope, stderr = fit_loglog(gamma_list, mse)
     report = StudyReport(kind="euler", config={**setup.echo(),
                                                "gamma_list": list(gamma_list),
@@ -577,7 +589,7 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
     sigma grows.
     """
     t0 = time.perf_counter()
-    check_study_setup("gibbs", setup)
+    check_study("gibbs", setup, {})
     cfg = setup.trainer
     if snapshot_every is None:
         snapshot_every = max(1, cfg.n_iters // 40)
@@ -608,7 +620,7 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
     report.series["per_node_tv"] = {"node": list(range(setup.grid.n_nodes)),
                                     "tv": tvs}
     report.plots["tv_per_node"] = (np.arange(setup.grid.n_nodes), np.array(tvs))
-    report.checks.append(CheckResult("max_node_tv", float(max(tvs)),
+    report.checks.append(CheckResult("max_node_tv", float(np.max(tvs)),
                                      tv_threshold))
     if sigma_sweep:
         sweep_tv = []
@@ -618,15 +630,13 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
             final_s, _ = train(setup.model, dataset, setup.grid, cfg_s, init)
             (xs,), (ps,), _, _ = solve_group(setup.model, [final_s], dataset,
                                              setup.grid)
-            worst = 0.0
-            for l in range(setup.grid.n_steps):
-                worst = max(worst, _density_tv(
-                    lambda a, node=l, c=final_s, sv=s_val: gibbs_log_density(
-                        setup.model, c, dataset, setup.grid, node, sv,
-                        cfg.prior, a, paths=(xs, ps)),
-                    lambda a: cfg.prior.log_density(a.reshape(-1, 1)),
-                    -span, span))
-            sweep_tv.append(worst)
+            node_tv = [_density_tv(
+                lambda a, node=l, c=final_s, sv=s_val: gibbs_log_density(
+                    setup.model, c, dataset, setup.grid, node, sv,
+                    cfg.prior, a, paths=(xs, ps)),
+                lambda a: cfg.prior.log_density(a.reshape(-1, 1)),
+                -span, span) for l in range(setup.grid.n_steps)]
+            sweep_tv.append(float(np.max(node_tv)))
         report.series["sigma_sweep"] = {"sigma": list(sigma_sweep),
                                         "max_tv_vs_prior": sweep_tv}
         monotone = all(b <= a + 1e-12 for a, b in zip(sweep_tv, sweep_tv[1:]))
@@ -660,7 +670,7 @@ def run_generalization_study(setup: StudySetup, n1_list=(8, 16, 32, 64),
     log(1/N1) is checked against ``slope_bounds``.
     """
     t0 = time.perf_counter()
-    check_study_values("generalization", dict(n1_list=n1_list,
+    check_study("generalization", setup, dict(n1_list=n1_list,
                                               holdout_n=holdout_n))
     n1_list = sorted(n1_list)
     cfg = replace(setup.trainer, record_every=0)

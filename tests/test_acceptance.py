@@ -12,8 +12,7 @@ import numpy as np
 
 from mflangevin.clouds import cloud_init
 from mflangevin.config import (GRAD_CHECK_SEEDS, GRAD_CHECK_TOL, build_setup,
-                               default_study_config, grad_check_instance,
-                               parse_config)
+                               default_config, parse_config)
 from mflangevin.datasets import Dataset, generate_dataset
 from mflangevin.grids import TimeGrid
 from mflangevin.langevin import TrainerConfig, langevin_step, train
@@ -32,16 +31,19 @@ def _report(name, passed, detail):
 
 
 def _setup_from_default(kind):
-    return build_setup(parse_config(default_study_config(kind)))
+    return build_setup(parse_config(default_config(kind)))
 
 
 def test_criterion_1_gradient_exactness():
     """Exact gradient vs finite differences: 20 seeded small instances."""
     t0 = time.perf_counter()
+    setup = _setup_from_default("grad-check")
+    model, grid = setup.model, setup.grid
+    assert model.dim_param == 3
     worst = 0.0
     for seed in range(GRAD_CHECK_SEEDS):
-        model, cloud, ds, grid = grad_check_instance(seed)
-        assert model.dim_param == 3
+        ds = setup.make_dataset(setup.n_samples, seed_shift=seed)
+        cloud = setup.make_cloud(setup.n_particles, seed_shift=seed)
         dg = discrete_gradient(model, cloud, ds, grid)
         fd = finite_diff_gradient(model, cloud, ds, grid, step=1e-5)
         worst = max(worst, float(np.max(np.abs(dg - fd) / (1 + np.abs(fd)))))

@@ -10,10 +10,15 @@ import pytest
 
 from mflangevin import cli, studies
 from mflangevin.cli import main
-from mflangevin.config import (STUDY_RUNNERS, STUDY_TABLE, build_setup,
-                               default_study_config, default_train_config,
-                               load_config, parse_config, study_arguments)
+from mflangevin.clouds import cloud_init
+from mflangevin.config import (GRAD_CHECK_SEEDS, STUDY_RUNNERS, STUDY_TABLE,
+                               build_setup, default_config, load_config,
+                               parse_config, study_arguments)
+from mflangevin.datasets import generate_dataset
 from mflangevin.exceptions import ConfigError
+from mflangevin.grids import TimeGrid
+from mflangevin.models import make_builtin_model
+from mflangevin.objective import discrete_gradient
 from mflangevin.studies import StudySetup, run_chaos_study
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,11 +41,40 @@ def no_training(monkeypatch):
 class TestConfigParsing:
     def test_defaults_parse_cleanly(self):
         for kind in STUDY_TABLE:
-            config = parse_config(default_study_config(kind))
+            config = parse_config(default_config(kind))
             setup = build_setup(config)
             study_arguments(config, kind, setup)
             assert setup.grid.n_steps >= 1
-        parse_config(default_train_config())
+        parse_config(default_config("train"))
+
+    def test_unknown_default_config_rejected(self):
+        with pytest.raises(ConfigError, match="grad_check"):
+            default_config("grad_check")
+
+    def test_grad_check_default_builds_criterion_1_instances(self):
+        # Criterion 1's instance i as it was written out in code before the
+        # built-in grad-check configuration: dataset seed 100 + i, init
+        # seed i.  The configuration must rebuild each byte for byte.
+        setup = build_setup(parse_config(default_config("grad-check")))
+        grid = TimeGrid(1.0, 4)
+        model = make_builtin_model("neural_ode_tanh", d=2, p_hidden=1,
+                                   dim_data=2)
+        assert setup.grid == grid
+        assert (setup.model.kind, setup.model.dim_state, setup.model.dim_param,
+                setup.model.dim_data) == (model.kind, 2, 3, 2)
+        for i in range(GRAD_CHECK_SEEDS):
+            dataset = generate_dataset("regression", 2, 2, 100 + i, grid,
+                                       target="scaled")
+            cloud = cloud_init(3, grid, 3, ("gaussian", 0.0, 1.0), seed=i)
+            got_data = setup.make_dataset(setup.n_samples, seed_shift=i)
+            got_cloud = setup.make_cloud(setup.n_particles, seed_shift=i)
+            assert got_data.xi.tobytes() == dataset.xi.tobytes()
+            assert got_data.zeta.tobytes() == dataset.zeta.tobytes()
+            assert got_cloud.particles.tobytes() == cloud.particles.tobytes()
+            want = discrete_gradient(model, cloud, dataset, grid)
+            got = discrete_gradient(setup.model, got_cloud, got_data,
+                                    setup.grid)
+            assert got.tobytes() == want.tobytes()
 
     def test_left_out_sections_take_the_setup_defaults(self):
         setup = build_setup(parse_config({
@@ -52,19 +86,19 @@ class TestConfigParsing:
                 assert getattr(setup, field.name) == field.default, field.name
 
     def test_unknown_section_rejected(self):
-        config = default_train_config()
+        config = default_config("train")
         config["optimizer"] = {"lr": 0.1}
         with pytest.raises(ConfigError):
             parse_config(config)
 
     def test_unknown_key_rejected(self):
-        config = default_train_config()
+        config = default_config("train")
         config["trainer"]["learning_rate"] = 0.1
         with pytest.raises(ConfigError):
             parse_config(config)
 
     def test_unknown_study_key_rejected(self):
-        config = default_study_config("euler")
+        config = default_config("euler")
         config["study"] = {"bogus": 1}
         with pytest.raises(ConfigError):
             parse_config(config)
@@ -77,25 +111,25 @@ class TestConfigParsing:
     @pytest.mark.parametrize("section,value", [("model", []),
                                                ("study", ["n_reps"])])
     def test_sections_must_be_objects(self, section, value):
-        config = default_train_config()
+        config = default_config("train")
         config[section] = value
         with pytest.raises(ConfigError, match=section):
             parse_config(config)
 
     def test_missing_required_section_rejected(self):
-        config = default_train_config()
+        config = default_config("train")
         del config["grid"]
         with pytest.raises(ConfigError):
             parse_config(config)
 
     def test_unknown_model_kind_rejected(self):
-        config = default_train_config()
+        config = default_config("train")
         config["model"]["kind"] = "perceptron"
         with pytest.raises(ConfigError):
             build_setup(parse_config(config))
 
     def test_seed_override(self):
-        config = parse_config(default_train_config())
+        config = parse_config(default_config("train"))
         setup = build_setup(config, seed_override=777)
         assert setup.trainer.seed == 777
 
@@ -116,7 +150,7 @@ class TestConfigParsing:
         ("study", "gamma_list", [1e-3, "2e-3"]),
     ])
     def test_integer_keys_are_strict(self, section, key, value):
-        config = default_train_config()
+        config = default_config("train")
         config.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(config)
@@ -139,7 +173,7 @@ class TestConfigParsing:
         ("init", "mean", float("nan")),
     ])
     def test_float_keys_are_strict(self, section, key, value):
-        config = default_study_config("euler")
+        config = default_config("euler")
         config.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(config)
@@ -158,7 +192,7 @@ class TestConfigParsing:
                                             tmp_path):
         # Each relation the runner needs fails at the boundary, from the
         # command line too, with ConfigError rather than a raw ValueError.
-        config = default_study_config(kind)
+        config = default_config(kind)
         config["study"] = study
         with pytest.raises(ConfigError, match=message):
             parsed = parse_config(config)
@@ -171,7 +205,7 @@ class TestConfigParsing:
             main([command, "--config", str(path), "--out", str(tmp_path)])
 
     def test_step_off_the_noise_grid_rejected(self):
-        config = default_train_config()
+        config = default_config("train")
         config["trainer"]["noise_dt"] = 0.003
         with pytest.raises(ConfigError, match="multiple of noise_dt"):
             build_setup(parse_config(config))
@@ -179,13 +213,13 @@ class TestConfigParsing:
         assert build_setup(parse_config(config)).trainer.noise_dt is None
 
     def test_integral_floats_are_accepted(self):
-        config = default_train_config()
+        config = default_config("train")
         config["trainer"]["n_iters"] = 40.0
         setup = build_setup(parse_config(config))
         assert setup.trainer.n_iters == 40
 
     def test_study_section_overrides_the_table(self):
-        config = default_study_config("chaos")
+        config = default_config("chaos")
         config["study"] = {"n_reps": 2.0, "n2_list": [8, 16], "slope_hi": 2}
         parsed = parse_config(config)
         args = study_arguments(parsed, "chaos", build_setup(parsed))
@@ -232,9 +266,9 @@ class TestConfigParsing:
                                              name, tmp_path, no_training):
         # value None removes the key.
         if kind == "train":
-            config = default_train_config()
+            config = default_config("train")
         else:
-            config = default_study_config(kind)
+            config = default_config(kind)
         config.setdefault(section, {})[key] = value
         if value is None:
             del config[section][key]
@@ -258,21 +292,21 @@ class TestConfigParsing:
     ])
     def test_model_and_dataset_that_do_not_fit_are_rejected(self, model,
                                                              dataset):
-        config = default_train_config()
+        config = default_config("train")
         config["model"] = model
         config["dataset"] = dataset
         with pytest.raises(ConfigError, match="data slices"):
             build_setup(parse_config(config))
 
     def test_unknown_dataset_kind_rejected(self):
-        config = default_train_config()
+        config = default_config("train")
         config["dataset"]["kind"] = "images"
         with pytest.raises(ConfigError):
             build_setup(parse_config(config))
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(default_train_config()))
+        path.write_text(json.dumps(default_config("train")))
         config = load_config(path)
         assert config["model"]["kind"] == "one_layer_residual"
 
@@ -294,7 +328,7 @@ class TestConfigsOutsideTests:
 
 
 def _mini_contraction_config(tmp_path):
-    config = default_study_config("contraction")
+    config = default_config("contraction")
     config["trainer"]["n_iters"] = 50
     config["init"]["n_particles"] = 8
     config["study"] = {"n_pairs": 3}

@@ -1,12 +1,15 @@
 """Study runners at reduced scale: fits, checks, reports, determinism."""
 
 import json
+import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mflangevin import studies
+from mflangevin.config import build_setup, default_config, parse_config
 from mflangevin.grids import TimeGrid
 from mflangevin.langevin import TrainerConfig, train
 from mflangevin.metrics import paired_distance
@@ -308,6 +311,30 @@ class TestGibbsCheck:
             want.append(histogram_tv(samples, log_density))
         assert report.series["per_node_tv"]["tv"] == want
 
+    def test_nan_at_a_later_node_fails_the_check(self, monkeypatch):
+        # Python's max skips a NaN unless it comes first; a NaN total
+        # variation at node 1 must still fail both checks.
+        config = default_config("gibbs")
+        config["trainer"]["n_iters"] = 40
+        config["init"]["n_particles"] = 256
+        setup = build_setup(parse_config(config))
+        for name in ("histogram_tv", "_density_tv"):
+            original = getattr(studies, name)
+            calls = []
+
+            def nan_at_node_1(*args, original=original, calls=calls,
+                              **kwargs):
+                calls.append(None)
+                tv = original(*args, **kwargs)
+                return math.nan if len(calls) == 2 else tv
+
+            monkeypatch.setattr(studies, name, nan_at_node_1)
+        report = run_gibbs_check(setup, sigma_sweep=(1.5, 3.0))
+        node_tv, sweep = report.checks
+        assert math.isnan(node_tv.value) and not node_tv.passed
+        assert math.isnan(report.series["sigma_sweep"]["max_tv_vs_prior"][0])
+        assert not sweep.passed
+
     def test_multidimensional_parameters_rejected(self):
         setup = small_setup(model=make_builtin_model("one_layer_residual",
                                                      d=1, p_hidden=1,
@@ -377,6 +404,26 @@ class TestGeneralizationStudy:
         setup = small_setup()
         with pytest.raises(ValueError):
             run_generalization_study(setup, [64], holdout_n=32)
+
+
+class TestMapPoints:
+    def test_blas_threads_are_shared_and_restored(self):
+        blas = studies._openblas()
+        if blas is None:
+            pytest.skip("numpy does not bundle OpenBLAS")
+        get, _ = blas
+        before = get()
+        share = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert studies._map_points(lambda _: get(), range(4), 2) == [share] * 4
+        assert get() == before
+        assert studies._map_points(lambda _: get(), range(2), 1) == [before] * 2
+
+        def failing(_):
+            raise RuntimeError("run failed")
+
+        with pytest.raises(RuntimeError, match="run failed"):
+            studies._map_points(failing, range(4), 2)
+        assert get() == before
 
 
 class TestReports:
