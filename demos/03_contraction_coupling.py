@@ -10,8 +10,7 @@ import numpy as np
 
 from mflangevin import (Dataset, TimeGrid, TrainerConfig, cloud_init,
                         gaussian_prior, lipschitz_probe,
-                        make_linear_drift_model, paired_distance)
-from mflangevin.langevin import coupled_runs
+                        make_linear_drift_model, paired_distance, train)
 
 grid = TimeGrid(horizon=0.5, n_steps=4)
 model = make_linear_drift_model(1)
@@ -23,9 +22,9 @@ cfg = TrainerConfig(sigma=sigma, prior=gaussian_prior(kappa, 1), gamma=5e-3,
 cloud_a = cloud_init(32, grid, 1, ("gaussian", 0.0, 1.0), seed=1)
 cloud_b = cloud_init(32, grid, 1, ("gaussian", 2.0, 1.0), seed=2)
 
-# Both clouds are members of one coupled group, so every Brownian increment
-# is drawn once and used by both; observe records their paired distance
-# after each update.
+# One training run with the other coupled to it: the two clouds are members
+# 0 and 1 of one group, so every Brownian increment is drawn once and used
+# by both; observe records their paired distance after each update.
 latest = [cloud_a, cloud_b]
 distance = np.zeros(cfg.n_iters + 1)
 distance[0] = paired_distance(cloud_a.particles, cloud_b.particles, grid.dt)
@@ -38,7 +37,8 @@ def observe(member, iterate, cloud):
                                             cloud.particles, grid.dt)
 
 
-coupled_runs(model, dataset, grid, [cfg, cfg], [cloud_a, cloud_b], observe)
+train(model, dataset, grid, cfg, cloud_b, coupled=[(cfg, cloud_a)],
+      observe=observe)
 l_hat = lipschitz_probe(model, dataset, grid, cloud_a, seed=5)
 
 s = cfg.gamma * np.arange(cfg.n_iters + 1)

@@ -14,8 +14,7 @@ from .datasets import Dataset, generate_dataset
 from .exceptions import (ConfigError, NonFiniteCostateError,
                          NonFiniteParticleError, NonFiniteStateError)
 from .grids import TimeGrid
-from .langevin import (TrainerConfig, TrainHistory, langevin_step,
-                       lipschitz_probe, train)
+from .langevin import TrainerConfig, TrainHistory, lipschitz_probe, train
 from .metrics import entropy_estimate, paired_distance
 from .models import (ModelSpec, PriorSpec, gaussian_prior, make_builtin_model,
                      make_linear_drift_model, make_zero_cost_model,
@@ -38,8 +37,7 @@ __all__ = [
     "model_grad_selfcheck", "mean_field_drift",
     "objective_J", "objective_Jsigma", "ObjectiveValue",
     "discrete_gradient", "finite_diff_gradient",
-    "TrainerConfig", "TrainHistory", "train", "langevin_step",
-    "lipschitz_probe",
+    "TrainerConfig", "TrainHistory", "train", "lipschitz_probe",
     "entropy_estimate", "paired_distance",
     "StudySetup", "StudyReport",
     "run_chaos_study", "run_euler_study", "run_contraction_study",

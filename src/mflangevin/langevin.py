@@ -11,19 +11,19 @@ The noise realises the entropic regularisation, so no score term is ever
 evaluated.  Brownian increments come from the counter-based generator
 keyed by (seed, fine iteration, particle, node); runs that share a seed
 share a Brownian path, which is what the coupled-pair, surrogate, and
-step-size studies rely on.  :func:`train` advances one run, or a group of
-runs on one path (:func:`coupled_runs`): one reader draws the path a
-stretch of fine slots at a time and each run sums its own slots, and the
-members whose updates end on the same slot share one sweep on the sweep
-pair's member axis, so a member of a group is its solo run by
-construction.
+step-size studies rely on.  :func:`train` is the one way a cloud moves:
+it advances one run, or a group of runs on one path (its ``coupled``
+keyword).  One reader draws the path a stretch of fine slots at a time
+and each run sums its own slots, and the members whose updates end on the
+same slot share one sweep on the sweep pair's member axis, so a member of
+a group is its solo run by construction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +37,8 @@ from .objective import objective_Jsigma
 from .odes import mean_field_drift, solve_group
 from .rng import PURPOSE_PROBE, keyed_normals, step_normals
 
-__all__ = [
-    "TrainerConfig", "TrainHistory", "langevin_step", "train",
-    "coupled_runs", "lipschitz_probe", "drift_norm",
-]
+__all__ = ["TrainerConfig", "TrainHistory", "train", "lipschitz_probe",
+           "drift_norm"]
 
 
 @dataclass(frozen=True)
@@ -133,24 +131,16 @@ def _step_times(cfg: TrainerConfig) -> np.ndarray:
                                                     float(cfg.gamma)))])
 
 
-def _update_noise(draws: np.ndarray, m: int, dt: float) -> np.ndarray:
-    """Scaled Brownian blocks of consecutive updates of m fine slots each,
-    from the raw draws (n * m, ...) of their slots: each update's m slots
-    summed in slot order, times sqrt(dt), shape (n, ...)."""
-    return math.sqrt(dt) * draws.reshape((-1, m) + draws.shape[1:]).sum(axis=1)
-
-
 def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
     """Read one Brownian path for runs that advance together.
 
     Yields, for each fine slot on which updates end, the list of
     ``(member, iteration, noise)`` of those updates in the order of
     ``cfgs``; ``noise`` is the update's scaled Brownian block, or None when
-    no member is noisy.  The members share the seed
-    and the fine slot length.  The path is drawn a stretch of fine slots
-    at a time, at most ``_CHUNK_NORMALS`` normals or one update of the
-    coarsest member, and each member sums its own slots of a stretch in
-    slot order.  The slots of an update that straddles two stretches are
+    no member is noisy.  The members share the seed and the fine slot
+    length.  The path is drawn a stretch of fine slots at a time, at most
+    ``_CHUNK_NORMALS`` normals or one update of the coarsest member, and
+    each member sums its own slots of a stretch in slot order.  The slots of an update that straddles two stretches are
     kept until the second is drawn, so memory stays bounded for any step
     list.
     """
@@ -175,8 +165,10 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
                 continue
             blocks = [None] * n
             if noisy:
-                blocks = _update_noise(
-                    path[m * first - start:m * (first + n) - start], m, dts[0])
+                # Each update's m slots summed in slot order, times sqrt(dt).
+                raw = path[m * first - start:m * (first + n) - start]
+                blocks = math.sqrt(dts[0]) * raw.reshape(
+                    (n, m) + shape).sum(axis=1)
             updates += [(m * (it + 1), j, it, block)
                         for it, block in zip(range(first, first + n), blocks)]
             done[j] += n
@@ -203,21 +195,6 @@ def _apply_step(cloud: ParticleCloud, cfg: TrainerConfig, iter_index: int,
             f"non-finite particle after iteration {iter_index} "
             "(training step too large for the drift scale)")
     return cloud._with_checked(new)
-
-
-def langevin_step(model: ModelSpec, cloud: ParticleCloud, dataset: Dataset,
-                  grid: TimeGrid, cfg: TrainerConfig,
-                  iter_index: int) -> ParticleCloud:
-    """One Euler-Maruyama update of the whole cloud: update ``iter_index``
-    of a :func:`train` run, its noise summed from the same fine slots."""
-    noise = None
-    if cfg.sigma > 0.0:
-        m, dt = _fine_slots(cfg)
-        noise = _update_noise(step_normals(
-            cfg.seed, m * iter_index + np.arange(m), *cloud.particles.shape),
-            m, dt)[0]
-    drift = mean_field_drift(model, cloud, dataset, grid)
-    return _apply_step(cloud, cfg, iter_index, noise, drift)
 
 
 def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
@@ -284,35 +261,6 @@ def train(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
                                                  grid, True)
         record(cfg.n_iters, cloud, x, cost, drift)
     return cloud, history
-
-
-def coupled_runs(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
-                 cfgs: list[TrainerConfig], inits: list[ParticleCloud],
-                 observe=None) -> list[ParticleCloud]:
-    """Evolve several runs on one Brownian path, drawing each slot once.
-
-    The members share the seed and the fine slot length (``noise_dt``, or
-    ``gamma`` when it is unset) and may differ in init and in ``gamma``, a
-    multiple of ``noise_dt``.  They run as one :func:`train` group, the last
-    member being ``train``'s own run with recording off, so every member
-    ends on exactly the cloud ``train`` returns for it alone.
-    ``observe(member, iterate, cloud)``, if given, is called after every
-    update, in the order the updates end on the path (in list order where
-    they end together).  Returns the final clouds.
-    """
-    if len(cfgs) != len(inits):
-        raise ValueError("need one init per coupled run")
-    finals = list(inits)
-
-    def keep(member, iterate, cloud):
-        finals[member] = cloud
-        if observe is not None:
-            observe(member, iterate, cloud)
-
-    train(model, dataset, grid,
-          replace(cfgs[-1], record_every=0), inits[-1],
-          coupled=list(zip(cfgs[:-1], inits[:-1])), observe=keep)
-    return finals
 
 
 def lipschitz_probe(model: ModelSpec, dataset: Dataset, grid: TimeGrid,

@@ -23,8 +23,8 @@ import numpy as np
 from .clouds import ParticleCloud, cloud_init
 from .datasets import Dataset, generate_dataset
 from .grids import TimeGrid
-from .langevin import (TrainerConfig, _step_times, coupled_runs,
-                       lipschitz_probe, paired_distance, train)
+from .langevin import (TrainerConfig, _step_times, lipschitz_probe,
+                       paired_distance, train)
 from .models import ModelSpec
 from .objective import objective_J
 from .odes import solve_group
@@ -279,6 +279,9 @@ def check_study(kind: str, setup: StudySetup, values: dict) -> None:
             if abs(g / gamma_ref - round(g / gamma_ref)) > 1e-9:
                 raise ValueError("step sizes must be integer multiples of the "
                                  "reference step")
+    elif kind == "contraction":
+        if v["n_pairs"] < 1:
+            raise ValueError("need at least one pair")
     elif kind == "chaos":
         if not v["n2_list"] or not v["n1_list"]:
             raise ValueError("size lists must be nonempty")
@@ -382,10 +385,11 @@ def run_euler_study(setup: StudySetup, gamma_list=(4e-3, 2e-3, 1e-3, 5e-4),
     Brownian increments are generated at the reference resolution and
     summed by coarser runs, so every run discretises the same path and the
     final-time mean squared deviation from the reference isolates the
-    discretisation error.  The coarse runs and the reference run, last, are
-    one coupled group (:func:`coupled_runs`) that draws the path once;
-    ``threads`` does not split it.  The slope of log MSE against log gamma
-    is checked against ``slope_bounds``.
+    discretisation error.  The reference run is one :func:`train` call with
+    the coarse runs coupled to it, so the path is drawn once; ``observe``
+    keeps each coarse run's last cloud, and ``threads`` does not split the
+    group.  The slope of log MSE against log gamma is checked against
+    ``slope_bounds``.
     """
     t0 = time.perf_counter()
     check_study("euler", setup, dict(gamma_list=gamma_list, s_final=s_final,
@@ -397,10 +401,15 @@ def run_euler_study(setup: StudySetup, gamma_list=(4e-3, 2e-3, 1e-3, 5e-4),
     cfgs = [replace(setup.trainer, gamma=g, n_iters=int(round(s_final / g)),
                     noise_dt=gamma_ref, record_every=0)
             for g in gamma_list + [gamma_ref]]
-    *finals, ref = coupled_runs(setup.model, dataset, setup.grid, cfgs,
-                                [init] * len(cfgs))
+    finals = [init] * len(cfgs)
+
+    def keep(member, iterate, cloud):
+        finals[member] = cloud
+
+    ref, _ = train(setup.model, dataset, setup.grid, cfgs[-1], init,
+                   coupled=[(cfg, init) for cfg in cfgs[:-1]], observe=keep)
     mse = np.array([paired_distance(f.particles, ref.particles,
-                                    setup.grid.dt) ** 2 for f in finals])
+                                    setup.grid.dt) ** 2 for f in finals[:-1]])
     slope, stderr = fit_loglog(gamma_list, mse)
     report = StudyReport(kind="euler", config={**setup.echo(),
                                                "gamma_list": list(gamma_list),
@@ -433,17 +442,19 @@ def run_contraction_study(setup: StudySetup, init_pairs=None, *,
                           threads: int = 1) -> StudyReport:
     """Exponential contraction of coupled runs in the regularised regime.
 
-    Each pair of initialisations is one two-member :func:`coupled_runs`
-    group, so both evolve under identical noise; the slope of log squared
-    paired distance in training time gives the empirical rate.  Without
-    ``init_pairs``, each of ``n_pairs`` pairs starts from N(0, 1) and
-    N(shift, 1) particles.  Checks: every fitted slope is negative, and
-    each rate is within ``rate_factor`` of sigma^2 kappa - 4 L where L is
-    the empirical Lipschitz probe of the drift.
+    Each pair of initialisations is one :func:`train` call, the second run
+    with the first coupled to it, so both evolve under identical noise; the
+    slope of log squared paired distance in training time gives the
+    empirical rate.  Without ``init_pairs``, each of ``n_pairs`` pairs
+    starts from N(0, 1) and N(shift, 1) particles.  Checks: every fitted
+    slope is negative, and each rate is within ``rate_factor`` of
+    sigma^2 kappa - 4 L where L is the empirical Lipschitz probe of the
+    drift.
     """
     t0 = time.perf_counter()
     if init_pairs is None:
         init_pairs = [(("gaussian", 0.0, 1.0), ("gaussian", shift, 1.0))] * n_pairs
+    check_study("contraction", setup, dict(n_pairs=len(init_pairs)))
     cfg = setup.trainer
     dataset = setup.make_dataset(setup.n_samples)
     base = setup.make_cloud(setup.n_particles)
@@ -468,8 +479,8 @@ def run_contraction_study(setup: StudySetup, init_pairs=None, *,
 
         dist[0] = paired_distance(latest[0].particles, latest[1].particles,
                                   setup.grid.dt)
-        coupled_runs(setup.model, dataset, setup.grid, [cfg_k, cfg_k],
-                     list(latest), observe)
+        train(setup.model, dataset, setup.grid, cfg_k, latest[1],
+              coupled=[(cfg_k, latest[0])], observe=observe)
         d2 = dist ** 2
         keep = d2 > CONTRACTION_FLOOR * max(d2[0], 1e-300)
         keep[:max(1, int(CONTRACTION_FIT_SKIP * len(d2)))] = False
@@ -487,7 +498,7 @@ def run_contraction_study(setup: StudySetup, init_pairs=None, *,
         worst_ratio = float(np.max(ratios))
     report = StudyReport(kind="contraction",
                          config={**setup.echo(), "n_pairs": len(init_pairs),
-                                 "probe_scale": probe_scale,
+                                 "shift": shift, "probe_scale": probe_scale,
                                  "lipschitz_probe": l_hat,
                                  "predicted_rate": predicted},
                          dataset_hash=dataset.content_hash(), seed=cfg.seed)
@@ -568,8 +579,9 @@ def histogram_tv(samples: np.ndarray, log_density, n_bins: int = 64,
 def _density_tv(log_q1, log_q2, lo: float, hi: float,
                 n_quad: int = 4096) -> float:
     xs = np.linspace(lo, hi, n_quad)
-    q1 = np.exp(log_q1(xs) - np.max(log_q1(xs)))
-    q2 = np.exp(log_q2(xs) - np.max(log_q2(xs)))
+    log1, log2 = log_q1(xs), log_q2(xs)
+    q1 = np.exp(log1 - np.max(log1))
+    q2 = np.exp(log2 - np.max(log2))
     q1 /= np.trapezoid(q1, xs)
     q2 /= np.trapezoid(q2, xs)
     return 0.5 * float(np.trapezoid(np.abs(q1 - q2), xs))

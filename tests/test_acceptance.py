@@ -7,6 +7,7 @@ studies run; every tolerance and runtime bound is asserted.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from mflangevin.config import (GRAD_CHECK_SEEDS, GRAD_CHECK_TOL, build_setup,
                                default_config, parse_config)
 from mflangevin.datasets import Dataset, generate_dataset
 from mflangevin.grids import TimeGrid
-from mflangevin.langevin import TrainerConfig, langevin_step, train
+from mflangevin.langevin import TrainerConfig, train
 from mflangevin.models import (gaussian_prior, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model)
 from mflangevin.objective import discrete_gradient, finite_diff_gradient
@@ -55,7 +56,8 @@ def test_criterion_1_gradient_exactness():
 
 
 def test_criterion_2_classical_gradient_descent_reduction():
-    """One layer, one step, sigma=0: update equals the hand-coded step."""
+    """One layer, one step, sigma=0: the trainer's first update equals the
+    hand-coded step."""
     t0 = time.perf_counter()
     grid = TimeGrid(1.0, 1)
     model = make_builtin_model("one_layer_residual", d=1, p_hidden=1,
@@ -66,7 +68,8 @@ def test_criterion_2_classical_gradient_descent_reduction():
     gamma = 0.03
     cfg = TrainerConfig(sigma=0.0, prior=gaussian_prior(1.0, model.dim_param),
                         gamma=gamma, n_iters=1, seed=0)
-    stepped = langevin_step(model, init, ds, grid, cfg, 0)
+    stepped, _ = train(model, ds, grid, replace(cfg, n_iters=1,
+                                                record_every=0), init)
 
     theta = init.particles[:, 0, :]
     n1, n2 = ds.n_samples, init.n_particles

@@ -33,8 +33,7 @@ def no_training(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("training started")
 
-    for module, name in ((cli, "train"), (studies, "train"),
-                         (studies, "coupled_runs")):
+    for module, name in ((cli, "train"), (studies, "train")):
         monkeypatch.setattr(module, name, forbidden)
 
 

@@ -5,15 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mflangevin import langevin
 from mflangevin.clouds import ParticleCloud, cloud_init
 from mflangevin.datasets import Dataset, generate_dataset
 from mflangevin.exceptions import (NonFiniteCostateError,
                                    NonFiniteParticleError,
                                    NonFiniteStateError)
 from mflangevin.grids import TimeGrid
-from mflangevin.langevin import (TrainerConfig, langevin_step,
-                                 lipschitz_probe, train)
+from mflangevin.langevin import TrainerConfig, lipschitz_probe, train
 from mflangevin.metrics import paired_distance
 from mflangevin.models import (gaussian_prior, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model)
@@ -27,6 +25,29 @@ def quadratic_toy(grid, n_particles=8, seed=0):
     return model, ds, init
 
 
+def first_update(model, ds, grid, cfg, init):
+    """The cloud after the first update of the ``train`` run of ``cfg``."""
+    cloud, _ = train(model, ds, grid,
+                     dataclasses.replace(cfg, n_iters=1, record_every=0), init)
+    return cloud
+
+
+def group_finals(model, ds, grid, cfgs, inits, observe=None):
+    """The final clouds of runs that ``train`` advances as one group on one
+    Brownian path: the last run with the others coupled to it, its members
+    0, 1, ... in list order.  ``observe`` is passed on to ``train``."""
+    finals = list(inits)
+
+    def keep(member, iterate, cloud):
+        finals[member] = cloud
+        if observe is not None:
+            observe(member, iterate, cloud)
+
+    train(model, ds, grid, cfgs[-1], inits[-1],
+          coupled=list(zip(cfgs[:-1], inits[:-1])), observe=keep)
+    return finals
+
+
 class TestStep:
     def test_zero_gradient_zero_sigma_leaves_cloud_unchanged(self):
         grid = TimeGrid(1.0, 3)
@@ -35,7 +56,7 @@ class TestStep:
         init = cloud_init(4, grid, 1, ("gaussian", 0.0, 1.0), seed=1)
         cfg = TrainerConfig(sigma=0.0, prior=gaussian_prior(1e-12, 1),
                             gamma=0.1, n_iters=1, seed=0)
-        out = langevin_step(model, init, ds, grid, cfg, 0)
+        out = first_update(model, ds, grid, cfg, init)
         np.testing.assert_allclose(out.particles, init.particles, atol=1e-13)
 
     def test_matches_directly_coded_regression_step(self):
@@ -50,7 +71,7 @@ class TestStep:
         gamma = 0.05
         cfg = TrainerConfig(sigma=0.0, prior=gaussian_prior(1.0, 2),
                             gamma=gamma, n_iters=1, seed=0)
-        stepped = langevin_step(model, init, ds, grid, cfg, 0)
+        stepped = first_update(model, ds, grid, cfg, init)
 
         theta = init.particles[:, 0, :]
         x1 = np.stack([ds.xi[k] + grid.dt * np.mean(
@@ -77,7 +98,7 @@ class TestStep:
         init = cloud_init(20_000, grid, 1, ("constant", 0.0))
         cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(1e-12, 1),
                             gamma=0.01, n_iters=1, seed=5)
-        out = langevin_step(model, init, ds, grid, cfg, 0)
+        out = first_update(model, ds, grid, cfg, init)
         incs = out.particles.ravel()
         assert incs.size == 100_000
         assert abs(incs.var() - 0.01) < 0.0002
@@ -229,9 +250,9 @@ def coupled_pair(model, ds, grid, cfg, init_a, init_b):
             distance[iterate] = paired_distance(latest[0].particles,
                                                 cloud.particles, grid.dt)
 
-    finals = langevin.coupled_runs(model, ds, grid, [cfg, cfg],
-                                   [init_a, init_b], observe)
-    return distance, finals
+    train(model, ds, grid, cfg, init_b, coupled=[(cfg, init_a)],
+          observe=observe)
+    return distance, latest
 
 
 class TestCoupledRuns:
@@ -327,8 +348,7 @@ class TestSharedPath:
                               gamma=m * noise_dt, n_iters=n, seed=6,
                               record_every=0, noise_dt=noise_dt)
                 for m, n in zip(ratios, n_iters)]
-        finals = langevin.coupled_runs(model, ds, grid, cfgs,
-                                       [init] * len(cfgs))
+        finals = group_finals(model, ds, grid, cfgs, [init] * len(cfgs))
         slots = max(m * n for m, n in zip(ratios, n_iters))
         np.testing.assert_array_equal(np.concatenate(drawn).ravel(),
                                       np.arange(slots))
@@ -352,7 +372,9 @@ class TestSharedPath:
         final, _ = train(model, ds, grid, cfg, init)
         solo = list(drawn)
         drawn.clear()
-        [member] = langevin.coupled_runs(model, ds, grid, [cfg], [init])
+        [member] = group_finals(
+            model, ds, grid, [dataclasses.replace(cfg, record_every=0)],
+            [init])
         assert [f.tolist() for f in drawn] == [f.tolist() for f in solo]
         assert member.particles.tobytes() == final.particles.tobytes()
 
@@ -363,8 +385,8 @@ class TestSharedPath:
                               noise_dt=1e-3)
                 for m, n in ((3, 4), (2, 6))]
         seen = []
-        langevin.coupled_runs(model, ds, grid, cfgs, [init, init],
-                              lambda j, it, cloud: seen.append((j, it)))
+        group_finals(model, ds, grid, cfgs, [init, init],
+                     lambda j, it, cloud: seen.append((j, it)))
         # Member 0 ends updates on slots 3, 6, 9, 12; member 1 on 2, 4, ...
         assert seen == [(1, 1), (0, 1), (1, 2), (0, 2), (1, 3), (1, 4),
                         (0, 3), (1, 5), (0, 4), (1, 6)]
@@ -416,7 +438,7 @@ class TestSharedPath:
                 train(model, ds, grid, cfg, bad)
             inits = [bad, healthy] if bad_first else [healthy, bad]
             with pytest.raises(kind) as group:
-                langevin.coupled_runs(model, ds, grid, [cfg, cfg], inits)
+                group_finals(model, ds, grid, [cfg, cfg], inits)
         assert str(group.value) == str(solo.value)
 
     def test_members_must_share_the_path(self):
@@ -431,8 +453,7 @@ class TestSharedPath:
                       TrainerConfig(sigma=1.0, prior=prior, gamma=0.002,
                                     n_iters=4, seed=6)):
             with pytest.raises(ValueError, match="one seed"):
-                langevin.coupled_runs(model, ds, grid, [base, other],
-                                      [init, init])
+                group_finals(model, ds, grid, [base, other], [init, init])
 
 
 def test_lipschitz_probe_positive_and_deterministic():
@@ -468,32 +489,6 @@ class TestStepSchedule:
         assert sum(np.size(f) for f in drawn) == n_iters * slots
         np.testing.assert_array_equal(np.sort(np.concatenate(drawn), None),
                                       np.arange(n_iters * slots))
-
-    def test_langevin_step_draws_its_own_block(self, drawn):
-        grid = TimeGrid(1.0, 2)
-        model, ds, init = quadratic_toy(grid)
-        cfg = TrainerConfig(sigma=1.0, prior=gaussian_prior(1.0, 1),
-                            gamma=0.01, n_iters=30, seed=2, noise_dt=0.0025)
-        langevin_step(model, init, ds, grid, cfg, 5)
-        assert len(drawn) == 1
-        np.testing.assert_array_equal(drawn[0].ravel(), np.arange(20, 24))
-
-    @pytest.mark.parametrize("noise_dt", [None, 0.0025])
-    def test_langevin_step_continues_train_snapshots(self, noise_dt):
-        # 300 particles on 3 nodes: train draws 18 slots a stretch, so
-        # the run crosses stretches, straddled ones with noise_dt set.
-        grid = TimeGrid(1.0, 2)
-        model, ds, init = quadratic_toy(grid, n_particles=300, seed=3)
-        cfg = TrainerConfig(sigma=0.8, prior=gaussian_prior(1.0, 1),
-                            gamma=0.01, n_iters=25, seed=4, record_every=0,
-                            noise_dt=noise_dt)
-        seen = [init]
-        train(model, ds, grid, cfg, init,
-              observe=lambda member, it, cloud: seen.append(cloud))
-        assert len(seen) == cfg.n_iters + 1
-        for k, (cloud, after) in enumerate(zip(seen, seen[1:])):
-            stepped = langevin_step(model, cloud, ds, grid, cfg, k)
-            assert stepped.particles.tobytes() == after.particles.tobytes()
 
     def test_recorded_rows_match_fresh_objective(self):
         # Recording reuses the drift's forward sweep; the row must equal

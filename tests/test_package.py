@@ -52,6 +52,32 @@ def test_benchmark_tracer_names_exist():
     assert callable(langevin.train)
 
 
+def test_benchmark_library_reads_resolve():
+    # Every attribute bench/ reads on a module it imports with
+    # ``from mflangevin import ...`` must exist, or a benchmark run fails.
+    reads = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "mflangevin"
+                   for alias in node.names}
+        reads |= {(modules[node.value.id], node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules}
+    assert {("studies", "run_euler_study"), ("langevin", "train"),
+            ("odes", "mean_field_drift"), ("objective", "objective_J"),
+            ("config", "parse_config"), ("config", "build_setup"),
+            ("cli", "main"), ("rng", "step_normals")} <= reads
+    missing = [f"{module}.{attr}" for module, attr in sorted(reads)
+               if not hasattr(importlib.import_module(f"mflangevin.{module}"),
+                              attr)]
+    assert not missing
+
+
 def test_import_leaves_w2_and_entropy_dependencies_unloaded():
     # scipy.optimize and scipy.spatial serve only W2 and entropy reports;
     # a training run must not pay for importing them.

@@ -175,22 +175,30 @@ class TestEulerStudy:
 
     def test_final_clouds_equal_solo_runs_bytewise(self, monkeypatch):
         # The coarse runs and the reference share one draw of the path as
-        # one coupled group; each must still end on the cloud train
-        # returns for it alone.
+        # one train call, the coarse runs coupled to the reference; each
+        # must still end on the cloud train returns for it alone.
         setup = small_setup(n_particles=16, n_samples=4)
-        finals = {}
+        finals, members = {}, []
 
-        def spy(model, dataset, grid, cfgs, *args):
-            out = true_group(model, dataset, grid, cfgs, *args)
-            finals.update((cfg.gamma, c) for cfg, c in zip(cfgs, out))
-            return out
+        def spy(model, dataset, grid, cfg, init, *, coupled, observe):
+            cfgs = [c for c, _ in coupled] + [cfg]
+            members.append(len(cfgs))
 
-        true_group = studies.coupled_runs
-        monkeypatch.setattr(studies, "coupled_runs", spy)
+            def watch(member, iterate, cloud):
+                finals[cfgs[member].gamma] = cloud
+                observe(member, iterate, cloud)
+
+            return true_train(model, dataset, grid, cfg, init,
+                              coupled=coupled, observe=watch)
+
+        true_train = studies.train
+        monkeypatch.setattr(studies, "train", spy)
         # Slot ratios 5, 3, 2 and 1 on 300 slots, drawn in stretches of 102
         # (16,384 normals over 160 per slot): some updates straddle two.
         gammas = [4e-3, 2.4e-3, 1.6e-3]
         report = run_euler_study(setup, gammas, s_final=0.24, ref_divisor=2)
+        # One train call runs the whole group of four members.
+        assert members == [4]
         assert sorted(finals) == sorted(gammas + [8e-4])
         dataset = setup.make_dataset(setup.n_samples)
         init = setup.make_cloud(setup.n_particles)
@@ -255,6 +263,35 @@ class TestContractionStudy:
         assert np.all(np.asarray(report.series["distance_pair0"]["distance"])
                       == 0.0)
 
+    def test_summary_records_shift(self, tmp_path):
+        # shift sets every pair's second initial law, so a summary without
+        # it cannot be rerun.
+        setup = small_setup(model=make_linear_drift_model(1), sigma=1.0,
+                            kappa=2.0, n_iters=10)
+        report = run_contraction_study(setup, n_pairs=1, shift=3.0)
+        report.write(tmp_path)
+        with open(tmp_path / "contraction_summary.json") as fh:
+            config = json.load(fh)["config"]
+        assert config["shift"] == 3.0
+        a = setup.make_cloud(setup.n_particles, seed_shift=0,
+                             init=("gaussian", 0.0, 1.0))
+        b = setup.make_cloud(setup.n_particles, seed_shift=1,
+                             init=("gaussian", config["shift"], 1.0))
+        assert report.series["distance_pair0"]["distance"][0] == \
+            paired_distance(a.particles, b.particles, setup.grid.dt)
+
+    def test_empty_pair_list_rejected_before_any_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("lipschitz_probe", "train"):
+            monkeypatch.setattr(studies, name, forbidden)
+        setup = small_setup(model=make_linear_drift_model(1))
+        with pytest.raises(ValueError, match="at least one pair"):
+            run_contraction_study(setup, n_pairs=0)
+        with pytest.raises(ValueError, match="at least one pair"):
+            run_contraction_study(setup, [])
+
 
 class TestGibbsCheck:
     def test_drift_free_cloud_matches_prior(self):
@@ -310,6 +347,31 @@ class TestGibbsCheck:
             samples = np.concatenate([seen[it][:, l, 0] for it in pooled])
             want.append(histogram_tv(samples, log_density))
         assert report.series["per_node_tv"]["tv"] == want
+
+    def test_sweep_evaluates_each_density_once_per_node(self, monkeypatch):
+        # Every Gibbs density solves phi and f on the whole quadrature
+        # grid, so each node's TV evaluates both densities once.
+        setup = small_setup(model=make_linear_drift_model(1), sigma=1.0,
+                            n_iters=10, n_particles=16)
+        original = studies._density_tv
+        counts = []
+
+        def counting(log_q1, log_q2, lo, hi, **kwargs):
+            count = [0, 0]
+
+            def counted(j, log_q):
+                def wrapped(xs):
+                    count[j] += 1
+                    return log_q(xs)
+                return wrapped
+
+            counts.append(count)
+            return original(counted(0, log_q1), counted(1, log_q2), lo, hi,
+                            **kwargs)
+
+        monkeypatch.setattr(studies, "_density_tv", counting)
+        run_gibbs_check(setup, sigma_sweep=(1.0, 2.0))
+        assert counts == [[1, 1]] * (2 * setup.grid.n_steps)
 
     def test_nan_at_a_later_node_fails_the_check(self, monkeypatch):
         # Python's max skips a NaN unless it comes first; a NaN total
