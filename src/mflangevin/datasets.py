@@ -93,13 +93,13 @@ TARGETS: dict[str, Callable] = {
 
 
 def generate_dataset(kind: str, n_samples: int, d: int, seed: int,
-                     grid: TimeGrid, target="identity",
+                     grid: TimeGrid, target: str = "identity",
                      obs_nodes=None) -> Dataset:
     """Generate a dataset with the keyed generator.
 
     regression
-        zeta uniform on [-1, 1]^d, xi = target(zeta).  ``target`` is a name
-        from :data:`TARGETS` or a callable (zeta, horizon) -> xi.
+        zeta uniform on [-1, 1]^d, xi = target(zeta, horizon) for the
+        ``target`` named in :data:`TARGETS`.
     timeseries
         Smooth truth paths zeta2 from a random sinusoid family sampled on
         the grid; observations zeta1 hold the last observed value between
@@ -115,11 +115,7 @@ def generate_dataset(kind: str, n_samples: int, d: int, seed: int,
     if kind == "regression":
         u = keyed_uniforms(seed, PURPOSE_DATA, np.arange(d), rows, 0, 0)
         zeta = 2.0 * u - 1.0
-        fn = TARGETS[target] if isinstance(target, str) else target
-        xi = np.asarray(fn(zeta, grid.horizon), dtype=float)
-        if xi.shape != zeta.shape:
-            raise ValueError("target must map (N1, d) to (N1, d)")
-        return Dataset(xi=xi, zeta=zeta)
+        return Dataset(xi=TARGETS[target](zeta, grid.horizon), zeta=zeta)
     if kind == "timeseries":
         nodes = grid.nodes
         if obs_nodes is None:

@@ -37,10 +37,6 @@ class ObjectiveValue:
     ent_term: float | None
     j_sigma: float
 
-    @property
-    def entropy_defined(self) -> bool:
-        return self.ent_term is None or math.isfinite(self.ent_term)
-
 
 def _with_terminal(model: ModelSpec, dataset: Dataset, x: np.ndarray,
                    running: float) -> float:

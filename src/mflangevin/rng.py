@@ -91,16 +91,6 @@ def _philox_words(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
     return tuple(w.reshape(shape) for w in (mul[0], thru[0], mul[1], thru[1]))
 
 
-def philox4x32(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
-    """Vectorised Philox4x32 block cipher.
-
-    The four counter words broadcast against each other; the return value is
-    a tuple of four uint32 arrays of the broadcast shape.
-    """
-    words = _philox_words(c0, c1, c2, c3, key, rounds)
-    return tuple(w.astype(np.uint32) for w in words)
-
-
 def keyed_uniforms(seed: int, purpose: int, c0, c1, c2, c3) -> np.ndarray:
     """Uniform draws on the open interval (0, 1), one per counter tuple.
 
@@ -125,22 +115,22 @@ def keyed_normals(seed: int, purpose: int, c0, c1, c2, c3) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def _index_grid(n_rows: int, n_nodes: int, dim: int, row_offset: int = 0):
-    rows = np.arange(row_offset, row_offset + n_rows).reshape(-1, 1, 1)
+def _index_grid(n_rows: int, n_nodes: int, dim: int):
+    rows = np.arange(n_rows).reshape(-1, 1, 1)
     nodes = np.arange(n_nodes).reshape(1, -1, 1)
     comps = np.arange(dim).reshape(1, 1, -1)
     return comps, rows, nodes
 
 
-def init_normals(seed: int, n_particles: int, n_nodes: int, dim_param: int,
-                 particle_offset: int = 0) -> np.ndarray:
+def init_normals(seed: int, n_particles: int, n_nodes: int,
+                 dim_param: int) -> np.ndarray:
     """Standard normals for cloud initialisation, keyed by (seed, particle, node).
 
-    Enlarging the particle count extends the array without changing the
-    draws assigned to existing particles.
+    Particle i's draws depend only on (seed, i), so enlarging the particle
+    count extends the array without changing the draws of the particles it
+    already had.
     """
-    comps, parts, nodes = _index_grid(n_particles, n_nodes, dim_param,
-                                      particle_offset)
+    comps, parts, nodes = _index_grid(n_particles, n_nodes, dim_param)
     return keyed_normals(seed, PURPOSE_INIT, comps, parts, 0, nodes)
 
 

@@ -261,11 +261,24 @@ def _train_keeping(setup: StudySetup, dataset: Dataset, init: ParticleCloud,
     return final, [kept[it] for it in iterates]
 
 
+def _pooled_iterates(n_iters: int, every: int, cutoff: float) -> list:
+    """Iterate 0, each multiple of ``every`` below ``n_iters``, and
+    ``n_iters``: those from ``cutoff`` on, in order."""
+    return [it for it in [*range(0, n_iters, every), n_iters] if it >= cutoff]
+
+
 def check_study(kind: str, setup: StudySetup, values: dict) -> None:
     """Raise ValueError unless ``setup`` and ``values``, the runner's
-    keywords of those names, suit the runner of study ``kind``: the Gibbs
-    check needs a noisy run with one-dimensional parameters."""
+    keywords of those names, suit the runner of study ``kind``: counts are
+    at least 1, fractions lie in [0, 1], and the Gibbs check needs a noisy
+    run with one-dimensional parameters."""
     v = values
+    for key in ("n_reps", "n_seeds", "snapshot_every"):
+        if v.get(key) is not None and v[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {v[key]}")
+    for key in ("tail_fraction", "burn_in_fraction"):
+        if key in v and not 0 <= v[key] <= 1:
+            raise ValueError(f"{key} must be in [0, 1], got {v[key]}")
     if kind == "euler":
         steps, s_final = list(v["gamma_list"]), v["s_final"]
         if len(steps) < 2:
@@ -322,13 +335,14 @@ def run_chaos_study(setup: StudySetup, n2_list=(16, 32, 64, 128),
     """
     t0 = time.perf_counter()
     check_study("chaos", setup, dict(n2_list=n2_list, n1_list=n1_list,
-                                     n_ref=n_ref, n1_ref=n1_ref))
+                                     n_ref=n_ref, n1_ref=n1_ref,
+                                     n_reps=n_reps, tail_fraction=tail_fraction,
+                                     snapshot_every=snapshot_every))
     n2_list = sorted(n2_list)
     n1_list = sorted(n1_list)
     cfg = setup.trainer
-    cutoff = (1.0 - tail_fraction) * cfg.n_iters
-    tail = [it for it in range(0, cfg.n_iters + 1, snapshot_every)
-            if it >= cutoff] or [cfg.n_iters]
+    tail = _pooled_iterates(cfg.n_iters, snapshot_every,
+                            (1.0 - tail_fraction) * cfg.n_iters)
     cfgs = [replace(cfg, seed=cfg.seed + rep, record_every=0)
             for rep in range(n_reps)]
     masters = [setup.make_dataset(n1_ref, seed_shift=rep)
@@ -435,26 +449,22 @@ CONTRACTION_FIT_SKIP = 0.1
 CONTRACTION_FLOOR = 1e-12
 
 
-def run_contraction_study(setup: StudySetup, init_pairs=None, *,
-                          n_pairs: int = 20, shift: float = 2.0,
-                          rate_factor: float = 3.0,
+def run_contraction_study(setup: StudySetup, *, n_pairs: int = 20,
+                          shift: float = 2.0, rate_factor: float = 3.0,
                           probe_scale: float = 0.5,
                           threads: int = 1) -> StudyReport:
     """Exponential contraction of coupled runs in the regularised regime.
 
-    Each pair of initialisations is one :func:`train` call, the second run
-    with the first coupled to it, so both evolve under identical noise; the
-    slope of log squared paired distance in training time gives the
-    empirical rate.  Without ``init_pairs``, each of ``n_pairs`` pairs
-    starts from N(0, 1) and N(shift, 1) particles.  Checks: every fitted
-    slope is negative, and each rate is within ``rate_factor`` of
-    sigma^2 kappa - 4 L where L is the empirical Lipschitz probe of the
-    drift.
+    Each of ``n_pairs`` pairs starts from N(0, 1) and N(shift, 1)
+    particles, on initialisation seeds of its own, and is one :func:`train`
+    call, the second run with the first coupled to it, so both evolve under
+    identical noise; the slope of log squared paired distance in training
+    time gives the empirical rate.  Checks: every fitted slope is negative,
+    and each rate is within ``rate_factor`` of sigma^2 kappa - 4 L where L
+    is the empirical Lipschitz probe of the drift.
     """
     t0 = time.perf_counter()
-    if init_pairs is None:
-        init_pairs = [(("gaussian", 0.0, 1.0), ("gaussian", shift, 1.0))] * n_pairs
-    check_study("contraction", setup, dict(n_pairs=len(init_pairs)))
+    check_study("contraction", setup, dict(n_pairs=n_pairs))
     cfg = setup.trainer
     dataset = setup.make_dataset(setup.n_samples)
     base = setup.make_cloud(setup.n_particles)
@@ -463,12 +473,12 @@ def run_contraction_study(setup: StudySetup, init_pairs=None, *,
     predicted = cfg.sigma ** 2 * cfg.prior.kappa - 4.0 * l_hat
     s = _step_times(cfg)
 
-    def pair_rate(item):
-        k, (ia, ib) = item
+    def pair_rate(k):
         cfg_k = replace(cfg, seed=cfg.seed + k, record_every=0)
-        latest = [setup.make_cloud(setup.n_particles, seed_shift=2 * k, init=ia),
+        latest = [setup.make_cloud(setup.n_particles, seed_shift=2 * k,
+                                   init=("gaussian", 0.0, 1.0)),
                   setup.make_cloud(setup.n_particles, seed_shift=2 * k + 1,
-                                   init=ib)]
+                                   init=("gaussian", shift, 1.0))]
         dist = np.zeros(cfg.n_iters + 1)
 
         def observe(member, iterate, cloud):
@@ -488,7 +498,7 @@ def run_contraction_study(setup: StudySetup, init_pairs=None, *,
             return math.nan, dist
         return fit_rate(s[keep], np.log(d2[keep]))[0], dist
 
-    results = _map_points(pair_rate, list(enumerate(init_pairs)), threads)
+    results = _map_points(pair_rate, range(n_pairs), threads)
     slopes = np.array([r[0] for r in results])
     rates = -slopes
     n_negative = int(np.sum(slopes < 0))
@@ -497,21 +507,21 @@ def run_contraction_study(setup: StudySetup, init_pairs=None, *,
         ratios = np.maximum(rates / predicted, predicted / np.maximum(rates, 1e-300))
         worst_ratio = float(np.max(ratios))
     report = StudyReport(kind="contraction",
-                         config={**setup.echo(), "n_pairs": len(init_pairs),
+                         config={**setup.echo(), "n_pairs": n_pairs,
                                  "shift": shift, "probe_scale": probe_scale,
                                  "lipschitz_probe": l_hat,
                                  "predicted_rate": predicted},
                          dataset_hash=dataset.content_hash(), seed=cfg.seed)
     report.series["rates"] = {
-        "pair": list(range(len(init_pairs))),
+        "pair": list(range(n_pairs)),
         "fitted_rate": list(rates),
-        "predicted_rate": [predicted] * len(init_pairs),
+        "predicted_rate": [predicted] * n_pairs,
     }
     example = results[0][1]
     report.series["distance_pair0"] = {"s": list(s), "distance": list(example)}
     report.plots["log_distance_pair0"] = (s, example)
     report.checks.append(CheckResult("negative_slopes", float(n_negative),
-                                     float(len(init_pairs)), comparator=">="))
+                                     float(n_pairs), comparator=">="))
     report.checks.append(CheckResult("rate_within_factor", worst_ratio,
                                      rate_factor))
     report.wall_clock = time.perf_counter() - t0
@@ -522,24 +532,21 @@ def run_contraction_study(setup: StudySetup, init_pairs=None, *,
 # Gibbs stationarity
 # ---------------------------------------------------------------------------
 
-def gibbs_log_density(model: ModelSpec, cloud: ParticleCloud,
-                      dataset: Dataset, grid: TimeGrid, node: int,
-                      sigma: float, prior, a_grid: np.ndarray,
-                      paths=None) -> np.ndarray:
+def gibbs_log_density(model: ModelSpec, dataset: Dataset, grid: TimeGrid,
+                      node: int, sigma: float, prior, a_grid: np.ndarray,
+                      paths) -> np.ndarray:
     """Unnormalised stationary log density at one node, evaluated on a grid.
 
     log q_l(a) = -U(a) - (2/sigma^2) h_l(a) with h_l the data-averaged
-    Hamiltonian at the cloud's own state and costate (the self-consistent
-    field the particles feel).  The terminal node carries no drift, so its
-    density is the prior itself.  Pass ``paths`` = (x, p) to reuse solved
-    trajectories across nodes.
+    Hamiltonian at a cloud's own state and costate (the self-consistent
+    field the particles feel), ``paths`` = (x, p), shapes (N1, n_nodes, d),
+    as :func:`~mflangevin.odes.solve_group` returns them for that cloud.
+    The terminal node carries no drift, so its density is the prior itself.
     """
     a = a_grid.reshape(-1, 1)
     base = prior.log_density(a)
     if node >= grid.n_steps:
         return base
-    if paths is None:
-        paths = [a[0] for a in solve_group(model, [cloud], dataset, grid)[:2]]
     x, p = paths
     zeta_l = dataset.zeta_node(node)[None, :, :] if model.dim_data else None
     a_b = a[:, None, :]
@@ -601,16 +608,16 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
     sigma grows.
     """
     t0 = time.perf_counter()
-    check_study("gibbs", setup, {})
+    check_study("gibbs", setup, dict(burn_in_fraction=burn_in_fraction,
+                                     snapshot_every=snapshot_every))
     cfg = setup.trainer
     if snapshot_every is None:
         snapshot_every = max(1, cfg.n_iters // 40)
     dataset = setup.make_dataset(setup.n_samples)
     init = setup.make_cloud(setup.n_particles)
     cfg_run = replace(cfg, record_every=0)
-    cutoff = burn_in_fraction * cfg.n_iters
-    pooled = [it for it in [*range(0, cfg.n_iters, snapshot_every), cfg.n_iters]
-              if it >= cutoff]
+    pooled = _pooled_iterates(cfg.n_iters, snapshot_every,
+                              burn_in_fraction * cfg.n_iters)
     final, kept = _train_keeping(setup, dataset, init, cfg_run, pooled)
     (x,), (p,), _, _ = solve_group(setup.model, [final], dataset, setup.grid)
     tvs = []
@@ -618,9 +625,8 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
         samples = np.concatenate([theta[:, l, 0] for theta in kept])
 
         def log_density(a, node=l):
-            return gibbs_log_density(setup.model, final, dataset, setup.grid,
-                                     node, cfg.sigma, cfg.prior, a,
-                                     paths=(x, p))
+            return gibbs_log_density(setup.model, dataset, setup.grid, node,
+                                     cfg.sigma, cfg.prior, a, (x, p))
 
         tvs.append(histogram_tv(samples, log_density, n_bins=n_bins))
     report = StudyReport(kind="gibbs",
@@ -643,9 +649,9 @@ def run_gibbs_check(setup: StudySetup, *, tv_threshold: float = 0.1,
             (xs,), (ps,), _, _ = solve_group(setup.model, [final_s], dataset,
                                              setup.grid)
             node_tv = [_density_tv(
-                lambda a, node=l, c=final_s, sv=s_val: gibbs_log_density(
-                    setup.model, c, dataset, setup.grid, node, sv,
-                    cfg.prior, a, paths=(xs, ps)),
+                lambda a, node=l, sv=s_val: gibbs_log_density(
+                    setup.model, dataset, setup.grid, node, sv, cfg.prior, a,
+                    (xs, ps)),
                 lambda a: cfg.prior.log_density(a.reshape(-1, 1)),
                 -span, span) for l in range(setup.grid.n_steps)]
             sweep_tv.append(float(np.max(node_tv)))
@@ -683,7 +689,8 @@ def run_generalization_study(setup: StudySetup, n1_list=(8, 16, 32, 64),
     """
     t0 = time.perf_counter()
     check_study("generalization", setup, dict(n1_list=n1_list,
-                                              holdout_n=holdout_n))
+                                              holdout_n=holdout_n,
+                                              n_seeds=n_seeds))
     n1_list = sorted(n1_list)
     cfg = replace(setup.trainer, record_every=0)
     holdout = setup.make_dataset(holdout_n, seed_shift=9000)

@@ -24,7 +24,7 @@ from mflangevin.studies import StudySetup, run_chaos_study
 ROOT = Path(__file__).resolve().parents[1]
 
 # The runner keywords a config cannot set.
-NOT_CONFIG_KEYWORDS = {"setup", "threads", "init_pairs"}
+NOT_CONFIG_KEYWORDS = {"setup", "threads"}
 
 
 @pytest.fixture

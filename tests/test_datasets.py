@@ -28,11 +28,6 @@ class TestRegression:
         c = generate_dataset("regression", 16, 2, 6, grid, target="scaled")
         assert a.content_hash() != c.content_hash()
 
-    def test_callable_target(self, grid):
-        ds = generate_dataset("regression", 8, 1, 2, grid,
-                              target=lambda z, T: z ** 2)
-        np.testing.assert_allclose(ds.xi, ds.zeta ** 2)
-
     def test_subset_is_prefix(self, grid):
         ds = generate_dataset("regression", 32, 1, 3, grid)
         sub = ds.subset(8)

@@ -69,7 +69,6 @@ class TestObjectiveSigma:
         val = objective_Jsigma(model, cloud, ds, grid, 0.0, gaussian_prior(1.0, 1))
         assert val.ent_term is None
         assert val.j_sigma == val.j
-        assert val.entropy_defined
 
     def test_cloud_at_prior_has_small_entropy_term(self):
         grid = TimeGrid(1.0, 4)
@@ -97,7 +96,7 @@ class TestObjectiveSigma:
         ds = Dataset(xi=np.array([[0.0]]), zeta=np.array([[1.0]]))
         val = objective_Jsigma(model, cloud, ds, grid, 1.0, gaussian_prior(1.0, 1))
         assert math.isinf(val.ent_term)
-        assert not val.entropy_defined
+        assert val.ent_term == math.inf
         assert math.isfinite(val.j)
 
     def test_one_duplicate_pair_at_a_middle_node_gives_inf(self):
@@ -119,7 +118,7 @@ class TestObjectiveSigma:
         ds = Dataset(xi=np.array([[0.0]]), zeta=np.array([[1.0]]))
         val = objective_Jsigma(model, cloud, ds, grid, 1.0, gaussian_prior(1.0, 1))
         assert math.isinf(val.ent_term) and math.isinf(val.j_sigma)
-        assert not val.entropy_defined
+        assert val.ent_term == math.inf
         assert val.j == objective_J(model, cloud, ds, grid)
 
     def test_given_forward_states_give_the_same_value(self):

@@ -4,6 +4,7 @@ benchmark wraps, import cost."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -52,17 +53,22 @@ def test_benchmark_tracer_names_exist():
     assert callable(langevin.train)
 
 
+def _library_modules(tree):
+    """Local name -> library module, of each ``from mflangevin import``
+    in ``tree``."""
+    return {alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "mflangevin"
+            for alias in node.names}
+
+
 def test_benchmark_library_reads_resolve():
     # Every attribute bench/ reads on a module it imports with
     # ``from mflangevin import ...`` must exist, or a benchmark run fails.
     reads = set()
     for path in sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text())
-        modules = {alias.asname or alias.name: alias.name
-                   for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom)
-                   and node.module == "mflangevin"
-                   for alias in node.names}
+        modules = _library_modules(tree)
         reads |= {(modules[node.value.id], node.attr)
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute)
@@ -76,6 +82,75 @@ def test_benchmark_library_reads_resolve():
                if not hasattr(importlib.import_module(f"mflangevin.{module}"),
                               attr)]
     assert not missing
+
+
+def _library_calls(tree):
+    """(module, function, positional count or None, keywords) of every
+    call in ``tree`` on a module imported with ``from mflangevin import``."""
+    modules = _library_modules(tree)
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules):
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            yield (modules[func.value.id], func.attr,
+                   None if starred else len(node.args),
+                   [kw.arg for kw in node.keywords if kw.arg])
+
+
+def _arguments_read(func):
+    """The names a measure reads from its bound ``arguments``."""
+    names = set()
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Subscript)
+                and getattr(node.value, "id", None) == "arguments"):
+            names.add(ast.literal_eval(node.slice))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and getattr(node.func.value, "id", None) == "arguments"):
+            names.add(ast.literal_eval(node.args[0]))
+    return names
+
+
+def test_benchmark_library_calls_bind():
+    # Every keyword bench/ passes to a library function must bind to its
+    # signature, and every argument bench/tracing.py reads from a traced
+    # call must be a parameter, or a benchmark run fails.
+    calls = []
+    for path in sorted(BENCH.glob("*.py")):
+        calls += _library_calls(ast.parse(path.read_text()))
+    assert ("studies", "run_euler_study", 2,
+            ["s_final", "ref_divisor", "slope_bounds", "threads"]) in calls
+    unbound = []
+    for module, name, n_args, keywords in calls:
+        fn = getattr(importlib.import_module(f"mflangevin.{module}"), name)
+        try:
+            inspect.signature(fn).bind_partial(
+                *[None] * (n_args or 0), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{module}.{name}: {exc}")
+    assert not unbound
+
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    [measures] = [node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["_MEASURES"]]
+    reads = set()
+    for span, entry in zip(measures.keys, measures.values):
+        _, how, reads_args = entry.elts
+        if ast.literal_eval(reads_args):
+            reads |= {(ast.literal_eval(span), name)
+                      for name in _arguments_read(funcs[how.id])}
+    assert reads == {("rng.step_normals", "fine_iters"),
+                     ("langevin.train", "cfg"), ("cli.main", "argv")}
+    for span, name in reads:
+        module, attr = span.split(".")
+        fn = getattr(importlib.import_module(f"mflangevin.{module}"), attr)
+        assert name in inspect.signature(fn).parameters, (span, name)
 
 
 def test_import_leaves_w2_and_entropy_dependencies_unloaded():

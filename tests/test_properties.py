@@ -21,7 +21,7 @@ from mflangevin.models import (BUILTIN_KINDS, gaussian_prior,
                                make_builtin_model, make_linear_drift_model,
                                make_zero_cost_model)
 from mflangevin.objective import discrete_gradient, finite_diff_gradient
-from mflangevin.rng import philox4x32
+from mflangevin.rng import _philox_words
 
 _WORD = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -48,8 +48,9 @@ class TestPhiloxProperty:
            rounds=st.sampled_from([10, 0, 1, 7]))
     def test_matches_scalar_reference(self, counters, key, rounds):
         cols = [np.array([c[j] for c in counters]) for j in range(4)]
-        out = philox4x32(*cols, key=key, rounds=rounds)
-        assert all(w.dtype == np.uint32 for w in out)
+        out = _philox_words(*cols, key=key, rounds=rounds)
+        # 32-bit words held in uint64, as every draw's rounds keep them.
+        assert all(w.dtype == np.uint64 and (w >> 32 == 0).all() for w in out)
         for i, counter in enumerate(counters):
             assert ([int(w[i]) for w in out]
                     == _philox_reference(counter, key, rounds))
@@ -60,7 +61,7 @@ class TestPhiloxProperty:
         # Counter words of different shapes broadcast as in step_normals.
         c1 = np.arange(3).reshape(-1, 1)
         c3 = np.arange(2).reshape(1, -1)
-        out = philox4x32(c0, c1, c2, c3, key=key)
+        out = _philox_words(c0, c1, c2, c3, key=key)
         assert out[0].shape == (3, 2)
         for i in range(3):
             for j in range(2):

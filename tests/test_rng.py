@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from mflangevin.rng import (PURPOSE_INIT, PURPOSE_STEP, derive_key,
-                            init_normals, keyed_normals, keyed_uniforms,
-                            philox4x32, step_normals)
+from mflangevin.rng import (PURPOSE_INIT, PURPOSE_STEP, _philox_words,
+                            derive_key, init_normals, keyed_normals,
+                            keyed_uniforms, step_normals)
 
 
 def _reference_step_normals(seed, fine_iters, n_particles, n_nodes, dim):
@@ -39,26 +39,26 @@ class TestPhiloxKnownAnswers:
     """Published Philox4x32-10 test vectors."""
 
     def test_zero_input(self):
-        out = philox4x32(0, 0, 0, 0, key=(0, 0))
+        out = _philox_words(0, 0, 0, 0, key=(0, 0))
         assert [int(w) for w in out] == [0x6627e8d5, 0xe169c58d,
                                          0xbc57ac4c, 0x9b00dbd8]
 
     def test_all_ones_input(self):
-        out = philox4x32(*(0xffffffff,) * 4, key=(0xffffffff, 0xffffffff))
+        out = _philox_words(*(0xffffffff,) * 4, key=(0xffffffff, 0xffffffff))
         assert [int(w) for w in out] == [0x408f276d, 0x41c83b0e,
                                          0xa20bc7c6, 0x6d5451fd]
 
     def test_pi_digits_input(self):
-        out = philox4x32(0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344,
-                         key=(0xa4093822, 0x299f31d0))
+        out = _philox_words(0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344,
+                            key=(0xa4093822, 0x299f31d0))
         assert [int(w) for w in out] == [0xd16cfe09, 0x94fdcceb,
                                          0x5001e420, 0x24126ea1]
 
     def test_vectorised_matches_scalar(self):
         c = np.arange(6)
-        block = philox4x32(c, 1, 2, 3, key=(7, 9))
+        block = _philox_words(c, 1, 2, 3, key=(7, 9))
         for i in range(6):
-            single = philox4x32(i, 1, 2, 3, key=(7, 9))
+            single = _philox_words(i, 1, 2, 3, key=(7, 9))
             assert all(int(b[i]) == int(s) for b, s in zip(block, single))
 
 
@@ -86,7 +86,7 @@ class TestInPlaceRounds:
         lambda: keyed_normals(5, PURPOSE_STEP, np.arange(3), 1, 2, 0),
         lambda: keyed_normals(5, PURPOSE_INIT, 0, 0, 4, 0),
         lambda: step_normals(5, np.arange(4, 7), 6, 3, 2),
-        lambda: init_normals(5, 6, 3, 2, particle_offset=4),
+        lambda: init_normals(5, 6, 3, 2),
     ], ids=["uniforms", "normals", "scalar", "step", "init"])
     def test_draws_own_exactly_their_bytes(self, draw):
         # A kept draw keeps nothing of the generator's buffers alive.

@@ -15,6 +15,7 @@ from mflangevin.langevin import TrainerConfig, train
 from mflangevin.metrics import paired_distance
 from mflangevin.models import (gaussian_prior, make_builtin_model,
                                make_linear_drift_model, make_zero_cost_model)
+from mflangevin.odes import solve_group
 from mflangevin.studies import (StudySetup, fit_loglog, fit_rate,
                                 histogram_tv, run_chaos_study,
                                 run_contraction_study, run_euler_study,
@@ -128,13 +129,13 @@ class TestChaosStudy:
         assert sorted(shapes[2:]) == [(8, 8, 21), (8, 8, 22),
                                       (16, 8, 21), (16, 8, 22)]
 
-    # The MSE pools the squared distances at the tail iterates, chosen
-    # among 0, snapshot_every, 2 snapshot_every, ... up to n_iters; with
-    # none in the tail, n_iters alone.
+    # The MSE pools the squared distances at the tail iterates: 0,
+    # snapshot_every, 2 snapshot_every, ... below n_iters, and n_iters,
+    # from the cutoff on, as the Gibbs check pools its iterates.
     @pytest.mark.parametrize("n_iters,tail_fraction,tail", [
-        (7, 0.25, [7]),  # n_iters not a multiple of 5, nothing in the tail
-        (13, 0.5, [10]),  # n_iters not a multiple, one iterate in the tail
-        (12, 1.0, [0, 5, 10]),  # the whole run
+        (7, 0.25, [7]),  # n_iters not a multiple of 5, no multiple in the tail
+        (13, 0.5, [10, 13]),  # n_iters not a multiple, one multiple in the tail
+        (12, 1.0, [0, 5, 10, 12]),  # the whole run
         (10, 1.0, [0, 5, 10]),
         (0, 0.25, [0]),
     ])
@@ -255,14 +256,6 @@ class TestContractionStudy:
         assert report.passed
         assert all(r > 0 for r in report.series["rates"]["fitted_rate"])
 
-    def test_identical_init_pair_gives_flat_zero(self):
-        setup = small_setup(model=make_linear_drift_model(1), sigma=1.0,
-                            kappa=2.0, n_iters=20)
-        pairs = [(("constant", 0.5), ("constant", 0.5))]
-        report = run_contraction_study(setup, pairs)
-        assert np.all(np.asarray(report.series["distance_pair0"]["distance"])
-                      == 0.0)
-
     def test_summary_records_shift(self, tmp_path):
         # shift sets every pair's second initial law, so a summary without
         # it cannot be rerun.
@@ -289,8 +282,6 @@ class TestContractionStudy:
         setup = small_setup(model=make_linear_drift_model(1))
         with pytest.raises(ValueError, match="at least one pair"):
             run_contraction_study(setup, n_pairs=0)
-        with pytest.raises(ValueError, match="at least one pair"):
-            run_contraction_study(setup, [])
 
 
 class TestGibbsCheck:
@@ -337,13 +328,15 @@ class TestGibbsCheck:
         dataset = setup.make_dataset(setup.n_samples)
         seen = every_iterate(setup, dataset, setup.make_cloud(16))
         final = setup.make_cloud(16).with_particles(seen[-1])
+        (x,), (p,), _, _ = solve_group(setup.model, [final], dataset,
+                                       setup.grid)
         cfg = setup.trainer
         want = []
         for l in range(setup.grid.n_nodes):
             def log_density(a, node=l):
                 return studies.gibbs_log_density(
-                    setup.model, final, dataset, setup.grid, node, cfg.sigma,
-                    cfg.prior, a)
+                    setup.model, dataset, setup.grid, node, cfg.sigma,
+                    cfg.prior, a, (x, p))
             samples = np.concatenate([seen[it][:, l, 0] for it in pooled])
             want.append(histogram_tv(samples, log_density))
         assert report.series["per_node_tv"]["tv"] == want
@@ -466,6 +459,30 @@ class TestGeneralizationStudy:
         setup = small_setup()
         with pytest.raises(ValueError):
             run_generalization_study(setup, [64], holdout_n=32)
+
+
+class TestCheckStudy:
+    # A zero count once died in numpy or range(), or reported NaN after
+    # training, and a fraction outside [0, 1] could pool no iterate; each
+    # now fails before any run starts.
+    @pytest.mark.parametrize("run,kwargs,key", [
+        (run_chaos_study, dict(n_reps=0), "n_reps"),
+        (run_chaos_study, dict(snapshot_every=0), "snapshot_every"),
+        (run_chaos_study, dict(tail_fraction=-0.5), "tail_fraction"),
+        (run_gibbs_check, dict(snapshot_every=0), "snapshot_every"),
+        (run_gibbs_check, dict(burn_in_fraction=1.5), "burn_in_fraction"),
+        (run_generalization_study, dict(n_seeds=0), "n_seeds"),
+    ], ids=["chaos-reps", "chaos-every", "chaos-tail", "gibbs-every",
+            "gibbs-burn-in", "generalization-seeds"])
+    def test_bad_count_or_fraction_rejected_before_any_work(
+            self, run, kwargs, key, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(studies, "train", forbidden)
+        setup = small_setup(model=make_linear_drift_model(1))
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            run(setup, **kwargs)
 
 
 class TestMapPoints:
