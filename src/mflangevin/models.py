@@ -424,11 +424,16 @@ def make_builtin_model(kind: str, d: int, p_hidden: int = 1,
         cols = a1.transpose(0, 2, 1, 4, 3).reshape(r, n, n2 * m, d)
         right = []
         if state_driven:
-            w = rest.pop(0).transpose(0, 2, 1, 3)
-            right.append(w.reshape(r, n, 1, n2 * m))
+            right.append(rest.pop(0).transpose(0, 2, 1, 3)[:, :, None])
         if data_driven:
-            amat = rest[0].transpose(0, 2, 4, 1, 3)
-            right.append(amat.reshape(r, n, d, n2 * m))
+            right.append(rest[0].transpose(0, 2, 4, 1, 3))
+        if len(right) == 2 and n2 > 1 and m > 1:
+            # Both blocks' reshapes would copy: write them into one array.
+            # Where N2 or m is 1 they are views of theta and keep their
+            # layout, which the matrix-vector products at one sample read.
+            right = [np.concatenate(right, axis=2,
+                                    out=np.empty((r, n, 1 + d, n2, m)))]
+        right = [block.reshape(r, n, -1, n2 * m) for block in right]
         right = right[0] if len(right) == 1 else np.concatenate(right, axis=2)
         x = np.empty((r, len(xi), grid.n_nodes, d))
         x[:, :, 0, :] = xi

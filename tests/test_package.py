@@ -154,8 +154,8 @@ def test_benchmark_library_calls_bind():
 
 
 def test_import_leaves_w2_and_entropy_dependencies_unloaded():
-    # scipy.optimize and scipy.spatial serve only W2 and entropy reports;
-    # a training run must not pay for importing them.
+    # Nothing in the package uses scipy.optimize or scipy.spatial; an
+    # import must not pay for loading them.
     code = ("import sys, mflangevin; print(sorted(m for m in "
             "('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
     src = os.path.dirname(os.path.dirname(mflangevin.__file__))
@@ -164,6 +164,31 @@ def test_import_leaves_w2_and_entropy_dependencies_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+_RECORDED_TRAIN = """
+import math, sys
+from dataclasses import replace
+from mflangevin import config, langevin
+s = config.build_setup(config.parse_config(config.default_config("train")))
+cfg = replace(s.trainer, n_iters=2, record_every=1)
+_, history = langevin.train(s.model, s.make_dataset(s.n_samples), s.grid,
+                            cfg, s.make_cloud(s.n_particles))
+assert cfg.sigma > 0 and all(math.isfinite(v) for v in history.Jsigma)
+print(len(history.Jsigma), 'scipy.spatial' in sys.modules)
+"""
+
+
+def test_recorded_training_leaves_scipy_spatial_unloaded():
+    # Every recorded row estimates the entropy of the cloud; its neighbour
+    # search needs numpy alone.
+    src = os.path.dirname(os.path.dirname(mflangevin.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _RECORDED_TRAIN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "3 False"
 
 
 def test_import_leaves_scipy_special_unloaded():
