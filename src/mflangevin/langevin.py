@@ -140,9 +140,10 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
     no member is noisy.  The members share the seed and the fine slot
     length.  The path is drawn a stretch of fine slots at a time, at most
     ``_CHUNK_NORMALS`` normals or one update of the coarsest member, and
-    each member sums its own slots of a stretch in slot order.  The slots of an update that straddles two stretches are
-    kept until the second is drawn, so memory stays bounded for any step
-    list.
+    each member sums its own slots of a stretch in slot order.  Before the
+    next stretch is drawn, the spent draw is released: the slots of an
+    update that straddles two stretches are copied out of it and kept
+    until the second is drawn, so memory stays bounded for any step list.
     """
     slots, dts = zip(*(_fine_slots(cfg) for cfg in cfgs))
     ends = [m * cfg.n_iters for m, cfg in zip(slots, cfgs)]
@@ -155,9 +156,10 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
     for c0 in range(0, n_slots, stretch):
         c1 = min(c0 + stretch, n_slots)
         if noisy:
-            # A draw owns its bytes, so it is the path unless slots carry over.
             draw = step_normals(cfgs[0].seed, np.arange(c0, c1), *shape)
+            # A draw owns its bytes, so it is the path unless slots carry over.
             path = np.concatenate([path, draw]) if len(path) else draw
+            del draw
         updates = []
         for j, (cfg, m) in enumerate(zip(cfgs, slots)):
             first, n = done[j], min(cfg.n_iters, c1 // m) - done[j]
@@ -165,9 +167,10 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
                 continue
             blocks = [None] * n
             if noisy:
-                # Each update's m slots summed in slot order, times sqrt(dt).
-                raw = path[m * first - start:m * (first + n) - start]
-                blocks = math.sqrt(dts[0]) * raw.reshape(
+                # Each update's m slots summed in slot order, times sqrt(dt);
+                # no name holds a view of the path past this statement.
+                lo = m * first - start
+                blocks = math.sqrt(dts[0]) * path[lo:lo + m * n].reshape(
                     (n, m) + shape).sum(axis=1)
             updates += [(m * (it + 1), j, it, block)
                         for it, block in zip(range(first, first + n), blocks)]
@@ -175,10 +178,11 @@ def _path_blocks(cfgs: list[TrainerConfig], shape: tuple):
         # (end slot, member) is unique, so blocks are never compared.
         for _, group in itertools.groupby(sorted(updates), key=lambda u: u[0]):
             yield [(j, it, block) for _, j, it, block in group]
-        # The first slot an unfinished member still needs.
+        # The first slot an unfinished member still needs; the carried
+        # slots are copied, so no view keeps the spent draw alive.
         keep = min((m * d for m, d, end in zip(slots, done, ends)
                     if m * d < end), default=c1)
-        path, start = path[keep - start:], keep
+        path, start = path[keep - start:].copy(), keep
 
 
 def _apply_step(cloud: ParticleCloud, cfg: TrainerConfig, iter_index: int,

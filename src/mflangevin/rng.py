@@ -12,10 +12,15 @@ Brownian path by summing fine-resolution increments.
 
 The generator is the Philox4x32 bijection with 10 rounds, implemented with
 vectorised numpy integer arithmetic and checked against the published
-known-answer vectors in the test suite.
+known-answer vectors in the test suite.  The rounds run over C-ordered
+tiles of at most ``_TILE`` counters in one scratch buffer allocated once
+per draw, so a draw's working memory is bounded whatever its size; each
+output depends only on its counter, so the tiling changes no bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,6 +33,11 @@ _WEYL_0 = 0x9E3779B9
 _WEYL_1 = 0xBB67AE85
 _SHIFT32 = np.uint64(32)
 _MASK32 = np.uint64(_M32)
+
+# The most counters one pass of the rounds takes.  Smaller tiles bound a
+# draw's memory more tightly, but one must hold an update of a typical
+# study shape (11,520 normals): splitting those draws costs time.
+_TILE = 12_288
 
 # Purpose tags keep independent families of draws (initialisation noise,
 # Langevin increments, data generation, ...) on unrelated key schedules.
@@ -57,28 +67,16 @@ def _as_counter_word(idx) -> np.ndarray:
     return arr.astype(np.uint64) & _MASK32
 
 
-def _philox_words(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
-    """Philox4x32 on 32-bit words held in uint64 arrays, in place.
+def _rounds(mul, thru, spare, keys):
+    """Philox4x32 rounds in place on 32-bit words held in uint64 (2, n) rows.
 
-    A 32 x 32-bit product fits in 64 bits, so the words never change dtype
-    inside the rounds: the high half is a shift, the low half a mask.  The
-    two multiplied words and the two passed-through words each share one
-    flat (2, n) buffer, and a third buffer takes each round's products, so
-    a round is five array operations that allocate nothing; the row swaps
-    of the Philox permutation are reversed views, not copies.  Returns the
-    output words (x0, x1, x2, x3), each of the counters' broadcast shape.
+    ``mul`` holds the multiplied words (x0, x2), ``thru`` the passed-through
+    words (x1, x3) and ``spare`` takes each round's products.  A 32 x 32-bit
+    product fits in 64 bits, so the words never change dtype: the high half
+    is a shift, the low half a mask.  A round is five array operations that
+    allocate nothing; the row swaps of the Philox permutation are reversed
+    views, not copies.  Returns the output rows ``(x0, x2)`` and ``(x1, x3)``.
     """
-    words = [_as_counter_word(c) for c in (c0, c1, c2, c3)]
-    shape = np.broadcast(*words).shape
-    mul = np.empty((2,) + shape, dtype=np.uint64)
-    thru = np.empty((2,) + shape, dtype=np.uint64)
-    mul[0], thru[0], mul[1], thru[1] = words
-    mul, thru = mul.reshape(2, -1), thru.reshape(2, -1)
-    spare = np.empty_like(mul)
-    k0, k1 = key[0] & _M32, key[1] & _M32
-    # Row r holds round r's key words in the order they meet hi = (hi0, hi1).
-    keys = np.array([[(k1 + r * _WEYL_1) & _M32, (k0 + r * _WEYL_0) & _M32]
-                     for r in range(rounds)], dtype=np.uint64).reshape(-1, 2, 1)
     for k in keys:
         prod = np.multiply(mul, _PHILOX_M, out=spare)
         hi = np.right_shift(prod, _SHIFT32, out=mul)
@@ -88,21 +86,90 @@ def _philox_words(c0, c1, c2, c3, key: tuple[int, int], rounds: int = 10):
         # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0); the
         # passed-through words are spent, so their buffer is the next spare.
         mul, thru, spare = hi[::-1], prod[::-1], thru
-    return tuple(w.reshape(shape) for w in (mul[0], thru[0], mul[1], thru[1]))
+    return mul, thru
+
+
+def _tiles(shape: tuple):
+    """Cut an array of ``shape`` into blocks of at most ``_TILE`` elements,
+    each contiguous in C order, in that order; yields each block's index
+    and shape.
+
+    The first axis whose trailing block fits a tile is cut into runs of
+    whole trailing blocks, at each index of the axes before it.
+    """
+    if math.prod(shape) <= _TILE:
+        yield (...,), shape
+        return
+    j = next(j for j in range(len(shape))
+             if math.prod(shape[j + 1:]) <= _TILE)
+    step = _TILE // math.prod(shape[j + 1:])
+    for head in np.ndindex(shape[:j]):
+        for lo in range(0, shape[j], step):
+            hi = min(lo + step, shape[j])
+            yield head + (slice(lo, hi), ...), (hi - lo,) + shape[j + 1:]
+
+
+def _counter_words(c0, c1, c2, c3):
+    """The four counter words and their broadcast shape.
+
+    The words of a draw larger than one tile are read-only views of that
+    shape, for the tiles to index; a smaller draw's words broadcast as the
+    rounds' buffer takes them.
+    """
+    words = [_as_counter_word(c) for c in (c0, c1, c2, c3)]
+    shape = np.broadcast(*words).shape
+    if math.prod(shape) > _TILE:
+        # np.broadcast_arrays costs about three times as much per draw.
+        words = [np.broadcast_to(w, shape) for w in words]
+    return words, shape
+
+
+def _philox_tiles(words, shape: tuple, key: tuple[int, int],
+                  rounds: int = 10):
+    """Philox4x32 of the counter ``words`` of broadcast ``shape``, one tile
+    at a time.
+
+    The round keys are prepared once, and every tile's rounds run in three
+    (2, tile) scratch rows cut from one buffer allocated once per call.
+    Yields, for each tile of :func:`_tiles` in turn, its slice of the
+    counters in flat C order and its output words (x0, x1, x2, x3) as flat
+    rows, which the next tile overwrites.
+    """
+    k0, k1 = key[0] & _M32, key[1] & _M32
+    # Row r holds round r's key words in the order they meet hi = (hi0, hi1).
+    keys = np.array([[(k1 + r * _WEYL_1) & _M32, (k0 + r * _WEYL_0) & _M32]
+                     for r in range(rounds)], dtype=np.uint64).reshape(-1, 2, 1)
+    scratch = np.empty(6 * min(math.prod(shape), _TILE), dtype=np.uint64)
+    lo = 0
+    for idx, tile in _tiles(shape):
+        n = math.prod(tile)
+        mul, thru, spare = scratch[:6 * n].reshape(3, 2, n)
+        # rows[a, b] is row b of mul (a = 0) or thru (a = 1), in tile shape.
+        rows = scratch[:4 * n].reshape((2, 2) + tile)
+        rows[0, 0], rows[1, 0], rows[0, 1], rows[1, 1] = (w[idx]
+                                                          for w in words)
+        mul, thru = _rounds(mul, thru, spare, keys)
+        yield slice(lo, lo + n), (mul[0], thru[0], mul[1], thru[1])
+        lo += n
 
 
 def keyed_uniforms(seed: int, purpose: int, c0, c1, c2, c3) -> np.ndarray:
     """Uniform draws on the open interval (0, 1), one per counter tuple.
 
-    The 53 high bits of the words x0, x1 are gathered in x0's buffer and
-    mapped into a fresh array, so a draw owns exactly its bytes and 0-d
-    counters give a 0-d draw.
+    The rounds run a tile at a time; the 53 high bits of each tile's words
+    x0, x1 are gathered in x0's row and mapped straight into the tile's
+    stretch of a fresh C-ordered array, so a draw owns exactly its bytes
+    and 0-d counters give a 0-d draw.
     """
-    bits, w1, _, _ = _philox_words(c0, c1, c2, c3, derive_key(seed, purpose))
-    bits <<= _SHIFT32
-    bits |= w1
-    bits >>= np.uint64(11)
-    out = np.multiply(bits, 2.0**-53, out=np.empty(bits.shape))
+    words, shape = _counter_words(c0, c1, c2, c3)
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    for part, (bits, w1, _, _) in _philox_tiles(words, shape,
+                                                derive_key(seed, purpose)):
+        bits <<= _SHIFT32
+        bits |= w1
+        bits >>= np.uint64(11)
+        np.multiply(bits, 2.0**-53, out=flat[part])
     out += 2.0**-54
     return out
 

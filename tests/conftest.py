@@ -1,9 +1,11 @@
 """Fixtures shared by the test modules."""
 
+import math
+
 import numpy as np
 import pytest
 
-from mflangevin import langevin
+from mflangevin import langevin, rng
 
 
 @pytest.fixture
@@ -18,3 +20,17 @@ def drawn(monkeypatch):
 
     monkeypatch.setattr(langevin, "step_normals", recording)
     return calls
+
+
+@pytest.fixture(scope="session")
+def philox_words():
+    """Philox4x32 output words (x0, x1, x2, x3) of broadcast counters, each
+    of their broadcast shape, from the tiled rounds every draw runs."""
+    def words(c0, c1, c2, c3, key, rounds=10):
+        counters, shape = rng._counter_words(c0, c1, c2, c3)
+        out = np.empty((4, math.prod(shape)), dtype=np.uint64)
+        for part, rows in rng._philox_tiles(counters, shape, key, rounds):
+            out[:, part] = rows
+        return tuple(out.reshape((4,) + shape))
+
+    return words

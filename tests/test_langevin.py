@@ -1,10 +1,13 @@
 """Trainer dynamics: steps, noise and coupling."""
 
 import dataclasses
+import math
+import weakref
 
 import numpy as np
 import pytest
 
+from mflangevin import langevin
 from mflangevin.clouds import ParticleCloud, cloud_init
 from mflangevin.datasets import Dataset, generate_dataset
 from mflangevin.exceptions import (NonFiniteCostateError,
@@ -377,6 +380,38 @@ class TestSharedPath:
             [init])
         assert [f.tolist() for f in drawn] == [f.tolist() for f in solo]
         assert member.particles.tobytes() == final.particles.tobytes()
+
+    def test_spent_draws_are_freed_before_the_next(self, monkeypatch):
+        # The Euler study's group: members of 64, 32, 16 and 8 slots over a
+        # one-slot reference, at 320 normals a slot, so the path comes in
+        # 64-slot stretches that end an update of every member and no
+        # slots carry over.  The reader keeps nothing of a spent draw.
+        shape, noise_dt, ratios = (32, 5, 2), 1e-3, (64, 32, 16, 8, 1)
+        cfgs = [TrainerConfig(sigma=1.0, prior=gaussian_prior(1.0, 2),
+                              gamma=m * noise_dt, n_iters=192 // m, seed=6,
+                              noise_dt=noise_dt)
+                for m in ratios]
+        raws, drawn = [], []
+        original = langevin.step_normals
+
+        def keeping(seed, fine_iters, *shape):
+            assert all(draw() is None for draw in drawn)
+            draw = original(seed, fine_iters, *shape)
+            raws.append(draw.copy())
+            drawn.append(weakref.ref(draw))
+            return draw
+
+        monkeypatch.setattr(langevin, "step_normals", keeping)
+        noise = {(j, it): block
+                 for group in langevin._path_blocks(cfgs, shape)
+                 for j, it, block in group}
+        assert len(raws) == 3
+        raw = np.concatenate(raws)
+        for j, m in enumerate(ratios):
+            n = 192 // m
+            want = math.sqrt(noise_dt) * raw.reshape((n, m) + shape).sum(1)
+            assert all(noise[j, it].tobytes() == want[it].tobytes()
+                       for it in range(n))
 
     def test_updates_are_observed_in_path_order(self):
         model, ds, grid, init = self._problem()

@@ -21,7 +21,6 @@ from mflangevin.models import (BUILTIN_KINDS, gaussian_prior,
                                make_builtin_model, make_linear_drift_model,
                                make_zero_cost_model)
 from mflangevin.objective import discrete_gradient, finite_diff_gradient
-from mflangevin.rng import _philox_words
 
 _WORD = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -46,9 +45,10 @@ class TestPhiloxProperty:
                              min_size=1, max_size=6),
            key=st.tuples(_WORD, _WORD),
            rounds=st.sampled_from([10, 0, 1, 7]))
-    def test_matches_scalar_reference(self, counters, key, rounds):
+    def test_matches_scalar_reference(self, philox_words, counters, key,
+                                      rounds):
         cols = [np.array([c[j] for c in counters]) for j in range(4)]
-        out = _philox_words(*cols, key=key, rounds=rounds)
+        out = philox_words(*cols, key=key, rounds=rounds)
         # 32-bit words held in uint64, as every draw's rounds keep them.
         assert all(w.dtype == np.uint64 and (w >> 32 == 0).all() for w in out)
         for i, counter in enumerate(counters):
@@ -57,11 +57,12 @@ class TestPhiloxProperty:
 
     @settings(max_examples=50, deadline=None)
     @given(c0=_WORD, c2=_WORD, key=st.tuples(_WORD, _WORD))
-    def test_broadcast_counters_match_reference(self, c0, c2, key):
+    def test_broadcast_counters_match_reference(self, philox_words, c0, c2,
+                                                key):
         # Counter words of different shapes broadcast as in step_normals.
         c1 = np.arange(3).reshape(-1, 1)
         c3 = np.arange(2).reshape(1, -1)
-        out = _philox_words(c0, c1, c2, c3, key=key)
+        out = philox_words(c0, c1, c2, c3, key=key)
         assert out[0].shape == (3, 2)
         for i in range(3):
             for j in range(2):

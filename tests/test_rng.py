@@ -1,27 +1,27 @@
 """Counter-based generator: reference vectors, keying, and coupling contracts."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from mflangevin.rng import (PURPOSE_INIT, PURPOSE_STEP, _philox_words,
-                            derive_key, init_normals, keyed_normals,
-                            keyed_uniforms, step_normals)
+from mflangevin import rng
+from mflangevin.rng import (PURPOSE_INIT, PURPOSE_STEP, _TILE, derive_key,
+                            init_normals, keyed_normals, keyed_uniforms,
+                            step_normals)
 
 
-def _reference_step_normals(seed, fine_iters, n_particles, n_nodes, dim):
-    """step_normals with Philox rounds that allocate fresh arrays every
-    round, and a uniform map and ndtri that allocate their outputs: the
-    raw draws of every slot, shape (k, n_particles, n_nodes, dim)."""
-    fine = np.asarray(fine_iters, dtype=np.int64)
-    counters = [np.arange(dim).reshape(1, 1, -1),
-                np.arange(n_particles).reshape(-1, 1, 1),
-                fine.reshape(-1, 1, 1, 1),
-                np.arange(n_nodes).reshape(1, -1, 1)]
-    words = [c.astype(np.uint64) & np.uint64(0xFFFFFFFF) for c in counters]
+def _reference_uniforms(seed, purpose, *counters):
+    """keyed_uniforms with Philox rounds that allocate fresh arrays every
+    round, over all counters at once, and a uniform map that allocates
+    its output."""
+    words = [np.asarray(c).astype(np.uint64) & np.uint64(0xFFFFFFFF)
+             for c in counters]
     shape = np.broadcast(*words).shape
     x = [np.broadcast_to(w, shape).astype(np.uint64) for w in words]
-    k0, k1 = derive_key(seed, PURPOSE_STEP)
+    k0, k1 = derive_key(seed, purpose)
     for r in range(10):
         rk0 = np.uint64((k0 + r * 0x9E3779B9) & 0xFFFFFFFF)
         rk1 = np.uint64((k1 + r * 0xBB67AE85) & 0xFFFFFFFF)
@@ -30,50 +30,132 @@ def _reference_step_normals(seed, fine_iters, n_particles, n_nodes, dim):
         x = [(p1 >> np.uint64(32)) ^ x[1] ^ rk0, p1 & np.uint64(0xFFFFFFFF),
              (p0 >> np.uint64(32)) ^ x[3] ^ rk1, p0 & np.uint64(0xFFFFFFFF)]
     bits = (x[0] << np.uint64(32)) | x[1]
-    draws = ndtri((bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
-                  + 2.0**-54)
-    return draws
+    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+
+
+def _step_counters(fine_iters, n_particles, n_nodes, dim):
+    """The counter words (component, particle, fine slot, node) of a
+    step_normals draw, before broadcasting."""
+    return [np.arange(dim).reshape(1, 1, -1),
+            np.arange(n_particles).reshape(-1, 1, 1),
+            np.asarray(fine_iters, dtype=np.int64).reshape(-1, 1, 1, 1),
+            np.arange(n_nodes).reshape(1, -1, 1)]
+
+
+def _reference_step_normals(seed, fine_iters, n_particles, n_nodes, dim):
+    """step_normals from the allocating reference uniforms and an ndtri
+    that allocates its output: the raw draws of every slot, shape
+    (k, n_particles, n_nodes, dim)."""
+    return ndtri(_reference_uniforms(
+        seed, PURPOSE_STEP, *_step_counters(fine_iters, n_particles, n_nodes,
+                                            dim)))
 
 
 class TestPhiloxKnownAnswers:
     """Published Philox4x32-10 test vectors."""
 
-    def test_zero_input(self):
-        out = _philox_words(0, 0, 0, 0, key=(0, 0))
+    def test_zero_input(self, philox_words):
+        out = philox_words(0, 0, 0, 0, key=(0, 0))
         assert [int(w) for w in out] == [0x6627e8d5, 0xe169c58d,
                                          0xbc57ac4c, 0x9b00dbd8]
 
-    def test_all_ones_input(self):
-        out = _philox_words(*(0xffffffff,) * 4, key=(0xffffffff, 0xffffffff))
+    def test_all_ones_input(self, philox_words):
+        out = philox_words(*(0xffffffff,) * 4, key=(0xffffffff, 0xffffffff))
         assert [int(w) for w in out] == [0x408f276d, 0x41c83b0e,
                                          0xa20bc7c6, 0x6d5451fd]
 
-    def test_pi_digits_input(self):
-        out = _philox_words(0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344,
-                            key=(0xa4093822, 0x299f31d0))
+    def test_pi_digits_input(self, philox_words):
+        out = philox_words(0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344,
+                           key=(0xa4093822, 0x299f31d0))
         assert [int(w) for w in out] == [0xd16cfe09, 0x94fdcceb,
                                          0x5001e420, 0x24126ea1]
 
-    def test_vectorised_matches_scalar(self):
+    def test_vectorised_matches_scalar(self, philox_words):
         c = np.arange(6)
-        block = _philox_words(c, 1, 2, 3, key=(7, 9))
+        block = philox_words(c, 1, 2, 3, key=(7, 9))
         for i in range(6):
-            single = _philox_words(i, 1, 2, 3, key=(7, 9))
+            single = philox_words(i, 1, 2, 3, key=(7, 9))
             assert all(int(b[i]) == int(s) for b, s in zip(block, single))
 
 
 class TestInPlaceRounds:
-    """The rounds reuse three buffers per call, and each draw is a fresh
-    array of its own."""
+    """The rounds run over tiles of at most ``_TILE`` counters in one
+    scratch buffer allocated once per draw, and each draw is a fresh array
+    of its own."""
 
     @pytest.mark.parametrize("fine,shape", [
         (np.arange(51), (32, 5, 2)),  # a stretch of 51 slots
         (np.arange(7, 8), (128, 9, 10)),  # one update of 11,520 normals
-    ], ids=["stretch", "update"])
+        # The Euler study's stretch of 64 slots: tiles of 38 and 26 slots.
+        (np.arange(64), (32, 5, 2)),
+        # One slot larger than a tile: tiles cut its particle axis.
+        (np.arange(3, 5), (2048, 5, 2)),
+        # 15,000 normals a slot: tiles cut the particle axis, mid-axis.
+        (np.arange(2), (3, 5000, 1)),
+    ], ids=["stretch", "update", "short-last-tile", "slot-above-tile",
+            "middle-axis"])
     def test_step_normals_match_allocating_reference(self, fine, shape):
         got = step_normals(23, fine, *shape)
         want = _reference_step_normals(23, fine, *shape)
+        assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("counters", [
+        (0, 0, 4, 0),
+        # Size-1 and 0-d counters broadcast over 30,000 lanes.
+        (np.arange(30_000), 0, np.zeros((1, 1), dtype=int), 3),
+        (np.arange(5).reshape(5, 1, 1), np.arange(3000).reshape(1, -1, 1), 1,
+         np.arange(4)),
+    ], ids=["scalar", "size-one", "broadcast"])
+    def test_uniforms_match_allocating_reference(self, counters):
+        got = keyed_uniforms(9, PURPOSE_INIT, *counters)
+        want = _reference_uniforms(9, PURPOSE_INIT, *counters)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_rounds_tiles_stay_within_the_bound(self, monkeypatch):
+        # Two slots of 2,048 x 5 x 2 normals: each slot is cut into a tile
+        # of _TILE // 10 whole particles and a short one.  The counters
+        # of the tiles, in order, are every counter once, in C order.
+        lanes = []
+        rounds = rng._rounds
+
+        def recording_rounds(mul, thru, spare, keys):
+            lanes.append(np.stack([mul[0], thru[0], mul[1], thru[1]], axis=1))
+            return rounds(mul, thru, spare, keys)
+
+        monkeypatch.setattr(rng, "_rounds", recording_rounds)
+        counters = _step_counters(np.arange(2), 2048, 5, 2)
+        step_normals(23, np.arange(2), 2048, 5, 2)
+        assert all(len(tile) <= _TILE for tile in lanes)
+        step = _TILE // 10
+        assert [len(tile) for tile in lanes] == [10 * step,
+                                                 10 * (2048 - step)] * 2
+        grid = np.stack(np.broadcast_arrays(*counters), axis=-1)
+        np.testing.assert_array_equal(np.concatenate(lanes),
+                                      grid.reshape(-1, 4))
+
+    def test_concurrent_draws_give_the_serial_bytes(self):
+        # The studies map their runs over threads, so draws on several
+        # threads at once must share no scratch.  More threads than cores,
+        # switching often, each drawing two-tile stretches.
+        seeds = (3, 4, 5, 6)
+        serial = [step_normals(s, np.arange(64), 32, 5, 2).tobytes()
+                  for s in seeds]
+
+        def draws(seed):
+            return [step_normals(seed, np.arange(64), 32, 5, 2).tobytes()
+                    for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                concurrent = list(pool.map(draws, seeds, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, concurrent):
+            assert all(b == want for b in got)
 
     def test_successive_draws_share_no_memory(self):
         a = keyed_normals(42, PURPOSE_STEP, 0, np.arange(10), 3, 1)
